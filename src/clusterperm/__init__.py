@@ -37,6 +37,7 @@ from .exceptions import (
     InsufficientDimensionError,
     MissingDataError,
     NoEligibleCellsError,
+    NonFiniteInputError,
     ParseError,
     ResolutionError,
     UnbalancedError,
@@ -111,6 +112,7 @@ __all__ = [
     "MissingDataError",
     "MultiIndexDataset",
     "NoEligibleCellsError",
+    "NonFiniteInputError",
     "ParseError",
     "PermutationFamily",
     "PreparedTest",

@@ -19,7 +19,7 @@ from . import __version__
 from .dyadic import GridSpec, dyadic_ci, dyadic_test, median_pvalue
 from .exceptions import ClusterPermError, ParseError
 from .io import ingest_csv, ingest_mask_csv
-from .missing import biclique_decompose, blockwise_test
+from .missing import MAX_EXACT_CAP, biclique_decompose, blockwise_test, check_exact_cap
 from .model import DyadArray
 from .multiway import (
     MultiIndexDataset,
@@ -118,7 +118,8 @@ def _add_biclique_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--min-block", type=int, default=2,
                         help="smallest usable block side (default 2)")
     parser.add_argument("--cap", type=int, default=16,
-                        help="exact-solver dimension cap (default 16)")
+                        help=f"exact-solver dimension cap, at most {MAX_EXACT_CAP} "
+                             "(default 16)")
     parser.add_argument("--restarts", type=int, default=16,
                         help="greedy-solver restarts (default 16)")
 
@@ -235,6 +236,8 @@ def _resolve_l0(config: RunConfig, data: MultiIndexDataset) -> int:
 
 def _execute(config: RunConfig) -> dict:
     cmd = config.subcommand
+    if cmd in ("test-missing", "test-irregular", "biclique"):
+        check_exact_cap(config.cap)
     if cmd == "test":
         array = _load_dyadic(config)
         report = dyadic_test(array, num_perms=config.num_perms, seed=config.seed,

@@ -14,7 +14,7 @@ general) permutations enter as row-level source maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +22,12 @@ from .exceptions import (
     DegenerateInputError,
     DimensionError,
     InsufficientDimensionError,
+    NonFiniteInputError,
     ResolutionError,
 )
-from .model import DyadArray, PermutationFamily, StackedDesign, TwoWayPermutation
+from .model import DyadArray, PermutationFamily, StackedDesign
 from .permgroup import build_two_way_group, default_num_perms
-from .projector import ResidualProjector, residual_projector
+from .projector import residual_projector
 
 _DEGENERATE_REL = 1e-10
 
@@ -99,6 +100,15 @@ class GridSpec:
     max_expansions: int = 6
 
 
+def _require_finite(values: np.ndarray, name: str) -> None:
+    """Fail closed: NaN or inf data would make every statistic meaningless."""
+    bad = int(values.size - np.count_nonzero(np.isfinite(values)))
+    if bad:
+        raise NonFiniteInputError(
+            f"{name} has {bad} non-finite value(s); the test needs finite data"
+        )
+
+
 def _validate_perms(perms: np.ndarray, n: int) -> np.ndarray:
     perms = np.asarray(perms, dtype=np.intp)
     if perms.ndim != 2 or perms.shape[1] != n:
@@ -122,11 +132,21 @@ def _validate_perms(perms: np.ndarray, n: int) -> np.ndarray:
 
 
 class PreparedTest:
-    """Projectors and annihilated treatments for a fixed (X, D, family).
+    """Annihilated treatments and row maps for a fixed (X, D, family).
 
-    Building this once lets shifted tests and interval inversion reuse the
-    K complement projectors; only the outcome changes across evaluations.
+    The build streams over members: member k's complement projector V_k V_k'
+    is built, applied to D, and dropped.  The object retains only
+
+    - ``pd``, shape (K, N, d): the annihilated treatments V_k V_k' D, and
+    - ``perms``, shape (K+1, N): the row maps, member 0 the identity,
+
+    so it holds K*N*d + (K+1)*N values.  That is all the statistics need, so
+    shifted tests and interval inversion reuse it and only the outcome
+    changes across evaluations.  ``projectors`` is kept as an empty tuple
+    for callers that read it; no projector outlives the build.
     """
+
+    projectors: tuple = ()
 
     def __init__(
         self,
@@ -147,6 +167,8 @@ class PreparedTest:
             raise DimensionError(f"X has {X.shape[0]} rows, D has {n}")
         if D.shape[1] < 1:
             raise DimensionError("treatment must have at least one column")
+        _require_finite(X, "covariates")
+        _require_finite(D, "treatment")
         p = X.shape[1]
         if 2 * p >= n:
             raise InsufficientDimensionError(
@@ -157,11 +179,9 @@ class PreparedTest:
         self.D = D
         self.perms = perms
         self.num_perms = perms.shape[0] - 1
-        self.projectors: list[ResidualProjector] = []
         pd = np.empty((self.num_perms, n, D.shape[1]))
         for k in range(1, perms.shape[0]):
             proj = residual_projector(X, X[perms[k]], tol=tol, method=method)
-            self.projectors.append(proj)
             pd[k - 1] = proj.annihilate(D)
         self.pd = pd
         d_scale = float(np.linalg.norm(D))
@@ -182,6 +202,7 @@ class PreparedTest:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n,):
             raise DimensionError(f"outcome must have shape ({self.n},)")
+        _require_finite(y, "outcome")
         a_vec = np.einsum("knd,n->kd", self.pd, y)
         y_perm = y[self.perms[1:]]
         b_vec = np.einsum("knd,kn->kd", self.pd, y_perm)
@@ -190,6 +211,7 @@ class PreparedTest:
     def min_stat(self, values: np.ndarray) -> float:
         """min_k ||D' V_k V_k' values||, the minorized statistic."""
         values = np.asarray(values, dtype=float)
+        _require_finite(values, "outcome")
         stat = np.linalg.norm(np.einsum("knd,n->kd", self.pd, values), axis=1)
         return float(stat.min())
 
@@ -228,29 +250,10 @@ def pvalue_from_stats(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise DimensionError("a and b must be equal-length non-empty vectors")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise NonFiniteInputError("statistics contain NaN; no p-value is defined")
     count = int(np.count_nonzero(a.min() <= b))
     return (1 + count) / (a.size + 1)
-
-
-def statistics_for_member(
-    D: np.ndarray,
-    y: np.ndarray,
-    perm: TwoWayPermutation,
-    projector: ResidualProjector,
-) -> tuple[float, float]:
-    """Statistics (a_k, b_k) of a single family member.
-
-    ``a_k`` uses the outcome as observed, ``b_k`` the permuted outcome; both
-    share the member's complement projector.
-    """
-    D = np.asarray(D, dtype=float)
-    if D.ndim == 1:
-        D = D[:, None]
-    y = np.asarray(y, dtype=float)
-    pd = projector.annihilate(D)
-    a = float(np.linalg.norm(pd.T @ y))
-    b = float(np.linalg.norm(pd.T @ y[perm.stacked()]))
-    return a, b
 
 
 def two_way_test(
@@ -304,7 +307,7 @@ def shifted_test(
 ) -> TestReport:
     """Test the point null beta = beta0 by shifting the outcome to y - D beta0.
 
-    The projectors depend only on (X, family), so a prebuilt
+    The annihilated treatments depend only on (X, D, family), so a prebuilt
     :class:`PreparedTest` can be reused across many values of ``beta0``.
     """
     if prepared is None:
@@ -349,6 +352,7 @@ class _AffineStats:
     """
 
     def __init__(self, prepared: PreparedTest, y: np.ndarray):
+        _require_finite(y, "outcome")
         pd = prepared.pd[:, :, 0]
         d_col = prepared.D[:, 0]
         perms = prepared.perms[1:]

@@ -31,6 +31,10 @@ class InsufficientDimensionError(ClusterPermError):
     """Too many regressors for the sample: the projector would be empty."""
 
 
+class NonFiniteInputError(ClusterPermError):
+    """Data or statistics hold NaN or inf, so no valid p-value exists."""
+
+
 class ResolutionError(ClusterPermError):
     """Requested level is below the attainable p-value floor 1/(K+1)."""
 

@@ -29,6 +29,16 @@ from .rng import AXIS_COLS, AXIS_ROWS, family_seed, mask_seed
 
 EXACT_CAP = 16
 
+# The exact solver keeps column sets as uint32 bitsets and enumerates 2**rows
+# row subsets in tables of about 37 bytes per subset (measured with
+# tracemalloc; 40 is budgeted).  The largest cap honours both limits.
+_BITSET_BITS = 32
+_TABLE_BYTES_PER_SUBSET = 40
+_TABLE_BYTES_MAX = 64 * 2**20
+MAX_EXACT_CAP = min(
+    _BITSET_BITS, (_TABLE_BYTES_MAX // _TABLE_BYTES_PER_SUBSET).bit_length() - 1
+)
+
 
 def as_mask(mask) -> np.ndarray:
     """Validate and normalize a mask to a 2-D 0/1 int8 array."""
@@ -75,7 +85,18 @@ def _decode_bits(value: int, lookup: np.ndarray | None = None) -> tuple[int, ...
     return tuple(out)
 
 
+def check_exact_cap(cap: int) -> None:
+    """Raise :class:`CapExceededError` for a cap the exact solver cannot honour."""
+    if cap > MAX_EXACT_CAP:
+        raise CapExceededError(
+            f"cap={cap} exceeds the exact solver's maximum {MAX_EXACT_CAP} "
+            f"({_BITSET_BITS}-bit column sets; 2**cap subset tables kept under "
+            f"{_TABLE_BYTES_MAX >> 20} MiB)"
+        )
+
+
 def _check_cap(mask: np.ndarray, cap: int):
+    check_exact_cap(cap)
     if mask.shape[0] > cap or mask.shape[1] > cap:
         raise CapExceededError(
             f"exact solver accepts at most {cap}x{cap} masks, got "
@@ -92,7 +113,8 @@ def max_biclique_exact(mask, cap: int = EXACT_CAP, min_side: int = 1):
 
     Returns (rows, cols) as sorted index tuples, or None when no block has
     both sides >= ``min_side``.  Raises :class:`CapExceededError` above the
-    cap and :class:`EmptyMaskError` for an all-zero mask.
+    cap or for a cap above :data:`MAX_EXACT_CAP`, and :class:`EmptyMaskError`
+    for an all-zero mask.
     """
     mask = as_mask(mask)
     _check_cap(mask, cap)
@@ -304,6 +326,7 @@ def biclique_decompose(
     and then zeroes every row and column the block touches, so later blocks
     cannot share either axis with it.  Stops when no eligible block remains.
     """
+    check_exact_cap(cap)
     work = as_mask(mask).astype(bool)
     n_rows, n_cols = work.shape
     if not work.any():

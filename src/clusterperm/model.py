@@ -291,8 +291,15 @@ class PermutationFamily:
         return self.members[0].n_cols
 
     def stacked(self) -> np.ndarray:
-        """All members as an (K+1, N) array of stacked source maps."""
-        return np.stack([m.stacked() for m in self.members])
+        """All members as an (K+1, N) array of stacked source maps.
+
+        Each member is written into one preallocated array, so the (K+1)*N
+        map is never held twice.
+        """
+        out = np.empty((len(self.members), self.n_rows * self.n_cols), dtype=np.intp)
+        for k, member in enumerate(self.members):
+            out[k] = member.stacked()
+        return out
 
 
 def effective_variance(values: np.ndarray, level: str, n: int) -> float:

@@ -1,5 +1,7 @@
 """Tests for the randomization test engine and interval inversion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,6 +21,7 @@ from clusterperm.dyadic import (
 from clusterperm.exceptions import (
     DimensionError,
     InsufficientDimensionError,
+    NonFiniteInputError,
     ResolutionError,
 )
 from clusterperm.model import DyadArray, StackedDesign
@@ -62,6 +65,12 @@ class TestPvalueFromStats:
         a = np.array([5.0, 6.0])
         assert pvalue_from_stats(a, np.array([1.0, 2.0])) == pytest.approx(1 / 3)
         assert pvalue_from_stats(a, np.array([5.0, 9.0])) == pytest.approx(1.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(NonFiniteInputError):
+            pvalue_from_stats(np.array([np.nan, 1.0]), np.array([0.5, 2.0]))
+        with pytest.raises(NonFiniteInputError):
+            pvalue_from_stats(np.array([1.0, 2.0]), np.array([0.5, np.nan]))
 
     def test_shape_validation(self):
         with pytest.raises(DimensionError):
@@ -152,6 +161,55 @@ class TestTwoWayTest:
         perms = np.stack([np.roll(np.arange(16), 1), np.arange(16)])
         with pytest.raises(DimensionError):
             permutation_test(X, D, y, perms)
+
+
+class TestPreparedState:
+    def test_retains_only_pd_and_perms(self):
+        # 100 x 100 grid, K = 19, p = 3: pd is 1.5 MB, while the K range
+        # bases (N x 5 each) would add 7.6 MB if the build kept them.
+        X, D, _ = _design(n=100, p=3, seed=30)
+        perms = build_two_way_group(100, 100, 19, seed=30).stacked()
+        tracemalloc.start()
+        try:
+            prepared = PreparedTest(X, D, perms)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prepared.perms is perms
+        assert prepared.projectors == ()
+        slack = 256 * 1024
+        assert held <= prepared.pd.nbytes + prepared.perms.nbytes + slack
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_outcome_rejected_by_statistics_and_min_stat(self, bad):
+        X, D, y = _design(n=6, seed=32)
+        prepared = PreparedTest(X, D, build_two_way_group(6, 6, 5, seed=32).stacked())
+        y[7] = bad
+        with pytest.raises(NonFiniteInputError, match="outcome"):
+            prepared.statistics(y)
+        with pytest.raises(NonFiniteInputError, match="outcome"):
+            prepared.min_stat(y)
+        with pytest.raises(NonFiniteInputError, match="outcome"):
+            prepared.report(y)
+
+    @pytest.mark.parametrize("which", ["covariates", "treatment"])
+    def test_design_rejected_by_prepared_test(self, which):
+        X, D, _ = _design(n=6, seed=33)
+        if which == "covariates":
+            X[3, 1] = np.nan
+        else:
+            D[4, 0] = np.inf
+        with pytest.raises(NonFiniteInputError, match=which):
+            PreparedTest(X, D, build_two_way_group(6, 6, 5, seed=33).stacked())
+
+    def test_interval_inversion_rejects_nan_outcome(self):
+        X, D, y = _design(n=6, seed=34)
+        y[0] = np.nan
+        family = build_two_way_group(6, 6, 19, seed=34)
+        with pytest.raises(NonFiniteInputError, match="outcome"):
+            invert_ci(X, D, y, family)
 
 
 class TestShiftedTest:

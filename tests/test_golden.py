@@ -1,0 +1,94 @@
+"""Golden outputs: SHA-256 of the CLI's JSON report for fixed inputs.
+
+Each case writes its data with numpy alone from a fixed seed, runs the CLI
+with a fixed ``--seed`` and hashes the report file.  A change that alters any
+statistic, p-value, interval endpoint or note changes a hash, so a
+performance change that keeps these hashes left these reports unchanged.
+
+The data file is passed by a relative name from inside the test's temporary
+directory, because the report echoes ``--data`` in its ``config`` block.
+
+The hashes pin the JSON byte for byte, floating-point digits included.  They
+were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64), and were the same
+with one and with two BLAS threads; another BLAS build may round the last bit
+of a statistic differently.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from clusterperm.cli import main
+
+
+def _grid_csv(path, n, seed):
+    """Complete n x n grid: i, j, y, d, x1, x2 with 1-based indices."""
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(np.arange(n), n)
+    cols = np.tile(np.arange(n), n)
+    row_eff = rng.standard_normal(n)
+    col_eff = rng.standard_normal(n)
+    x1 = rng.uniform(0.0, 2.0, n)[rows]
+    x2 = rng.uniform(0.0, 2.0, n)[cols]
+    d = row_eff[rows] + col_eff[cols] + rng.standard_normal(n * n)
+    y = 0.5 + x1 - x2 + 0.3 * d + row_eff[cols] + rng.standard_normal(n * n)
+    table = np.column_stack([rows + 1, cols + 1, y, d, x1, x2])
+    np.savetxt(path, table, fmt=["%d", "%d"] + ["%.12g"] * 4, delimiter=",",
+               header="i,j,y,d,x1,x2", comments="")
+
+
+def _records_csv(path, n, seed):
+    """Records i, j, l, y, d, x1 on an n x n grid with Poisson cell sizes."""
+    rng = np.random.default_rng(seed)
+    sizes = np.minimum(rng.poisson(3.0, size=n * n), 6)
+    cell = np.repeat(np.arange(n * n), sizes)
+    rows, cols = cell // n, cell % n
+    slot = np.arange(cell.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    row_eff = rng.standard_normal(n)
+    col_eff = rng.standard_normal(n)
+    x1 = rng.uniform(0.0, 2.0, n)[rows]
+    d = row_eff[rows] + col_eff[cols] + rng.standard_normal(cell.shape[0])
+    y = 1.0 + x1 + row_eff[cols] + rng.standard_normal(cell.shape[0])
+    table = np.column_stack([rows + 1, cols + 1, slot + 1, y, d, x1])
+    np.savetxt(path, table, fmt=["%d", "%d", "%d"] + ["%.12g"] * 3,
+               delimiter=",", header="i,j,l,y,d,x1", comments="")
+
+
+CASES = {
+    "test": (
+        ["test", "--data", "grid.csv", "--num-perms", "19", "--seed", "3"],
+        "67365f98cde79dd3000876c430b94426b0374b411e28a8c990492f390ccaa135",
+    ),
+    "test-beta0": (
+        ["test", "--data", "grid.csv", "--num-perms", "19", "--seed", "4",
+         "--beta0", "0.3"],
+        "617129d5089844f582a93de24947674d52db245cae3df35a2ebfc18f50e3b97f",
+    ),
+    "ci": (
+        ["ci", "--data", "grid.csv", "--num-perms", "19", "--seed", "5",
+         "--grid-points", "61"],
+        "99a3d2e558f2d9e585127c03ab19a2b29ed20bd820200c712e2c65771faa79ae",
+    ),
+    "test-irregular": (
+        ["test-irregular", "--data", "records.csv", "--num-perms", "5",
+         "--repeats", "3", "--seed", "6"],
+        "8552f08ec80265c9c72acf6dcecbf90e3232d5fb6467d43bcd6d59afb5170b13",
+    ),
+    "simulate-table1": (
+        ["simulate", "--panel", "table1", "--n", "10", "--reps", "4",
+         "--num-perms", "9", "--seed", "7"],
+        "1eab395d063f57414b0c8c54141ca3232dd61761b0c09a7789d395fa8cffd913",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_hash(case, tmp_path, monkeypatch, capsys):
+    argv, expected = CASES[case]
+    monkeypatch.chdir(tmp_path)
+    _grid_csv(tmp_path / "grid.csv", n=20, seed=101)
+    _records_csv(tmp_path / "records.csv", n=20, seed=202)
+    assert main(argv + ["--out", "report.json"]) == 0, capsys.readouterr().out
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == expected, f"{case}: report changed (sha256 {digest})"

@@ -330,6 +330,29 @@ class TestCliCommands:
         payload = self._json_run(["test", "--data", path], capsys, expect_exit=2)
         assert payload["error"]["code"] == "MissingDataError"
 
+    @pytest.mark.parametrize("column, value", [(2, "nan"), (3, "inf")])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, column, value):
+        # one nan outcome (or inf treatment) used to report pval = 1/(K+1)
+        path, _ = _dyadic_csv(tmp_path, n=10, seed=15)
+        lines = open(path).read().strip().split("\n")
+        fields = lines[23].split(",")
+        fields[column] = value
+        lines[23] = ",".join(fields)
+        bad = _write(tmp_path / "bad.csv", "\n".join(lines) + "\n")
+        for sub in (["test"], ["ci", "--alpha", "0.1"]):
+            payload = self._json_run(
+                sub + ["--data", bad, "--num-perms", "9"], capsys, expect_exit=2
+            )
+            assert payload["error"]["code"] == "NonFiniteInputError"
+
+    def test_cap_above_maximum_exits_2(self, tmp_path, capsys):
+        path, _ = _dyadic_csv(tmp_path, n=6, seed=16)
+        for sub in ("biclique", "test-missing"):
+            payload = self._json_run(
+                [sub, "--data", path, "--cap", "40"], capsys, expect_exit=2
+            )
+            assert payload["error"]["code"] == "CapExceededError"
+
     def test_diagnostics_capture_warnings(self, tmp_path, capsys):
         path, _ = _dyadic_csv(tmp_path, n=8, seed=14)
         lines = open(path).read().strip().split("\n")

@@ -13,6 +13,7 @@ from clusterperm.exceptions import (
     MissingDataError,
 )
 from clusterperm.missing import (
+    MAX_EXACT_CAP,
     BicliqueCover,
     as_mask,
     biclique_decompose,
@@ -102,6 +103,20 @@ class TestMaxBicliqueExact:
         with pytest.raises(CapExceededError):
             max_biclique_exact(np.ones((17, 3), dtype=np.int8))
         max_biclique_exact(np.ones((17, 3), dtype=np.int8), cap=17)
+
+    def test_cap_above_maximum_rejected(self):
+        # uint32 column bitsets used to overflow here; 2**cap tables grew unbounded
+        assert 17 <= MAX_EXACT_CAP <= 32
+        wide = np.ones((3, 40), dtype=np.int8)
+        with pytest.raises(CapExceededError, match="maximum"):
+            max_biclique_exact(wide, cap=40)
+        with pytest.raises(CapExceededError, match="maximum"):
+            max_square_side(wide, cap=MAX_EXACT_CAP + 1)
+        for solver in ("auto", "greedy"):
+            with pytest.raises(CapExceededError, match="maximum"):
+                biclique_decompose(wide, solver=solver, cap=MAX_EXACT_CAP + 1)
+        rows, cols = max_biclique_exact(np.ones((3, 20), dtype=np.int8), cap=MAX_EXACT_CAP)
+        assert rows == (0, 1, 2) and len(cols) == 20
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_brute_force(self, seed):
