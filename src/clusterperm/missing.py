@@ -150,10 +150,6 @@ def max_square_side(mask, cap: int = EXACT_CAP) -> int:
     return int(sides.max())
 
 
-def _common_cols(mask_bool: np.ndarray, rows) -> np.ndarray:
-    return np.logical_and.reduce(mask_bool[list(rows)], axis=0)
-
-
 def _candidate_key(score: int, rows: tuple, cols: tuple):
     return (-score, -len(rows), rows, cols)
 
@@ -165,82 +161,92 @@ def max_biclique_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int =
     prefix against its common-neighbor column set, then applies single-row
     add/remove/swap moves to a local optimum.  Deterministic given ``seed``.
 
-    Returns (rows, cols) or None when ``min_side`` cannot be met.
+    The local search depends only on its start set (the best prefix), so
+    each distinct start set is searched once per call.  A repeated start set
+    would yield the same candidate, which never displaces the best (ties keep
+    the first), so the result is the same as searching on every restart.
+
+    Returns (rows, cols) or None when ``min_side`` cannot be met.  Raises
+    :class:`DimensionError` when ``restarts`` is below 1.
     """
+    if restarts < 1:
+        raise DimensionError(f"restarts must be at least 1, got {restarts}")
     mask = as_mask(mask)
     mask_bool = mask.astype(bool)
     degrees = mask_bool.sum(axis=1)
     active = np.flatnonzero(degrees > 0)
     if active.size == 0:
         raise EmptyMaskError("mask has no observed cells")
+    # Rows are addressed by position in ``active``; it is sorted, so position
+    # order is row order.  ``A`` holds the active rows as 0/1 floats: every
+    # count below is a small integer, exact in float64, and the products run
+    # in BLAS.
+    A = mask_bool[active].astype(np.float64)
+    prefix_sizes = np.arange(1, active.size + 1)
+    searched: set[tuple[int, ...]] = set()
     best = None
 
     for t in range(restarts):
         rng_noise = np.random.default_rng(mask_seed(seed, 7, t)).random(active.size)
-        order = active[np.lexsort((rng_noise, -degrees[active]))]
-        common = np.ones(mask_bool.shape[1], dtype=bool)
-        chosen: list[int] = []
-        start = None
-        for r in order:
-            new_common = common & mask_bool[r]
-            count = int(new_common.sum())
-            if count == 0:
-                break
-            chosen.append(int(r))
-            common = new_common
-            if len(chosen) >= min_side and count >= min_side:
-                score = len(chosen) * count
-                if start is None or score > start[0]:
-                    start = (score, set(chosen), common.copy())
-        if start is None:
+        order = np.lexsort((rng_noise, -degrees[active]))
+        # Column counts of every prefix of ``order``; they never increase, so
+        # requiring a positive count cuts the prefixes at the first empty one.
+        counts = np.logical_and.accumulate(A[order], axis=0).sum(axis=1)
+        valid = (prefix_sizes >= min_side) & (counts >= min_side) & (counts > 0)
+        if not valid.any():
             continue
-        _, rows_set, _ = start
-        rows_set = set(rows_set)
-        guard = 0
-        while guard < 200:
-            guard += 1
-            common = _common_cols(mask_bool, rows_set)
-            score = len(rows_set) * int(common.sum())
-            move = None
-            for r in active:
-                if r in rows_set:
+        # argmax takes the first best prefix, as a strict ``>`` scan would.
+        scores = np.where(valid, prefix_sizes * counts, 0)
+        start = np.sort(order[: int(np.argmax(scores)) + 1])
+        start_key = tuple(start.tolist())
+        if start_key in searched:
+            continue
+        searched.add(start_key)
+
+        # Local search on the chosen set S: ``cnt`` counts the chosen rows
+        # covering each column, so the columns common to S are ``cnt == |S|``
+        # and those common to S - {r} are ``cnt - A[r] == |S| - 1``.  Each
+        # move kind takes its first improving move in scan order: adds over
+        # ``active``, removes over sorted S, swaps over sorted S (out) and
+        # then ``active`` (in).  At most 200 moves are made.
+        chosen = np.zeros(active.size, dtype=bool)
+        chosen[start] = True
+        cnt = A[start].sum(axis=0)
+        size = start.size
+        for _ in range(200):
+            common = cnt == size
+            score = size * int(common.sum())
+            gain = A @ common
+            ok = ~chosen & (gain >= min_side) & ((size + 1) * gain > score)
+            if ok.any():
+                r = int(np.argmax(ok))
+                chosen[r] = True
+                cnt += A[r]
+                size += 1
+                continue
+            members = np.flatnonzero(chosen)
+            base = (cnt - A[members]) == size - 1
+            if size > min_side:
+                rest = base.sum(axis=1)
+                ok = (rest >= min_side) & ((size - 1) * rest > score)
+                if ok.any():
+                    r = members[int(np.argmax(ok))]
+                    chosen[r] = False
+                    cnt -= A[r]
+                    size -= 1
                     continue
-                new_cols = int((common & mask_bool[r]).sum())
-                if new_cols >= min_side and (len(rows_set) + 1) * new_cols > score:
-                    move = ("add", int(r), None)
-                    break
-            if move is None and len(rows_set) > min_side:
-                for r in sorted(rows_set):
-                    rest = rows_set - {r}
-                    new_cols = int(_common_cols(mask_bool, rest).sum())
-                    if new_cols >= min_side and (len(rows_set) - 1) * new_cols > score:
-                        move = ("remove", r, None)
-                        break
-            if move is None:
-                for r_out in sorted(rows_set):
-                    base = _common_cols(mask_bool, rows_set - {r_out})
-                    for r_in in active:
-                        if r_in in rows_set:
-                            continue
-                        new_cols = int((base & mask_bool[r_in]).sum())
-                        if new_cols >= min_side and len(rows_set) * new_cols > score:
-                            move = ("swap", r_out, int(r_in))
-                            break
-                    if move is not None:
-                        break
-            if move is None:
+            swap = base @ A.T
+            ok = ~chosen & (swap >= min_side) & (size * swap > score)
+            if not ok.any():
                 break
-            kind, first, second = move
-            if kind == "add":
-                rows_set.add(first)
-            elif kind == "remove":
-                rows_set.discard(first)
-            else:
-                rows_set.discard(first)
-                rows_set.add(second)
-        common = _common_cols(mask_bool, rows_set)
-        rows = tuple(sorted(int(r) for r in rows_set))
-        cols = tuple(int(c) for c in np.flatnonzero(common))
+            out_at, r_in = divmod(int(np.argmax(ok)), active.size)
+            r_out = members[out_at]
+            chosen[r_out] = False
+            chosen[r_in] = True
+            cnt += A[r_in] - A[r_out]
+
+        rows = tuple(int(r) for r in active[chosen])
+        cols = tuple(int(c) for c in np.flatnonzero(cnt == size))
         if len(rows) < min_side or len(cols) < min_side:
             continue
         key = _candidate_key(len(rows) * len(cols), rows, cols)
@@ -312,6 +318,19 @@ class BicliqueCover:
         }
 
 
+def resolve_solver(solver: str, shape, cap: int = EXACT_CAP) -> str:
+    """The solver, "exact" or "greedy", that ``solver`` means for a mask shape.
+
+    "auto" is exact when both sides fit under ``cap``.  The exact solver
+    ignores the seed, so its cover depends on the mask alone.
+    """
+    if solver not in ("auto", "exact", "greedy"):
+        raise ValueError(f"unknown solver {solver!r}")
+    if solver == "auto":
+        return "exact" if shape[0] <= cap and shape[1] <= cap else "greedy"
+    return solver
+
+
 def biclique_decompose(
     mask,
     solver: str = "auto",
@@ -325,19 +344,19 @@ def biclique_decompose(
     Each round finds the largest block whose sides are both >= ``min_block``
     and then zeroes every row and column the block touches, so later blocks
     cannot share either axis with it.  Stops when no eligible block remains.
+    Raises :class:`DimensionError` when ``min_block`` or ``restarts`` is
+    below 1, even when the exact solver makes ``restarts`` moot.
     """
     check_exact_cap(cap)
     work = as_mask(mask).astype(bool)
     n_rows, n_cols = work.shape
     if not work.any():
         raise EmptyMaskError("mask has no observed cells")
-    if solver not in ("auto", "exact", "greedy"):
-        raise ValueError(f"unknown solver {solver!r}")
-    use_exact = solver == "exact" or (
-        solver == "auto" and n_rows <= cap and n_cols <= cap
-    )
+    use_exact = resolve_solver(solver, work.shape, cap) == "exact"
     if min_block < 1:
         raise DimensionError("min_block must be at least 1")
+    if restarts < 1:
+        raise DimensionError(f"restarts must be at least 1, got {restarts}")
 
     blocks = []
     round_no = 0

@@ -24,7 +24,7 @@ from .exceptions import (
     NoEligibleCellsError,
     UnbalancedError,
 )
-from .missing import BicliqueCover, biclique_decompose
+from .missing import BicliqueCover, biclique_decompose, resolve_solver
 from .permgroup import build_cyclic_family, default_num_perms
 from .rng import (
     AXIS_CELLS,
@@ -336,7 +336,9 @@ def irregular_test(
     resulting mask into disjoint fully eligible blocks, subsample every
     retained cell to exactly L0 records (slots keep original record order),
     and permute block rows and columns with the L0 slots riding along.
-    Reports the lower-median p-value across repeats.
+    The exact solver's cover does not depend on the seed, so it is built
+    once and shared by every repeat.  Reports the lower-median p-value
+    across repeats.
     """
     if l0 < 1:
         raise DimensionError(f"l0 must be positive, got {l0}")
@@ -348,18 +350,26 @@ def irregular_test(
     if eligible == 0:
         raise NoEligibleCellsError(f"no cell holds at least l0={l0} observations")
 
-    cells = {(i, j): positions for i, j, positions in _cells_in_order(data)}
-    reports = []
-    for r in range(repeats):
-        rs = run_seed(seed, r)
+    resolved = resolve_solver(solver, mask.shape, cap)
+
+    def decompose(rs: int) -> BicliqueCover:
         cover = biclique_decompose(
-            mask, solver=solver, min_block=min_block, cap=cap,
+            mask, solver=resolved, min_block=min_block, cap=cap,
             restarts=restarts, seed=rs,
         )
         if len(cover) == 0:
             raise NoEligibleCellsError(
                 f"decomposition found no block with sides >= {min_block}"
             )
+        return cover
+
+    # The exact cover ignores the seed: build it once for every repeat.
+    fixed_cover = decompose(seed) if resolved == "exact" else None
+    cells = {(i, j): positions for i, j, positions in _cells_in_order(data)}
+    reports = []
+    for r in range(repeats):
+        rs = run_seed(seed, r)
+        cover = fixed_cover if fixed_cover is not None else decompose(rs)
         reports.append(
             _trimmed_block_run(data, cells, cover, l0, num_perms, rs, tol)
         )

@@ -11,7 +11,7 @@ Namespaces (first key) keep unrelated uses from colliding:
 * 2 -- permutation-family streams, keyed (block, axis); the plain dyadic
        test is block 0 with axis 0 = rows and axis 1 = cols
 * 3 -- repeated-pipeline runs (irregular designs)
-* 4 -- per-cell subsampling
+* 4 -- cell subsampling, one stream per pipeline run
 * 5 -- mask generation and solver restarts
 * 6 -- simulated data-generating processes
 """
@@ -64,11 +64,6 @@ def replicate_seed(seed: int, replicate: int) -> int:
 def run_seed(seed: int, run: int) -> int:
     """Seed for one repeat of a repeated pipeline."""
     return derive_seed(seed, _NS_RUN, run)
-
-
-def subsample_seed(seed: int, row: int, col: int) -> int:
-    """Seed for subsampling the records of one cell."""
-    return derive_seed(seed, _NS_SUBSAMPLE, row, col)
 
 
 def trim_seed(seed: int) -> int:

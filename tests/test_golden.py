@@ -75,6 +75,21 @@ CASES = {
          "--repeats", "3", "--seed", "6"],
         "8552f08ec80265c9c72acf6dcecbf90e3232d5fb6467d43bcd6d59afb5170b13",
     ),
+    "test-irregular-greedy": (
+        ["test-irregular", "--data", "records.csv", "--num-perms", "5",
+         "--repeats", "3", "--seed", "6", "--biclique-solver", "greedy",
+         "--restarts", "4"],
+        "f5eba6effd0bfd521196d8e7d2e8abae70f599ffc1dfe93d1a9592fee319f77e",
+    ),
+    "test-irregular-exact": (
+        ["test-irregular", "--data", "small.csv", "--num-perms", "3",
+         "--repeats", "4", "--seed", "9", "--biclique-solver", "exact"],
+        "16862f62c2c9a743ecfa2480140132b1c36dd26e31bcdc2c9f6c80cd50fca5ea",
+    ),
+    "biclique-records": (
+        ["biclique", "--data", "records.csv", "--seed", "8"],
+        "6432d3a5d4a3a82ae89b03d3519ccb18c282e807f316c89545741e836b233622",
+    ),
     "simulate-table1": (
         ["simulate", "--panel", "table1", "--n", "10", "--reps", "4",
          "--num-perms", "9", "--seed", "7"],
@@ -89,6 +104,7 @@ def test_report_hash(case, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _grid_csv(tmp_path / "grid.csv", n=20, seed=101)
     _records_csv(tmp_path / "records.csv", n=20, seed=202)
+    _records_csv(tmp_path / "small.csv", n=12, seed=303)
     assert main(argv + ["--out", "report.json"]) == 0, capsys.readouterr().out
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == expected, f"{case}: report changed (sha256 {digest})"

@@ -353,6 +353,18 @@ class TestCliCommands:
             )
             assert payload["error"]["code"] == "CapExceededError"
 
+    def test_restarts_below_one_exits_2(self, tmp_path, capsys):
+        # restarts=0 used to print an empty cover (biclique) or report a
+        # misleading NoEligibleCellsError (test-irregular)
+        path = _irregular_csv(tmp_path, seed=17)
+        for sub in (["biclique"], ["test-irregular", "--num-perms", "3", "--repeats", "2"]):
+            payload = self._json_run(
+                sub + ["--data", path, "--biclique-solver", "greedy", "--restarts", "0"],
+                capsys, expect_exit=2,
+            )
+            assert payload["error"]["code"] == "DimensionError"
+            assert "restarts" in payload["error"]["message"]
+
     def test_diagnostics_capture_warnings(self, tmp_path, capsys):
         path, _ = _dyadic_csv(tmp_path, n=8, seed=14)
         lines = open(path).read().strip().split("\n")

@@ -1,10 +1,14 @@
 """Tests for biclique solvers, mask decomposition, and the blockwise test."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clusterperm import missing
 from clusterperm.dyadic import two_way_test
 from clusterperm.exceptions import (
     CapExceededError,
@@ -24,6 +28,7 @@ from clusterperm.missing import (
 )
 from clusterperm.model import StackedDesign
 from clusterperm.permgroup import build_two_way_group
+from clusterperm.rng import mask_seed
 from clusterperm.simulate import gen_dyadic_dataset, gen_mcar_mask
 
 
@@ -57,6 +62,110 @@ def _brute_force_square_side(mask):
 def _random_mask(n_rows, n_cols, rho, seed):
     rng = np.random.default_rng(seed)
     return (rng.random((n_rows, n_cols)) < rho).astype(np.int8)
+
+
+# The row-by-row greedy search as it was before the search was vectorized,
+# kept verbatim (with its two helpers) as the reference the current solver
+# must match move for move.
+def _common_cols(mask_bool: np.ndarray, rows) -> np.ndarray:
+    return np.logical_and.reduce(mask_bool[list(rows)], axis=0)
+
+
+def _candidate_key(score: int, rows: tuple, cols: tuple):
+    return (-score, -len(rows), rows, cols)
+
+
+def _reference_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int = 1):
+    mask = as_mask(mask)
+    mask_bool = mask.astype(bool)
+    degrees = mask_bool.sum(axis=1)
+    active = np.flatnonzero(degrees > 0)
+    if active.size == 0:
+        raise EmptyMaskError("mask has no observed cells")
+    best = None
+
+    for t in range(restarts):
+        rng_noise = np.random.default_rng(mask_seed(seed, 7, t)).random(active.size)
+        order = active[np.lexsort((rng_noise, -degrees[active]))]
+        common = np.ones(mask_bool.shape[1], dtype=bool)
+        chosen: list[int] = []
+        start = None
+        for r in order:
+            new_common = common & mask_bool[r]
+            count = int(new_common.sum())
+            if count == 0:
+                break
+            chosen.append(int(r))
+            common = new_common
+            if len(chosen) >= min_side and count >= min_side:
+                score = len(chosen) * count
+                if start is None or score > start[0]:
+                    start = (score, set(chosen), common.copy())
+        if start is None:
+            continue
+        _, rows_set, _ = start
+        rows_set = set(rows_set)
+        guard = 0
+        while guard < 200:
+            guard += 1
+            common = _common_cols(mask_bool, rows_set)
+            score = len(rows_set) * int(common.sum())
+            move = None
+            for r in active:
+                if r in rows_set:
+                    continue
+                new_cols = int((common & mask_bool[r]).sum())
+                if new_cols >= min_side and (len(rows_set) + 1) * new_cols > score:
+                    move = ("add", int(r), None)
+                    break
+            if move is None and len(rows_set) > min_side:
+                for r in sorted(rows_set):
+                    rest = rows_set - {r}
+                    new_cols = int(_common_cols(mask_bool, rest).sum())
+                    if new_cols >= min_side and (len(rows_set) - 1) * new_cols > score:
+                        move = ("remove", r, None)
+                        break
+            if move is None:
+                for r_out in sorted(rows_set):
+                    base = _common_cols(mask_bool, rows_set - {r_out})
+                    for r_in in active:
+                        if r_in in rows_set:
+                            continue
+                        new_cols = int((base & mask_bool[r_in]).sum())
+                        if new_cols >= min_side and len(rows_set) * new_cols > score:
+                            move = ("swap", r_out, int(r_in))
+                            break
+                    if move is not None:
+                        break
+            if move is None:
+                break
+            kind, first, second = move
+            if kind == "add":
+                rows_set.add(first)
+            elif kind == "remove":
+                rows_set.discard(first)
+            else:
+                rows_set.discard(first)
+                rows_set.add(second)
+        common = _common_cols(mask_bool, rows_set)
+        rows = tuple(sorted(int(r) for r in rows_set))
+        cols = tuple(int(c) for c in np.flatnonzero(common))
+        if len(rows) < min_side or len(cols) < min_side:
+            continue
+        key = _candidate_key(len(rows) * len(cols), rows, cols)
+        if best is None or key < best[0]:
+            best = (key, (rows, cols))
+    return None if best is None else best[1]
+
+
+@st.composite
+def _masks(draw, max_side=40):
+    """A 0/1 mask up to max_side on each side, of any density."""
+    n_rows = draw(st.integers(1, max_side))
+    n_cols = draw(st.integers(1, max_side))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random((n_rows, n_cols)) < density).astype(np.int8)
 
 
 class TestAsMask:
@@ -191,6 +300,46 @@ class TestMaxBicliqueGreedy:
         with pytest.raises(EmptyMaskError):
             max_biclique_greedy(np.zeros((4, 4), dtype=np.int8))
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_below_one_rejected(self, restarts):
+        with pytest.raises(DimensionError, match="restarts"):
+            max_biclique_greedy(np.ones((3, 3), dtype=np.int8), restarts=restarts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mask=_masks(),
+        min_side=st.integers(1, 3),
+        restarts=st.integers(1, 6),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_reference_search(self, mask, min_side, restarts, seed):
+        kwargs = dict(restarts=restarts, seed=seed, min_side=min_side)
+        if not mask.any():
+            for solver in (max_biclique_greedy, _reference_greedy):
+                with pytest.raises(EmptyMaskError):
+                    solver(mask, **kwargs)
+            return
+        assert max_biclique_greedy(mask, **kwargs) == _reference_greedy(mask, **kwargs)
+
+    def test_matches_reference_on_mid_density_masks(self):
+        # mid-density masks of 25-40 per side make long local searches with
+        # several improving swaps per step, where scan order decides the move
+        for i in range(200):
+            rng = np.random.default_rng(9000 + i)
+            n_rows, n_cols = (int(v) for v in rng.integers(25, 41, size=2))
+            mask = _random_mask(n_rows, n_cols, rng.uniform(0.35, 0.65), 9000 + i)
+            kwargs = dict(restarts=4, seed=i, min_side=int(rng.integers(1, 4)))
+            assert max_biclique_greedy(mask, **kwargs) == _reference_greedy(mask, **kwargs)
+
+    def test_repeated_start_sets_match_reference(self):
+        # a planted block makes every restart start from the same prefix
+        mask = np.zeros((10, 10), dtype=np.int8)
+        mask[1:7, 2:8] = 1
+        mask[8, 0] = 1
+        assert max_biclique_greedy(mask, restarts=12, seed=3) == _reference_greedy(
+            mask, restarts=12, seed=3
+        )
+
 
 class TestBicliqueCover:
     def test_normalizes_and_reports(self):
@@ -274,6 +423,29 @@ class TestBicliqueDecompose:
     def test_sparse_mask_can_yield_empty_cover(self):
         cover = biclique_decompose(np.eye(4, dtype=np.int8), min_block=2, seed=0)
         assert len(cover) == 0
+
+    @pytest.mark.parametrize("solver", ["auto", "exact", "greedy"])
+    def test_restarts_below_one_rejected(self, solver):
+        # restarts=0 used to return an empty greedy cover
+        with pytest.raises(DimensionError, match="restarts"):
+            biclique_decompose(np.ones((20, 20), dtype=np.int8), solver=solver,
+                               cap=20, restarts=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mask=_masks(),
+        min_block=st.integers(1, 3),
+        restarts=st.integers(1, 6),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_greedy_cover_matches_reference_search(self, mask, min_block, restarts, seed):
+        if not mask.any():
+            mask[0, 0] = 1
+        kwargs = dict(solver="greedy", min_block=min_block, restarts=restarts, seed=seed)
+        cover = biclique_decompose(mask, **kwargs)
+        with mock.patch.object(missing, "max_biclique_greedy", _reference_greedy):
+            reference = biclique_decompose(mask, **kwargs)
+        assert cover == reference
 
 
 class TestBlockwiseTest:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from clusterperm import multiway
 from clusterperm.dyadic import two_way_test
 from clusterperm.exceptions import (
     DimensionError,
@@ -274,6 +275,38 @@ class TestIrregularTest:
         payload = result.to_dict()
         assert payload["repeats"] == 3
         assert len(payload["run_pvals"]) == 3
+
+    def test_exact_cover_built_once(self, monkeypatch):
+        data = gen_irregular_dataset(8, 8, 3, "row-heavy", seed=27)
+        real = multiway.biclique_decompose
+        calls = []
+
+        def counting(mask, **kwargs):
+            calls.append(kwargs["solver"])
+            return real(mask, **kwargs)
+
+        monkeypatch.setattr(multiway, "biclique_decompose", counting)
+        kwargs = dict(l0=3, num_perms=3, repeats=4, seed=27)
+        once = irregular_test(data, solver="exact", **kwargs)
+        assert calls == ["exact"]
+        calls.clear()
+        irregular_test(data, solver="greedy", **kwargs)
+        assert calls == ["greedy"] * 4
+
+        # Rebuilding the exact cover on every repeat gives the same reports:
+        # "auto" resolves to exact on this 8x8 grid inside the decomposition.
+        calls.clear()
+        monkeypatch.setattr(multiway, "resolve_solver", lambda solver, shape, cap: "auto")
+        every = irregular_test(data, solver="exact", **kwargs)
+        assert calls == ["auto"] * 4
+        assert once.to_dict() == every.to_dict()
+        for a, b in zip(once.runs, every.runs):
+            assert np.array_equal(a.a, b.a) and np.array_equal(a.b, b.b)
+
+    def test_restarts_below_one_rejected(self):
+        data = gen_irregular_dataset(6, 6, 3, "two-way-weak", seed=28)
+        with pytest.raises(DimensionError, match="restarts"):
+            irregular_test(data, l0=3, num_perms=3, repeats=2, restarts=0)
 
     def test_validation(self):
         data = gen_irregular_dataset(6, 6, 3, "two-way-weak", seed=26)
