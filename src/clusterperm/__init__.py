@@ -57,12 +57,9 @@ from .model import (
     PermutationFamily,
     StackedDesign,
     TwoWayPermutation,
-    apply_two_way,
     compose,
-    effective_variance,
     row_index,
     stack,
-    unstack,
 )
 from .multiway import (
     IrregularResult,
@@ -74,6 +71,7 @@ from .multiway import (
     threeway_test,
 )
 from .permgroup import (
+    block_product_perms,
     build_cyclic_family,
     build_two_way_group,
     composition_law_holds,
@@ -124,9 +122,9 @@ __all__ = [
     "TwoWayPermutation",
     "UnbalancedError",
     "VarianceBudgetError",
-    "apply_two_way",
     "biclique_decompose",
     "biclique_growth_experiment",
+    "block_product_perms",
     "blockwise_test",
     "build_cyclic_family",
     "build_two_way_group",
@@ -135,7 +133,6 @@ __all__ = [
     "default_num_perms",
     "dyadic_ci",
     "dyadic_test",
-    "effective_variance",
     "fixed_point_free",
     "gen_dyadic_dataset",
     "gen_mcar_mask",
@@ -161,6 +158,5 @@ __all__ = [
     "suggest_cell_threshold",
     "threeway_test",
     "two_way_test",
-    "unstack",
     "verify_group",
 ]

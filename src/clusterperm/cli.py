@@ -16,7 +16,7 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
-from .dyadic import GridSpec, dyadic_ci, dyadic_test, median_pvalue
+from .dyadic import GridSpec, dyadic_ci, dyadic_test
 from .exceptions import ClusterPermError, ParseError
 from .io import ingest_csv, ingest_mask_csv
 from .missing import MAX_EXACT_CAP, biclique_decompose, blockwise_test, check_exact_cap
@@ -38,6 +38,10 @@ from .simulate import (
 SCHEMA_VERSION = 1
 
 _PANELS = ("table1", "table4", "table3")
+
+# K for the subcommands without a divisor-based default (blockwise, layout,
+# irregular and the table3 panel).
+DEFAULT_NUM_PERMS = 19
 
 
 @dataclass
@@ -257,7 +261,7 @@ def _execute(config: RunConfig) -> dict:
             mask, solver=config.biclique_solver, min_block=config.min_block,
             cap=config.cap, restarts=config.restarts, seed=config.seed,
         )
-        num_perms = config.num_perms if config.num_perms is not None else 19
+        num_perms = config.num_perms if config.num_perms is not None else DEFAULT_NUM_PERMS
         report = blockwise_test(array, mask, cover, num_perms,
                                 seed=config.seed, tol=config.rank_tol)
         payload = report.to_dict()
@@ -273,13 +277,13 @@ def _execute(config: RunConfig) -> dict:
                           tol=config.rank_tol).to_dict()
     if cmd == "test-layout":
         data = _load_multi(config)
-        num_perms = config.num_perms if config.num_perms is not None else 19
+        num_perms = config.num_perms if config.num_perms is not None else DEFAULT_NUM_PERMS
         return layout_test(data, num_perms, seed=config.seed,
                            tol=config.rank_tol).to_dict()
     if cmd == "test-irregular":
         data = _load_multi(config)
         l0 = _resolve_l0(config, data)
-        num_perms = config.num_perms if config.num_perms is not None else 19
+        num_perms = config.num_perms if config.num_perms is not None else DEFAULT_NUM_PERMS
         result = irregular_test(
             data, l0=l0, num_perms=num_perms, repeats=config.repeats,
             seed=config.seed, solver=config.biclique_solver,
@@ -331,7 +335,7 @@ def _run_panel(config: RunConfig) -> dict:
             n_rows=side, n_cols=side, l0=int(config.l0),
             reps=config.reps if config.reps is not None else 500,
             alpha=config.alpha, seed=config.seed,
-            num_perms=config.num_perms if config.num_perms is not None else 19,
+            num_perms=config.num_perms if config.num_perms is not None else DEFAULT_NUM_PERMS,
             repeats=config.repeats, threads=config.threads,
         )
     raise ParseError(f"unknown panel {config.panel!r}")

@@ -154,7 +154,6 @@ class PreparedTest:
         D: np.ndarray,
         row_perms: np.ndarray,
         tol: float | None = None,
-        method: str = "svd",
     ):
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
@@ -181,7 +180,7 @@ class PreparedTest:
         self.num_perms = perms.shape[0] - 1
         pd = np.empty((self.num_perms, n, D.shape[1]))
         for k in range(1, perms.shape[0]):
-            proj = residual_projector(X, X[perms[k]], tol=tol, method=method)
+            proj = residual_projector(X, X[perms[k]], tol=tol)
             pd[k - 1] = proj.annihilate(D)
         self.pd = pd
         d_scale = float(np.linalg.norm(D))

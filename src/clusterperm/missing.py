@@ -6,7 +6,8 @@ pairwise-disjoint column sets.  The decomposition greedily extracts a
 maximum-edge biclique (exactly, below a size cap, or heuristically above
 it), then removes all of its rows and columns from the mask, which is what
 guarantees disjointness.  The blockwise test permutes rows and columns
-within each block and leaves everything else fixed.
+within each block and leaves everything else fixed; its row maps come from
+:func:`~clusterperm.permgroup.block_product_perms`, one block per cover block.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .exceptions import (
     MissingDataError,
 )
 from .model import DyadArray
-from .permgroup import build_cyclic_family
-from .rng import AXIS_COLS, AXIS_ROWS, family_seed, mask_seed
+from .permgroup import block_product_perms
+from .rng import AXIS_COLS, AXIS_ROWS, mask_seed
 
 EXACT_CAP = 16
 
@@ -41,10 +42,15 @@ MAX_EXACT_CAP = min(
 
 
 def as_mask(mask) -> np.ndarray:
-    """Validate and normalize a mask to a 2-D 0/1 int8 array."""
+    """Validate and normalize a mask to a 2-D 0/1 int8 array.
+
+    A bool array holds only 0/1 by type, so only other dtypes are scanned.
+    """
     arr = np.asarray(mask)
     if arr.ndim != 2:
         raise DimensionError(f"mask must be 2-D, got shape {arr.shape}")
+    if arr.dtype == bool:
+        return arr.astype(np.int8)
     values = np.unique(arr)
     if not np.isin(values, (0, 1, True, False)).all():
         raise DimensionError("mask entries must be 0 or 1")
@@ -362,10 +368,10 @@ def biclique_decompose(
     round_no = 0
     while work.any():
         if use_exact:
-            found = max_biclique_exact(work.astype(np.int8), cap=cap, min_side=min_block)
+            found = max_biclique_exact(work, cap=cap, min_side=min_block)
         else:
             found = max_biclique_greedy(
-                work.astype(np.int8),
+                work,
                 restarts=restarts,
                 seed=mask_seed(seed, 9, round_no),
                 min_side=min_block,
@@ -425,15 +431,9 @@ def blockwise_test(
     d = np.vstack(d_parts)
     x = np.vstack(x_parts)
 
-    total = cover.cell_count
-    perms = np.empty((num_perms + 1, total), dtype=np.intp)
-    offset = 0
-    for q, (rows, cols) in enumerate(cover.blocks):
-        row_fam = build_cyclic_family(len(rows), num_perms, family_seed(seed, q, AXIS_ROWS))
-        col_fam = build_cyclic_family(len(cols), num_perms, family_seed(seed, q, AXIS_COLS))
-        cells = len(rows) * len(cols)
-        for k in range(num_perms + 1):
-            local = row_fam[k][:, None] * len(cols) + col_fam[k][None, :]
-            perms[k, offset : offset + cells] = local.reshape(cells) + offset
-        offset += cells
+    perms = block_product_perms(
+        [(q, ((len(rows), AXIS_ROWS), (len(cols), AXIS_COLS)))
+         for q, (rows, cols) in enumerate(cover.blocks)],
+        num_perms, seed,
+    )
     return permutation_test(x, d, y, perms, seed=seed, tol=tol, notes=tuple(notes))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DegenerateInputError, DimensionError, MissingDataError
+from .exceptions import DimensionError, MissingDataError
 
 
 def row_index(i: int, j: int, n_cols: int) -> int:
@@ -26,11 +26,6 @@ def row_index(i: int, j: int, n_cols: int) -> int:
     if not (1 <= j <= n_cols) or i < 1:
         raise DimensionError(f"cell ({i}, {j}) outside a grid with {n_cols} columns")
     return (i - 1) * n_cols + j
-
-
-def stacked_position(i: int, j: int, n_cols: int) -> int:
-    """0-based stacked row of 0-based cell (i, j); storage-side counterpart."""
-    return i * n_cols + j
 
 
 @dataclass(frozen=True)
@@ -136,16 +131,6 @@ def stack(array: DyadArray, which: str = "outcome") -> np.ndarray:
     raise ValueError(f"unknown field {which!r}")
 
 
-def unstack(values: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
-    """Inverse of :func:`stack`: reshape a stacked vector or matrix to the grid."""
-    values = np.asarray(values)
-    if values.shape[0] != n_rows * n_cols:
-        raise DimensionError(
-            f"stacked length {values.shape[0]} != {n_rows} * {n_cols}"
-        )
-    return values.reshape((n_rows, n_cols) + values.shape[1:]).copy()
-
-
 @dataclass(frozen=True)
 class StackedDesign:
     """Stacked regression pieces of a fully observed dyadic array."""
@@ -235,22 +220,6 @@ def compose(g: TwoWayPermutation, h: TwoWayPermutation) -> TwoWayPermutation:
     return TwoWayPermutation(g.pi[h.pi], g.sigma[h.sigma])
 
 
-def apply_two_way(values: np.ndarray, perm: TwoWayPermutation) -> np.ndarray:
-    """Apply a two-way permutation to a stacked vector or matrix.
-
-    The output row for cell (i, j) holds the input row of cell
-    (pi(i), sigma(j)); column structure is untouched.
-    """
-    values = np.asarray(values)
-    n = perm.n_rows * perm.n_cols
-    if values.shape[0] != n:
-        raise DimensionError(
-            f"stacked length {values.shape[0]} does not match "
-            f"{perm.n_rows} x {perm.n_cols} grid"
-        )
-    return values[perm.stacked()]
-
-
 @dataclass(frozen=True)
 class PermutationFamily:
     """An indexed family of two-way permutations; member 0 is the identity."""
@@ -300,33 +269,3 @@ class PermutationFamily:
         for k, member in enumerate(self.members):
             out[k] = member.stacked()
         return out
-
-
-def effective_variance(values: np.ndarray, level: str, n: int) -> float:
-    """Scale-adjusted variance diagnostic for comparing covariate designs.
-
-    Dyad-level variation is scaled by n^2 and node-level variation by n, so
-    designs with the same effective variance put comparable information into
-    a grid of n^2 cells.  Uses the population (denominator-n) variance.
-
-    Parameters
-    ----------
-    values : array_like
-        Sampled values of the covariate at its own level.
-    level : {"dyad", "node"}
-    n : int
-        Number of nodes per side of the grid.
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size < 2:
-        raise DegenerateInputError(
-            f"effective variance needs at least two values, got {values.size}"
-        )
-    if n < 1:
-        raise DimensionError(f"n must be positive, got {n}")
-    var = float(np.var(values))
-    if level == "dyad":
-        return n * n * var
-    if level == "node":
-        return n * var
-    raise ValueError(f"unknown level {level!r}")

@@ -10,6 +10,11 @@ permutations may move:
   eligible blocks, subsampled to exactly L0 slots, then treated like a
   blockwise panel; the whole pipeline repeats with derived seeds and the
   median p-value is reported.
+
+Every layout builds its row maps with one call to
+:func:`~clusterperm.permgroup.block_product_perms`: a block per box, cell or
+cover block, one cyclic family per moving axis, and ``None`` for an axis that
+stays fixed (panel periods, irregular slots).
 """
 
 from __future__ import annotations
@@ -25,16 +30,8 @@ from .exceptions import (
     UnbalancedError,
 )
 from .missing import BicliqueCover, biclique_decompose, resolve_solver
-from .permgroup import build_cyclic_family, default_num_perms
-from .rng import (
-    AXIS_CELLS,
-    AXIS_COLS,
-    AXIS_ROWS,
-    family_seed,
-    generator,
-    run_seed,
-    trim_seed,
-)
+from .permgroup import block_product_perms, default_num_perms
+from .rng import AXIS_CELLS, AXIS_COLS, AXIS_ROWS, generator, run_seed, trim_seed
 
 
 @dataclass(frozen=True)
@@ -147,17 +144,6 @@ def _ordered_box(data: MultiIndexDataset):
     return data.y[order], data.d[order], data.x[order], (m, n, ell)
 
 
-def _box_perms(fams: list[np.ndarray], dims: tuple[int, int, int]) -> np.ndarray:
-    m, n, ell = dims
-    num = fams[0].shape[0]
-    perms = np.empty((num, m * n * ell), dtype=np.intp)
-    for k in range(num):
-        grid = (fams[0][k][:, None, None] * n + fams[1][k][None, :, None]) * ell \
-            + fams[2][k][None, None, :]
-        perms[k] = grid.reshape(-1)
-    return perms
-
-
 def threeway_test(
     data: MultiIndexDataset,
     num_perms: int | None = None,
@@ -169,16 +155,12 @@ def threeway_test(
     Valid when the error law is exchangeable separately in i, j, and l
     conditional on the design.
     """
-    y, d, x, dims = _ordered_box(data)
-    m, n, ell = dims
+    y, d, x, (m, n, ell) = _ordered_box(data)
     if num_perms is None:
         num_perms = min(default_num_perms(m, n), default_num_perms(ell))
-    fams = [
-        build_cyclic_family(m, num_perms, family_seed(seed, 0, AXIS_ROWS)),
-        build_cyclic_family(n, num_perms, family_seed(seed, 0, AXIS_COLS)),
-        build_cyclic_family(ell, num_perms, family_seed(seed, 0, AXIS_CELLS)),
-    ]
-    return permutation_test(x, d, y, _box_perms(fams, dims), seed=seed, tol=tol)
+    axes = ((m, AXIS_ROWS), (n, AXIS_COLS), (ell, AXIS_CELLS))
+    perms = block_product_perms([(0, axes)], num_perms, seed)
+    return permutation_test(x, d, y, perms, seed=seed, tol=tol)
 
 
 def panel_test(
@@ -192,17 +174,12 @@ def panel_test(
     Because every period moves together, arbitrary deterministic period
     effects (trends, seasonality) cancel without being modeled.
     """
-    y, d, x, dims = _ordered_box(data)
-    m, n, ell = dims
+    y, d, x, (m, n, ell) = _ordered_box(data)
     if num_perms is None:
         num_perms = default_num_perms(m, n)
-    identity = np.tile(np.arange(ell), (num_perms + 1, 1))
-    fams = [
-        build_cyclic_family(m, num_perms, family_seed(seed, 0, AXIS_ROWS)),
-        build_cyclic_family(n, num_perms, family_seed(seed, 0, AXIS_COLS)),
-        identity,
-    ]
-    return permutation_test(x, d, y, _box_perms(fams, dims), seed=seed, tol=tol)
+    axes = ((m, AXIS_ROWS), (n, AXIS_COLS), (ell, None))
+    perms = block_product_perms([(0, axes)], num_perms, seed)
+    return permutation_test(x, d, y, perms, seed=seed, tol=tol)
 
 
 def _cells_in_order(data: MultiIndexDataset):
@@ -239,20 +216,11 @@ def layout_test(
             f"{empty} cells have no records; use the irregular or missing-data paths"
         )
     cells = _cells_in_order(data)
-    total = data.n_obs
-    perms = np.empty((num_perms + 1, total), dtype=np.intp)
-    offset = 0
-    frozen = 0
-    for i, j, positions in cells:
-        size = positions.size
-        fam = build_cyclic_family(
-            size, num_perms, family_seed(seed, i * data.n_cols + j, AXIS_CELLS)
-        )
-        if size < num_perms + 1:
-            frozen += 1
-        for k in range(num_perms + 1):
-            perms[k, offset : offset + size] = fam[k] + offset
-        offset += size
+    perms = block_product_perms(
+        [(i * data.n_cols + j, ((positions.size, AXIS_CELLS),)) for i, j, positions in cells],
+        num_perms, seed,
+    )
+    frozen = sum(positions.size < num_perms + 1 for _, _, positions in cells)
     order = np.concatenate([positions for _, _, positions in cells])
     notes = []
     if frozen == len(cells):
@@ -402,20 +370,11 @@ def _trimmed_block_run(
                 keep = np.sort(rng.choice(positions.size, size=l0, replace=False))
                 picked.append(positions[keep])
     order = np.concatenate(picked)
-
-    total = cover.cell_count * l0
-    perms = np.empty((num_perms + 1, total), dtype=np.intp)
-    offset = 0
-    slots = np.arange(l0)
-    for q, (rows, cols) in enumerate(cover.blocks):
-        row_fam = build_cyclic_family(len(rows), num_perms, family_seed(rs, q, AXIS_ROWS))
-        col_fam = build_cyclic_family(len(cols), num_perms, family_seed(rs, q, AXIS_COLS))
-        block_n = len(rows) * len(cols) * l0
-        for k in range(num_perms + 1):
-            grid = (row_fam[k][:, None, None] * len(cols) + col_fam[k][None, :, None]) * l0 \
-                + slots[None, None, :]
-            perms[k, offset : offset + block_n] = grid.reshape(-1) + offset
-        offset += block_n
+    perms = block_product_perms(
+        [(q, ((len(rows), AXIS_ROWS), (len(cols), AXIS_COLS), (l0, None)))
+         for q, (rows, cols) in enumerate(cover.blocks)],
+        num_perms, rs,
+    )
     sides = cover.sides()
     notes = []
     if any(min(nr, nc) < num_perms + 1 for nr, nc in sides):

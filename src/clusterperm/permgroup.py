@@ -5,35 +5,22 @@ blockwise cyclic shift, conjugated by a random relabeling.  The non-trivial
 facts used downstream: the family is a group (composition of members is a
 member, with index arithmetic mod K+1), and when (K+1) divides n every
 non-identity member moves every index.
+
+Every test acts with a product of such families: member k of the group
+applies member k of one family per moving axis of every block at once
+(:func:`block_product_perms`), which is again a cyclic group of order K+1.
+The dyadic test's two-way group is the one-block, two-axis case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .exceptions import DimensionError
 from .model import PermutationFamily, TwoWayPermutation
-from .rng import AXIS_COLS, AXIS_ROWS, family_seed, generator
-
-
-@dataclass(frozen=True)
-class CyclicFamilySpec:
-    """Parameters of one cyclic family: index-set size, K, and a seed."""
-
-    n_indices: int
-    num_perms: int
-    seed: int
-
-    def __post_init__(self):
-        if self.n_indices < 1:
-            raise DimensionError(f"need at least one index, got {self.n_indices}")
-        if self.num_perms < 1:
-            raise DimensionError(f"need at least one permutation, got {self.num_perms}")
-
-    def build(self) -> np.ndarray:
-        return build_cyclic_family(self.n_indices, self.num_perms, self.seed)
+from .rng import AXIS_COLS, AXIS_ROWS, family_seed
 
 
 def _blockwise_shift(n: int, num_perms: int, k: int) -> np.ndarray:
@@ -101,13 +88,61 @@ def build_two_way_group(n_rows: int, n_cols: int, num_perms: int, seed: int) -> 
     return PermutationFamily(members)
 
 
-def _one_axis_members(family) -> list[np.ndarray] | None:
-    """Normalize a one-axis family to a list of index arrays, else None."""
-    if isinstance(family, np.ndarray) and family.ndim == 2:
-        return [family[k] for k in range(family.shape[0])]
-    if isinstance(family, (list, tuple)) and family and not isinstance(family[0], TwoWayPermutation):
-        return [np.asarray(m, dtype=np.intp) for m in family]
-    return None
+def block_product_perms(blocks, num_perms: int, seed) -> np.ndarray:
+    """Stacked row maps of cyclic families acting together on disjoint blocks.
+
+    Each block is ``(key, ((size, axis), ...))``: a box of stacked rows laid
+    out row-major over its axes (first axis slowest), placed after the blocks
+    before it.  A moving axis draws
+    ``build_cyclic_family(size, K, family_seed(seed, key, axis))``; an axis
+    given as ``None`` stays fixed.  Member k applies member k of every
+    family at once, so the members form a cyclic group,
+    ``P[r][P[s]] == P[(r + s) % (K + 1)]``, and each maps every block onto
+    itself.
+
+    Returns
+    -------
+    ndarray of shape (K+1, N), dtype intp
+        Row k is member k's source map over the N stacked rows of all
+        blocks; row 0 is the identity.  Each block's families are added
+        into a view of this one array, so no second (K+1, N) array is made.
+    """
+    if num_perms < 1:
+        raise DimensionError(f"need at least one permutation, got {num_perms}")
+    blocks = list(blocks)
+    shapes = [tuple(size for size, _ in axes) for _, axes in blocks]
+    if any(size < 1 for shape in shapes for size in shape):
+        raise DimensionError("every block axis needs at least one index")
+    perms = np.empty((num_perms + 1, sum(map(math.prod, shapes))), dtype=np.intp)
+    offset = 0
+    for (key, axes), shape in zip(blocks, shapes):
+        n_block = math.prod(shape)
+        view = perms[:, offset : offset + n_block].reshape((num_perms + 1,) + shape)
+        view[...] = offset
+        stride = n_block
+        for a, (size, axis) in enumerate(axes):
+            stride //= size
+            if axis is None:
+                images = np.arange(size)[None, :]
+            else:
+                images = build_cyclic_family(size, num_perms, family_seed(seed, key, axis))
+            view += (images * stride).reshape(
+                images.shape[:1] + (1,) * a + (size,) + (1,) * (len(axes) - a - 1)
+            )
+        offset += n_block
+    return perms
+
+
+def _member_maps(family) -> list[np.ndarray]:
+    """Members as index arrays; a two-way member enters as its stacked map.
+
+    g -> stacked(g) is injective and stacked(g o h) == stacked(g)[stacked(h)],
+    so every group law checked on the maps holds for two-way members.
+    """
+    return [
+        m.stacked() if isinstance(m, TwoWayPermutation) else np.asarray(m, dtype=np.intp)
+        for m in family
+    ]
 
 
 def verify_group(family) -> bool:
@@ -115,40 +150,20 @@ def verify_group(family) -> bool:
 
     Accepts a :class:`PermutationFamily`, a sequence of
     :class:`TwoWayPermutation`, or a (K+1, n) array / sequence of index
-    arrays for a one-axis family.  Composition of two-way members is
-    componentwise.
+    arrays for a one-axis family.  Two-way members compose componentwise.
     """
-    arrays = _one_axis_members(family)
-    if arrays is not None:
-        keys = {tuple(m.tolist()) for m in arrays}
-        for g in arrays:
-            for h in arrays:
-                if tuple(g[h].tolist()) not in keys:
-                    return False
-        return True
-    members = list(family)
-    keys = {m.key() for m in members}
-    for g in members:
-        for h in members:
-            if (tuple(g.pi[h.pi].tolist()), tuple(g.sigma[h.sigma].tolist())) not in keys:
+    arrays = _member_maps(family)
+    keys = {tuple(m.tolist()) for m in arrays}
+    for g in arrays:
+        for h in arrays:
+            if tuple(g[h].tolist()) not in keys:
                 return False
     return True
 
 
 def composition_law_holds(family) -> bool:
     """True iff member_r o member_s == member_((r+s) mod (K+1)) for all r, s."""
-    arrays = _one_axis_members(family)
-    if arrays is None:
-        members = list(family)
-        size = len(members)
-        for r in range(size):
-            for s in range(size):
-                expect = members[(r + s) % size]
-                got_pi = members[r].pi[members[s].pi]
-                got_sg = members[r].sigma[members[s].sigma]
-                if not (np.array_equal(got_pi, expect.pi) and np.array_equal(got_sg, expect.sigma)):
-                    return False
-        return True
+    arrays = _member_maps(family)
     size = len(arrays)
     for r in range(size):
         for s in range(size):
@@ -157,30 +172,24 @@ def composition_law_holds(family) -> bool:
     return True
 
 
+def _moves_every_index(maps) -> bool:
+    return not any(np.any(m == np.arange(m.shape[0])) for m in maps)
+
+
 def fixed_point_free(family) -> bool:
     """True iff every non-identity member moves every index.
 
     For two-way members both the row and the column map must move every
     index of their respective axes.
     """
-    arrays = _one_axis_members(family)
-    if arrays is not None:
-        n = arrays[0].shape[0]
-        idx = np.arange(n)
-        for m in arrays:
-            if np.array_equal(m, idx):
-                continue
-            if np.any(m == idx):
-                return False
-        return True
-    for member in family:
-        if member.is_identity():
-            continue
-        if np.any(member.pi == np.arange(member.n_rows)):
-            return False
-        if np.any(member.sigma == np.arange(member.n_cols)):
-            return False
-    return True
+    members = list(family)
+    if members and isinstance(members[0], TwoWayPermutation):
+        moved = [m for m in members if not m.is_identity()]
+        return _moves_every_index(m.pi for m in moved) and _moves_every_index(
+            m.sigma for m in moved
+        )
+    arrays = _member_maps(members)
+    return _moves_every_index(m for m in arrays if not np.array_equal(m, np.arange(m.shape[0])))
 
 
 def default_num_perms(n_rows: int, n_cols: int | None = None) -> int:

@@ -47,11 +47,6 @@ class ResidualProjector:
         return self._q.shape[1]
 
     @property
-    def dim(self) -> int:
-        """Dimension of the complement, n - r."""
-        return self.n - self.r
-
-    @property
     def range_basis(self) -> np.ndarray:
         """Orthonormal basis Q of col([X | X_perm]), shape (n, r)."""
         return self._q
@@ -82,15 +77,6 @@ class ResidualProjector:
         if self.r == 0:
             return values.copy()
         return values - self._q @ (self._q.T @ values)
-
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """Coordinates V' values in the complement, length n - r."""
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] != self.n:
-            raise DimensionError(
-                f"expected leading dimension {self.n}, got {values.shape[0]}"
-            )
-        return self.V.T @ values
 
 
 def residual_projector(
@@ -142,11 +128,6 @@ def residual_projector(
     else:
         raise ValueError(f"unknown method {method!r}")
     return ResidualProjector(np.ascontiguousarray(basis), tol_abs, method)
-
-
-def project(projector: ResidualProjector, values: np.ndarray) -> np.ndarray:
-    """Functional form of :meth:`ResidualProjector.project`."""
-    return projector.project(values)
 
 
 def _as_matrix(a: np.ndarray) -> np.ndarray:

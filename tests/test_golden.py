@@ -55,6 +55,32 @@ def _records_csv(path, n, seed):
                delimiter=",", header="i,j,l,y,d,x1", comments="")
 
 
+def _box_csv(path, n, ell, seed):
+    """Full n x n x ell box: i, j, l, y, d, x1 with 1-based indices."""
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(np.arange(n), n * ell)
+    cols = np.tile(np.repeat(np.arange(n), ell), n)
+    slot = np.tile(np.arange(ell), n * n)
+    row_eff = rng.standard_normal(n)
+    col_eff = rng.standard_normal(n)
+    slot_eff = rng.standard_normal(ell)
+    x1 = rng.uniform(0.0, 2.0, n)[rows]
+    d = row_eff[rows] + col_eff[cols] + rng.standard_normal(rows.shape[0])
+    y = 0.5 + x1 + slot_eff[slot] + row_eff[cols] + rng.standard_normal(rows.shape[0])
+    table = np.column_stack([rows + 1, cols + 1, slot + 1, y, d, x1])
+    np.savetxt(path, table, fmt=["%d", "%d", "%d"] + ["%.12g"] * 3,
+               delimiter=",", header="i,j,l,y,d,x1", comments="")
+
+
+def _holey_grid_csv(path, n, seed, drop=0.2):
+    """An n x n grid CSV with about ``drop`` of its cells left out."""
+    _grid_csv(path, n, seed)
+    lines = path.read_text().splitlines()
+    keep = np.random.default_rng(seed + 1).random(n * n) >= drop
+    body = [line for line, kept in zip(lines[1:], keep) if kept]
+    path.write_text("\n".join([lines[0], *body]) + "\n")
+
+
 CASES = {
     "test": (
         ["test", "--data", "grid.csv", "--num-perms", "19", "--seed", "3"],
@@ -90,6 +116,22 @@ CASES = {
         ["biclique", "--data", "records.csv", "--seed", "8"],
         "6432d3a5d4a3a82ae89b03d3519ccb18c282e807f316c89545741e836b233622",
     ),
+    "test-threeway": (
+        ["test-threeway", "--data", "box.csv", "--num-perms", "3", "--seed", "11"],
+        "617e4bb5975022c406218af0cdfb735d23367770e6892b474439d0034db1c398",
+    ),
+    "test-panel": (
+        ["test-panel", "--data", "box.csv", "--num-perms", "3", "--seed", "12"],
+        "06d58aa91aa8d81547d7faacf819ef58cd3dfac8d4ae2a55c65f30f66c37454a",
+    ),
+    "test-layout": (
+        ["test-layout", "--data", "box.csv", "--num-perms", "3", "--seed", "13"],
+        "09ac5b63ea245cde057a68e811f4ebbb2dd90b663217a1bd43ce2f6817697e8f",
+    ),
+    "test-missing": (
+        ["test-missing", "--data", "holey.csv", "--num-perms", "4", "--seed", "14"],
+        "6a8e6bb06addaba684c90e952762d13822f1b7d21dc7309f8bb92738d5674f9b",
+    ),
     "simulate-table1": (
         ["simulate", "--panel", "table1", "--n", "10", "--reps", "4",
          "--num-perms", "9", "--seed", "7"],
@@ -105,6 +147,8 @@ def test_report_hash(case, tmp_path, monkeypatch, capsys):
     _grid_csv(tmp_path / "grid.csv", n=20, seed=101)
     _records_csv(tmp_path / "records.csv", n=20, seed=202)
     _records_csv(tmp_path / "small.csv", n=12, seed=303)
+    _box_csv(tmp_path / "box.csv", n=8, ell=4, seed=404)
+    _holey_grid_csv(tmp_path / "holey.csv", n=12, seed=505)
     assert main(argv + ["--out", "report.json"]) == 0, capsys.readouterr().out
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == expected, f"{case}: report changed (sha256 {digest})"

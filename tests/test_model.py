@@ -1,25 +1,17 @@
-"""Tests for the dyadic data model: stacking, permutations, diagnostics."""
+"""Tests for the dyadic data model: stacking and permutations."""
 
 import numpy as np
 import pytest
 
-from clusterperm.exceptions import (
-    DegenerateInputError,
-    DimensionError,
-    MissingDataError,
-)
+from clusterperm.exceptions import DimensionError, MissingDataError
 from clusterperm.model import (
     DyadArray,
     PermutationFamily,
     StackedDesign,
     TwoWayPermutation,
-    apply_two_way,
     compose,
-    effective_variance,
     row_index,
     stack,
-    stacked_position,
-    unstack,
 )
 
 
@@ -47,8 +39,11 @@ class TestRowIndex:
                     assert row_index(i, j, n_cols) == (i - 1) * n_cols + j
 
     def test_zero_based_counterpart(self):
-        assert stacked_position(0, 0, 4) == 0
-        assert stacked_position(2, 3, 4) == 11
+        # storage is 0-based: cell (i, j) sits at stacked row i * n_cols + j
+        array = _grid_array(3, 4, seed=6)
+        stacked = stack(array, "outcome")
+        assert stacked[0] == array.y[0, 0]
+        assert stacked[11] == array.y[2, 3]
 
     def test_out_of_range(self):
         with pytest.raises(DimensionError):
@@ -67,9 +62,9 @@ class TestStacking:
 
     def test_round_trip_all_fields(self):
         array = _grid_array(4, 5, d_dim=2, p=3, seed=1)
-        assert np.array_equal(unstack(stack(array, "outcome"), 4, 5), array.y)
-        assert np.array_equal(unstack(stack(array, "treatment"), 4, 5), array.d)
-        assert np.array_equal(unstack(stack(array, "covariates"), 4, 5), array.x)
+        assert np.array_equal(stack(array, "outcome").reshape(4, 5), array.y)
+        assert np.array_equal(stack(array, "treatment").reshape(4, 5, 2), array.d)
+        assert np.array_equal(stack(array, "covariates").reshape(4, 5, 3), array.x)
 
     def test_incomplete_array_refuses_to_stack(self):
         observed = np.ones((3, 4), dtype=bool)
@@ -80,10 +75,6 @@ class TestStacking:
         )
         with pytest.raises(MissingDataError):
             stack(array, "outcome")
-
-    def test_unstack_length_check(self):
-        with pytest.raises(DimensionError):
-            unstack(np.zeros(7), 2, 3)
 
     def test_stacked_design(self):
         array = _grid_array(3, 3, seed=2)
@@ -121,7 +112,7 @@ class TestTwoWayPermutation:
         # pi swaps the two rows, sigma reverses three columns
         perm = TwoWayPermutation(pi=[1, 0], sigma=[2, 1, 0])
         values = np.arange(6, dtype=float)
-        moved = apply_two_way(values, perm)
+        moved = values[perm.stacked()]
         # cell (0, 0) reads from (pi(0), sigma(0)) = (1, 2), stacked row 5
         assert moved[0] == values[5]
         assert np.array_equal(np.sort(moved), values)
@@ -137,21 +128,14 @@ class TestTwoWayPermutation:
         for _ in range(20):
             g = TwoWayPermutation(rng.permutation(4), rng.permutation(5))
             h = TwoWayPermutation(rng.permutation(4), rng.permutation(5))
-            values = rng.standard_normal(20)
-            via_compose = apply_two_way(values, compose(g, h))
-            stepwise = apply_two_way(apply_two_way(values, g), h)
-            assert np.array_equal(via_compose, stepwise)
+            # reading through g's map and then h's is reading through g o h's
+            assert np.array_equal(compose(g, h).stacked(), g.stacked()[h.stacked()])
 
     def test_apply_preserves_multiset(self):
         rng = np.random.default_rng(4)
         perm = TwoWayPermutation(rng.permutation(6), rng.permutation(3))
         values = rng.standard_normal(18)
-        assert np.array_equal(np.sort(apply_two_way(values, perm)), np.sort(values))
-
-    def test_apply_checks_length(self):
-        perm = TwoWayPermutation.identity(2, 3)
-        with pytest.raises(DimensionError):
-            apply_two_way(np.zeros(5), perm)
+        assert np.array_equal(np.sort(values[perm.stacked()]), np.sort(values))
 
 
 class TestPermutationFamily:
@@ -174,25 +158,3 @@ class TestPermutationFamily:
             PermutationFamily(
                 (TwoWayPermutation.identity(2, 3), TwoWayPermutation.identity(3, 2))
             )
-
-
-class TestEffectiveVariance:
-    def test_frozen_node_example(self):
-        # population variance of (0, 2) is 1; node level scales by n = 2
-        assert effective_variance([0.0, 2.0], "node", 2) == pytest.approx(2.0)
-
-    def test_dyad_is_n_times_node(self):
-        rng = np.random.default_rng(5)
-        values = rng.standard_normal(40)
-        for n in (2, 7, 25):
-            node = effective_variance(values, "node", n)
-            dyad = effective_variance(values, "dyad", n)
-            assert dyad == pytest.approx(n * node)
-
-    def test_needs_two_values(self):
-        with pytest.raises(DegenerateInputError):
-            effective_variance([1.0], "node", 2)
-
-    def test_unknown_level(self):
-        with pytest.raises(ValueError):
-            effective_variance([0.0, 1.0], "edge", 2)

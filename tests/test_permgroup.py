@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterperm.exceptions import DimensionError
+from clusterperm.model import TwoWayPermutation
 from clusterperm.permgroup import (
-    CyclicFamilySpec,
     _blockwise_shift,
+    block_product_perms,
     build_cyclic_family,
     build_two_way_group,
     composition_law_holds,
@@ -14,6 +17,7 @@ from clusterperm.permgroup import (
     fixed_point_free,
     verify_group,
 )
+from clusterperm.rng import AXIS_CELLS, AXIS_COLS, AXIS_ROWS, family_seed
 
 
 def _cycle_type(perm):
@@ -89,17 +93,11 @@ class TestBuildCyclicFamily:
         assert not np.array_equal(a[1], b[1])
         assert _cycle_type(a[1]) == _cycle_type(b[1])
 
-    def test_spec_wrapper(self):
-        spec = CyclicFamilySpec(n_indices=8, num_perms=3, seed=5)
-        assert np.array_equal(spec.build(), build_cyclic_family(8, 3, 5))
-
     def test_validation(self):
         with pytest.raises(DimensionError):
             build_cyclic_family(0, 2, seed=0)
         with pytest.raises(DimensionError):
             build_cyclic_family(5, 0, seed=0)
-        with pytest.raises(DimensionError):
-            CyclicFamilySpec(n_indices=5, num_perms=0, seed=0)
 
 
 class TestGroupStructure:
@@ -134,6 +132,68 @@ class TestGroupStructure:
         family = build_cyclic_family(8, 3, seed=0).copy()
         family[2] = np.roll(np.arange(8), 1)
         assert not verify_group(family)
+        # a two-way family whose member 2 has a foreign row map
+        members = list(build_two_way_group(6, 6, 2, seed=0))
+        members[2] = TwoWayPermutation(np.roll(np.arange(6), 1), members[2].sigma)
+        assert not verify_group(members)
+        assert not composition_law_holds(members)
+
+
+_AXES = st.one_of(st.none(), st.sampled_from([AXIS_ROWS, AXIS_COLS, AXIS_CELLS]))
+
+
+@st.composite
+def _block_layouts(draw):
+    """1-3 blocks of 1-3 axes each, sides 1-7, some axes fixed (None)."""
+    return [
+        (draw(st.integers(0, 40)),
+         tuple(draw(st.lists(st.tuples(st.integers(1, 7), _AXES), min_size=1, max_size=3))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+class TestBlockProductPerms:
+    @settings(max_examples=200, deadline=None)
+    @given(blocks=_block_layouts(), num_perms=st.integers(1, 6),
+           seed=st.integers(0, 2**63 - 1))
+    def test_cyclic_group_of_block_bijections(self, blocks, num_perms, seed):
+        perms = block_product_perms(blocks, num_perms, seed)
+        size = num_perms + 1
+        n = sum(int(np.prod([s for s, _ in axes])) for _, axes in blocks)
+        assert perms.shape == (size, n) and perms.dtype == np.intp
+        assert np.array_equal(perms[0], np.arange(n))
+        for row in perms:
+            assert np.array_equal(np.sort(row), np.arange(n))
+        offset = 0
+        for _, axes in blocks:
+            end = offset + int(np.prod([s for s, _ in axes]))
+            assert ((perms[:, offset:end] >= offset) & (perms[:, offset:end] < end)).all()
+            offset = end
+        for r in range(size):
+            for s in range(size):
+                assert np.array_equal(perms[r][perms[s]], perms[(r + s) % size])
+
+    @settings(max_examples=50, deadline=None)
+    @given(m=st.integers(1, 9), n=st.integers(1, 9), num_perms=st.integers(1, 6),
+           seed=st.integers(0, 2**63 - 1))
+    def test_reduces_to_two_way_group(self, m, n, num_perms, seed):
+        # criterion 12 on the maps: a box with l = 1, a panel with T = 1 and
+        # one full cover block each give exactly the dyadic group
+        two_way = build_two_way_group(m, n, num_perms, seed).stacked()
+        rows_cols = ((m, AXIS_ROWS), (n, AXIS_COLS))
+        for axes in (rows_cols + ((1, AXIS_CELLS),), rows_cols + ((1, None),), rows_cols):
+            assert np.array_equal(block_product_perms([(0, axes)], num_perms, seed), two_way)
+
+    def test_fixed_axis_rides_along(self):
+        perms = block_product_perms([(3, ((4, AXIS_ROWS), (2, None)))], 3, seed=1)
+        rows = build_cyclic_family(4, 3, seed=family_seed(1, 3, AXIS_ROWS))
+        assert np.array_equal(perms, (rows[:, :, None] * 2 + np.arange(2)).reshape(4, 8))
+
+    def test_validation(self):
+        with pytest.raises(DimensionError):
+            block_product_perms([(0, ((3, AXIS_ROWS),))], 0, seed=0)
+        with pytest.raises(DimensionError):
+            block_product_perms([(0, ((3, AXIS_ROWS), (0, None)))], 2, seed=0)
 
 
 class TestDefaultNumPerms:
