@@ -3,7 +3,9 @@
 Reports are JSON (or a plain-text rendering of the same payload) with a
 stable schema and no timestamps, so a repeated invocation with the same
 inputs and seed is byte-identical.  Failures surface as a machine-readable
-``{"error": {"code", "message"}}`` object and exit status 2.
+``{"error": {"code", "message"}}`` object: a package error exits with status 2,
+any other exception with code ``InternalError``, status 3 and its traceback on
+stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
+import traceback
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -405,9 +408,16 @@ def main(argv=None) -> int:
     try:
         return run(config)
     except ClusterPermError as exc:
-        error = {"error": {"code": exc.code, "message": str(exc)}}
-        sys.stdout.write(json.dumps(error, indent=2, sort_keys=True) + "\n")
-        return 2
+        return _report_error(exc.code, str(exc), 2)
+    except Exception as exc:  # fail closed: a bug yields an error object, never a report
+        traceback.print_exc(file=sys.stderr)
+        return _report_error("InternalError", f"{type(exc).__name__}: {exc}", 3)
+
+
+def _report_error(code: str, message: str, status: int) -> int:
+    error = {"error": {"code": code, "message": message}}
+    sys.stdout.write(json.dumps(error, indent=2, sort_keys=True) + "\n")
+    return status
 
 
 if __name__ == "__main__":

@@ -81,6 +81,27 @@ def _holey_grid_csv(path, n, seed, drop=0.2):
     path.write_text("\n".join([lines[0], *body]) + "\n")
 
 
+def _messy(path, seed, pad):
+    """Rewrite a CSV in a looser dialect: CRLF line endings, blank,
+    whitespace-only and comma-only rows between records, and (if ``pad``)
+    spaces or tabs around some cells."""
+    rng = np.random.default_rng(seed)
+    lines = path.read_text().splitlines()
+    fillers = ["", "   ", "\t", ",,", " , "]
+    out = [lines[0]]
+    for line in lines[1:]:
+        if rng.random() < 0.05:
+            out.append(fillers[rng.integers(len(fillers))])
+        if pad:
+            cells = line.split(",")
+            for c in np.flatnonzero(rng.random(len(cells)) < 0.3):
+                cells[c] = [" ", "\t", "  "][rng.integers(3)] + cells[c] + " " * rng.integers(3)
+            line = ",".join(cells)
+        out.append(line)
+    out.append("")
+    path.write_bytes("\r\n".join(out).encode() + b"\r\n")
+
+
 CASES = {
     "test": (
         ["test", "--data", "grid.csv", "--num-perms", "19", "--seed", "3"],
@@ -132,6 +153,15 @@ CASES = {
         ["test-missing", "--data", "holey.csv", "--num-perms", "4", "--seed", "14"],
         "6a8e6bb06addaba684c90e952762d13822f1b7d21dc7309f8bb92738d5674f9b",
     ),
+    "test-messy-csv": (
+        ["test-missing", "--data", "messy.csv", "--num-perms", "4", "--seed", "15"],
+        "60d9b4d862f143ea621ca402a880f7d9e3249774c480aa4400dc7fd01618f04e",
+    ),
+    "test-irregular-messy": (
+        ["test-irregular", "--data", "messy-records.csv", "--num-perms", "5",
+         "--repeats", "2", "--seed", "16"],
+        "48da5396bde4ef193e847970de1eff1dbbfe5c2eadc61c038997136196e430de",
+    ),
     "simulate-table1": (
         ["simulate", "--panel", "table1", "--n", "10", "--reps", "4",
          "--num-perms", "9", "--seed", "7"],
@@ -149,6 +179,10 @@ def test_report_hash(case, tmp_path, monkeypatch, capsys):
     _records_csv(tmp_path / "small.csv", n=12, seed=303)
     _box_csv(tmp_path / "box.csv", n=8, ell=4, seed=404)
     _holey_grid_csv(tmp_path / "holey.csv", n=12, seed=505)
+    _holey_grid_csv(tmp_path / "messy.csv", n=12, seed=606)
+    _messy(tmp_path / "messy.csv", seed=607, pad=True)
+    _records_csv(tmp_path / "messy-records.csv", n=12, seed=707)
+    _messy(tmp_path / "messy-records.csv", seed=708, pad=False)
     assert main(argv + ["--out", "report.json"]) == 0, capsys.readouterr().out
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == expected, f"{case}: report changed (sha256 {digest})"

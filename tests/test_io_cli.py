@@ -1,16 +1,190 @@
 """Tests for CSV ingestion and the command-line front end."""
 
+import csv
 import json
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clusterperm import cli
 from clusterperm.cli import RunConfig, build_parser, config_from_args, main
 from clusterperm.exceptions import DuplicateCellError, ParseError
 from clusterperm.io import ingest_csv, ingest_mask_csv
 from clusterperm.model import DyadArray
 from clusterperm.multiway import MultiIndexDataset
 from clusterperm.simulate import gen_dyadic_dataset, gen_irregular_dataset
+
+# The row-by-row reader that ``clusterperm.io`` replaced, kept verbatim (only
+# its two entry points renamed) as the reference for the equivalence tests.
+
+_TREATMENT_PAT = re.compile(r"^d\d*$")
+_COVARIATE_PAT = re.compile(r"^x\d*$")
+
+
+def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty file") from None
+        header = [name.strip() for name in header]
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} fields, got {len(row)}", line=line_no
+                )
+            rows.append((line_no, [cell.strip() for cell in row]))
+    if not rows:
+        raise ParseError("no data rows")
+    return header, rows
+
+
+def _column_order(names: list[str]) -> list[str]:
+    def sort_key(name):
+        digits = name[1:]
+        return (int(digits) if digits else 0, name)
+
+    return sorted(names, key=sort_key)
+
+
+def _parse_int(raw: str, name: str, line_no: int) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ParseError(f"column {name!r} must be an integer, got {raw!r}", line=line_no) from None
+    if value < 1:
+        raise ParseError(f"column {name!r} must be >= 1, got {value}", line=line_no)
+    return value
+
+
+def _parse_float(raw: str, name: str, line_no: int) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ParseError(f"column {name!r} must be numeric, got {raw!r}", line=line_no) from None
+
+
+def _reference_ingest(path, treatment=None, covariates=None):
+    """Load a CSV file into a dyadic grid or a multi-index record set.
+
+    ``treatment`` and ``covariates`` override the name-pattern inference
+    (treatments ``d``, ``d1``, ...; covariates ``x``, ``x1``, ...).  Files
+    without an ``l`` column become a ``DyadArray`` whose extents are the
+    largest indices seen and whose unseen cells are marked missing; files
+    with ``l`` become a ``MultiIndexDataset``.
+    """
+    header, rows = _read_rows(path)
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise ParseError(f"duplicate column name {name!r}")
+        seen.add(name)
+    for required in ("i", "j", "y"):
+        if required not in header:
+            raise ParseError(f"missing required column {required!r}")
+    if treatment is None:
+        treatment = _column_order([n for n in header if _TREATMENT_PAT.match(n)])
+    if covariates is None:
+        covariates = _column_order([n for n in header if _COVARIATE_PAT.match(n)])
+    for name in list(treatment) + list(covariates):
+        if name not in header:
+            raise ParseError(f"requested column {name!r} not in header")
+    if not treatment:
+        raise ParseError("no treatment columns found (expected d, d1, ...)")
+    col = {name: pos for pos, name in enumerate(header)}
+    has_slot = "l" in header
+
+    i_vals, j_vals, l_vals, y_vals, d_vals, x_vals, lines = [], [], [], [], [], [], []
+    for line_no, row in rows:
+        i_vals.append(_parse_int(row[col["i"]], "i", line_no))
+        j_vals.append(_parse_int(row[col["j"]], "j", line_no))
+        if has_slot:
+            l_vals.append(_parse_int(row[col["l"]], "l", line_no))
+        y_vals.append(_parse_float(row[col["y"]], "y", line_no))
+        d_vals.append([_parse_float(row[col[n]], n, line_no) for n in treatment])
+        x_vals.append([_parse_float(row[col[n]], n, line_no) for n in covariates])
+        lines.append(line_no)
+
+    i_idx = np.asarray(i_vals, dtype=np.intp) - 1
+    j_idx = np.asarray(j_vals, dtype=np.intp) - 1
+    y = np.asarray(y_vals, dtype=float)
+    d = np.asarray(d_vals, dtype=float)
+    x = np.asarray(x_vals, dtype=float)
+
+    if has_slot:
+        keys = {}
+        l_idx = np.asarray(l_vals, dtype=np.intp) - 1
+        for pos, line_no in enumerate(lines):
+            key = (int(i_idx[pos]), int(j_idx[pos]), int(l_idx[pos]))
+            if key in keys:
+                raise DuplicateCellError(
+                    f"record (i={key[0] + 1}, j={key[1] + 1}, l={key[2] + 1}) "
+                    f"already appeared on line {keys[key]}",
+                    line=line_no,
+                )
+            keys[key] = line_no
+        if x.shape[1] == 0:
+            x = np.ones((y.shape[0], 1))
+        if d.shape[1] == 1:
+            d = d[:, 0]
+        return MultiIndexDataset(i=i_idx, j=j_idx, l=l_idx, y=y, d=d, x=x)
+
+    n_rows = int(i_idx.max()) + 1
+    n_cols = int(j_idx.max()) + 1
+    y_grid = np.zeros((n_rows, n_cols))
+    d_grid = np.zeros((n_rows, n_cols, d.shape[1]))
+    p = x.shape[1] if x.shape[1] else 1
+    x_grid = np.zeros((n_rows, n_cols, p))
+    observed = np.zeros((n_rows, n_cols), dtype=bool)
+    for pos, line_no in enumerate(lines):
+        a, b = int(i_idx[pos]), int(j_idx[pos])
+        if observed[a, b]:
+            raise DuplicateCellError(
+                f"cell (i={a + 1}, j={b + 1}) appears more than once", line=line_no
+            )
+        observed[a, b] = True
+        y_grid[a, b] = y[pos]
+        d_grid[a, b] = d[pos]
+        x_grid[a, b] = x[pos] if x.shape[1] else 1.0
+    return DyadArray(y=y_grid, d=d_grid, x=x_grid, observed=observed)
+
+
+def _reference_ingest_mask(path) -> np.ndarray:
+    """Load an observation mask from CSV columns i, j, m (m in {0, 1})."""
+    header, rows = _read_rows(path)
+    for required in ("i", "j", "m"):
+        if required not in header:
+            raise ParseError(f"missing required column {required!r}")
+    col = {name: pos for pos, name in enumerate(header)}
+    entries = []
+    for line_no, row in rows:
+        a = _parse_int(row[col["i"]], "i", line_no)
+        b = _parse_int(row[col["j"]], "j", line_no)
+        raw = row[col["m"]]
+        if raw not in ("0", "1"):
+            raise ParseError(f"column 'm' must be 0 or 1, got {raw!r}", line=line_no)
+        entries.append((line_no, a - 1, b - 1, int(raw)))
+    n_rows = max(e[1] for e in entries) + 1
+    n_cols = max(e[2] for e in entries) + 1
+    mask = np.zeros((n_rows, n_cols), dtype=np.int8)
+    seen = np.zeros((n_rows, n_cols), dtype=bool)
+    for line_no, a, b, m in entries:
+        if seen[a, b]:
+            raise DuplicateCellError(f"cell (i={a + 1}, j={b + 1}) appears more than once", line=line_no)
+        seen[a, b] = True
+        mask[a, b] = m
+    return mask
+
 
 
 def _write(path, text):
@@ -103,6 +277,23 @@ class TestIngestCsv:
         with pytest.raises(ParseError):
             ingest_csv(_write(tmp_path / "empty.csv", ""))
 
+    def test_unreadable_file(self, tmp_path):
+        # used to escape as a bare FileNotFoundError or UnicodeDecodeError
+        with pytest.raises(ParseError, match="cannot read"):
+            ingest_csv(tmp_path / "absent.csv")
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"i,j,m\n\xff\xfe,1,1\n")
+        with pytest.raises(ParseError):  # "cannot read" in a UTF-8 locale
+            ingest_mask_csv(binary)
+
+    def test_oversized_field_names_line(self, tmp_path):
+        # the csv module refuses fields over 128 KiB; that used to escape as csv.Error
+        text = "i,j,y,d,note\n1,1,0.5,1.0,a\n1,2,oops,1.0," + "z" * 200_000 + "\n"
+        with pytest.raises(ParseError, match="line 3: field larger than field limit"):
+            ingest_csv(_write(tmp_path / "wide.csv", text))
+        with pytest.raises(ParseError, match="line 1: field larger"):
+            ingest_csv(_write(tmp_path / "wide_header.csv", "i,j,y,d," + "z" * 200_000 + "\n"))
+
     def test_inference_orders_numbered_columns(self, tmp_path):
         text = "i,j,y,d2,d1,x10,x2\n1,1,0.5,22.0,11.0,1.0,2.0\n"
         data = ingest_csv(_write(tmp_path / "ord.csv", text))
@@ -155,6 +346,195 @@ class TestIngestMaskCsv:
         text = "i,j,m\n1,1,1\n1,1,0\n"
         with pytest.raises(DuplicateCellError):
             ingest_mask_csv(_write(tmp_path / "md.csv", text))
+
+
+_PADS = ["", "", " ", "\t", "  ", "\xa0"]
+_FILLERS = ["", " ", "\t", ",", " , ,", ",,,"]
+_NUMBERS = ["nan", "-inf", "inf", "1e-3", ".5", "5.", "-0", "+2.5", "1E5", "0"]
+
+
+def _pad(draw, cell):
+    """Surround ``cell`` with whitespace, and sometimes quotes."""
+    cell = draw(st.sampled_from(_PADS)) + cell + draw(st.sampled_from(_PADS))
+    if draw(st.integers(0, 5)) == 0:
+        cell = '"' + cell + '"' + draw(st.sampled_from(["", " "]))
+    return cell
+
+
+def _render(draw, header, rows):
+    """CSV text from cell lists, with blank rows and a drawn line ending."""
+    lines = [",".join(header)]
+    for row in rows:
+        if draw(st.integers(0, 6)) == 0:
+            lines.append(draw(st.sampled_from(_FILLERS)))
+        lines.append(",".join(row))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+def _inject(draw, rows, index_cols, value_cols):
+    """Apply at most one fault to ``rows``: a non-numeric or empty value, a 0
+    or 1.0 index, a short or long row, or a repeated key."""
+    fault = draw(st.sampled_from([None, None, None, "text", "empty", "zero", "float",
+                                  "short", "long", "repeat"]))
+    r = draw(st.integers(0, len(rows) - 1))
+    if fault in ("text", "empty") and value_cols:
+        rows[r][draw(st.sampled_from(value_cols))] = "abc" if fault == "text" else " "
+    elif fault in ("zero", "float"):
+        rows[r][draw(st.sampled_from(index_cols))] = "0" if fault == "zero" else "1.0"
+    elif fault == "short":
+        rows[r] = rows[r][:-1]
+    elif fault == "long":
+        rows[r] = rows[r] + ["1"]
+    elif fault == "repeat":
+        rows.insert(draw(st.integers(r + 1, len(rows))), list(rows[r]))
+
+
+def _cells_present(draw, extents):
+    """A non-empty subset of the cells of a box, in a drawn order."""
+    cells = [tuple(int(v) for v in c) for c in np.ndindex(*extents)]
+    keep = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    present = [c for c, k in zip(cells, keep) if k] or cells[:1]
+    return draw(st.permutations(present))
+
+
+@st.composite
+def _data_csv(draw):
+    """Grid or record CSV text with holes, padding, quotes, blank rows and
+    CRLF or CR endings, and at most one fault."""
+    records = draw(st.booleans())
+    extents = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    if records:
+        extents += (draw(st.integers(1, 3)),)
+    treat = draw(st.sampled_from([["d"], ["d1"], ["d1", "d2"], ["d", "d2"]]))
+    cov = draw(st.sampled_from([[], ["x"], ["x1", "x2"]]))
+    extra = ["note"] if draw(st.booleans()) else []
+    index = ["i", "j", "l"][:len(extents)]
+    header = draw(st.permutations(index + ["y"] + treat + cov + extra))
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-1000, 1000).map(str),
+        st.sampled_from(_NUMBERS),
+    )
+    rows = []
+    for cell in _cells_present(draw, extents):
+        values = {name: str(v + 1) for name, v in zip(index, cell)}
+        for name in header:
+            if name == "note":
+                values[name] = draw(st.text(alphabet="ab z", max_size=4))
+            elif name not in values:
+                values[name] = draw(number)
+        rows.append([_pad(draw, values[name]) for name in header])
+    positions = {name: k for k, name in enumerate(header)}
+    _inject(draw, rows, [positions[n] for n in index],
+            [positions[n] for n in ["y", *treat, *cov]])
+    return _render(draw, [_pad(draw, n) if draw(st.booleans()) else n for n in header], rows)
+
+
+@st.composite
+def _mask_csv(draw):
+    extents = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    header = draw(st.permutations(["i", "j", "m"] + (["note"] if draw(st.booleans()) else [])))
+    rows = []
+    for cell in _cells_present(draw, extents):
+        values = {"i": str(cell[0] + 1), "j": str(cell[1] + 1), "note": "n",
+                  "m": draw(st.sampled_from(["0", "1", " 1", "0 ", '"1"']))}
+        rows.append([_pad(draw, values[name]) if name != "m" else values[name]
+                     for name in header])
+    _inject(draw, rows, [header.index("i"), header.index("j")], [])
+    if draw(st.integers(0, 3)) == 0:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if len(row) == len(header):
+            row[header.index("m")] = draw(st.sampled_from(["2", "01", "1.0", " ", "+1"]))
+    return _render(draw, header, rows)
+
+
+def _outcome(reader, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode())
+        try:
+            return reader(path)
+        except ParseError as exc:  # DuplicateCellError included
+            return exc
+
+
+def _assert_same(result, reference):
+    assert type(result) is type(reference)
+    if isinstance(reference, ParseError):
+        assert (result.line, str(result)) == (reference.line, str(reference))
+        return
+    if isinstance(reference, np.ndarray):
+        pairs = [(result, reference)]
+    else:
+        names = ("i", "j", "l", "y", "d", "x") if isinstance(reference, MultiIndexDataset) \
+            else ("y", "d", "x", "observed")
+        pairs = [(getattr(result, n), getattr(reference, n)) for n in names]
+    for got, want in pairs:
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestReaderEquivalence:
+    """The vectorized reader returns byte-equal arrays and the same error
+    (class, line and message) as the row-by-row reader it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_data_csv())
+    def test_data_matches_reference(self, text):
+        _assert_same(_outcome(ingest_csv, text), _outcome(_reference_ingest, text))
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_mask_csv())
+    def test_mask_matches_reference(self, text):
+        _assert_same(_outcome(ingest_mask_csv, text), _outcome(_reference_ingest_mask, text))
+
+    @pytest.mark.parametrize("text", [
+        "i,j,y,d\n1,1,0.5,1.0\n1,2,oops,2.0\n1,3,0.5,1.0,9\n",  # short row outranks value
+        "i,j,y,d\n1,1,oops,1.0\n0,2,0.5,1.0\n",                 # earlier row first
+        "i,j,y,d\n1,1,0.5,1.0\n1,0,oops,1.0\n",                 # j before y in a row
+        "i,j,y\n1,1,0.5\n1,2\n",                                 # short row outranks header
+        "i,j,l,y,d\n1,1,1,0.5,1\n2,1,1,0.5,1\n\n1,1,1,0.7,1\n",  # names the first line
+        "i,j,y,d\n1,1,0.5,1\n2,2,0.5,1\n2,2,0.5,1\n1,1,0.5,1\n",   # first repeat in order
+        "i,j,y,d\n1,1,0.5,1\n0,0,0.5,1\n",                        # i before j in a row
+    ])
+    def test_error_precedence_matches_reference(self, text):
+        _assert_same(_outcome(ingest_csv, text), _outcome(_reference_ingest, text))
+
+    # Inputs the two readers treat differently on purpose; each is listed in
+    # CHANGES.md.
+
+    @pytest.mark.parametrize("cell, column", [("1_0", "y"), ("1_0", "i"), ("١", "j")])
+    def test_python_only_number_forms_rejected(self, cell, column, tmp_path):
+        # float() and int() accept digit-group underscores and non-ASCII
+        # digits; the C parser does not
+        cells = {"i": "1", "j": "1", "y": "0.5", "d": "1.0", column: cell}
+        text = "i,j,y,d\n" + ",".join(cells.values()) + "\n"
+        assert not isinstance(_outcome(_reference_ingest, text), ParseError)
+        with pytest.raises(ParseError, match=f"line 2: column '{column}'"):
+            ingest_csv(_write(tmp_path / "d.csv", text))
+
+    def test_newline_inside_quotes_rejected(self, tmp_path):
+        # the old reader let a quoted field span lines and then counted
+        # records, not lines, in its messages
+        text = 'i,j,y,d\n1,1,"0.5\n",1.0\n1,2,0.5,1.0\n'
+        assert not isinstance(_outcome(_reference_ingest, text), ParseError)
+        with pytest.raises(ParseError, match="line 2: quoted field is not closed"):
+            ingest_csv(_write(tmp_path / "d.csv", text))
+
+    def test_row_of_quoted_empty_fields_is_not_blank(self, tmp_path):
+        text = 'i,j,y,d\n1,1,0.5,1.0\n"","","",""\n'
+        assert not isinstance(_outcome(_reference_ingest, text), ParseError)
+        with pytest.raises(ParseError, match="line 3: column 'i' must be an integer"):
+            ingest_csv(_write(tmp_path / "d.csv", text))
+
+    def test_index_beyond_int64_is_parse_error(self, tmp_path):
+        # the old reader raised a bare OverflowError from np.asarray
+        text = "i,j,y,d\n99999999999999999999,1,0.5,1.0\n"
+        with pytest.raises(OverflowError):
+            _reference_ingest(_write(tmp_path / "d.csv", text))
+        with pytest.raises(ParseError, match="line 2: column 'i' must be an integer"):
+            ingest_csv(_write(tmp_path / "d.csv", text))
 
 
 class TestRunConfig:
@@ -364,6 +744,12 @@ class TestCliCommands:
             )
             assert payload["error"]["code"] == "DimensionError"
             assert "restarts" in payload["error"]["message"]
+
+    def test_unexpected_exception_exits_3(self, tmp_path, capsys):
+        path, _ = _dyadic_csv(tmp_path, n=4, seed=18)
+        with mock.patch.object(cli, "_execute", side_effect=RuntimeError("boom")):
+            payload = self._json_run(["test", "--data", path], capsys, expect_exit=3)
+        assert payload == {"error": {"code": "InternalError", "message": "RuntimeError: boom"}}
 
     def test_diagnostics_capture_warnings(self, tmp_path, capsys):
         path, _ = _dyadic_csv(tmp_path, n=8, seed=14)
