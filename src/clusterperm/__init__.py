@@ -34,6 +34,7 @@ from .exceptions import (
     DimensionError,
     DuplicateCellError,
     EmptyMaskError,
+    GroupError,
     InsufficientDimensionError,
     MissingDataError,
     NoEligibleCellsError,
@@ -103,6 +104,7 @@ __all__ = [
     "DuplicateCellError",
     "DyadArray",
     "EmptyMaskError",
+    "GroupError",
     "GridSpec",
     "InsufficientDimensionError",
     "IrregularResult",

@@ -108,7 +108,8 @@ def _add_global_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="report format (default json)")
     parser.add_argument("--rank-tol", type=float, default=None,
-                        help="relative singular-value cutoff override")
+                        help="relative singular-value cutoff on [X | X_pi]; builds "
+                             "every member through the SVD projector")
 
 
 def _add_data_flags(parser: argparse.ArgumentParser):

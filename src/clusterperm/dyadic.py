@@ -9,7 +9,17 @@ which keeps the test level-correct at the cost of conservatism:
     pval = (1 + #{k : min_j a_j <= b_k}) / (K + 1).
 
 All functions here operate on stacked data; families of two-way (or more
-general) permutations enter as row-level source maps.
+general) permutations enter as row-level source maps.  The maps must be the
+cyclic group that member 1 generates, which the validity argument needs;
+any other family raises :class:`~clusterperm.exceptions.GroupError`.
+
+:class:`PreparedTest` builds the annihilated treatments V_k V_k' D of all
+members from one orthonormal basis of col(X), through p x p cross products
+(:func:`~clusterperm.projector.annihilate_permuted`).  A member takes the
+per-pair SVD route (:func:`~clusterperm.projector.residual_projector`) only
+when its Gram has an eigenvalue in the ambiguous band [1e-13, 1e-6], or
+when the caller sets ``tol``, a relative cutoff on the singular values of
+[X | X_pi] that only that route computes.
 """
 
 from __future__ import annotations
@@ -21,15 +31,18 @@ import numpy as np
 from .exceptions import (
     DegenerateInputError,
     DimensionError,
+    GroupError,
     InsufficientDimensionError,
     NonFiniteInputError,
     ResolutionError,
 )
 from .model import DyadArray, PermutationFamily, StackedDesign
 from .permgroup import build_two_way_group, default_num_perms
-from .projector import residual_projector
+from .projector import annihilate_permuted, residual_projector
 
 _DEGENERATE_REL = 1e-10
+# Row-map checks run in chunks of about this many entries.
+_CHUNK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -109,7 +122,24 @@ def _require_finite(values: np.ndarray, name: str) -> None:
         )
 
 
+def _member_fault(row: np.ndarray, n: int) -> str | None:
+    """Why one row map is not a bijection of [n], or None if it is one."""
+    if row.min() < 0 or row.max() >= n:
+        return "maps outside the row range"
+    if not (np.bincount(row, minlength=n) == 1).all():
+        return "is not a bijection"
+    return None
+
+
 def _validate_perms(perms: np.ndarray, n: int) -> np.ndarray:
+    """Accept only the cyclic group that member 1 generates.
+
+    Member 0 is the identity, member 1 is a bijection of the rows, member k
+    is member 1 applied to member k-1, and member 1 applied to member K is
+    the identity again.  Every member is then a bijection.  One chunked
+    pass, O(K * N); the first member that breaks the law is diagnosed so
+    the error names the fault.
+    """
     perms = np.asarray(perms, dtype=np.intp)
     if perms.ndim != 2 or perms.shape[1] != n:
         raise DimensionError(
@@ -119,23 +149,48 @@ def _validate_perms(perms: np.ndarray, n: int) -> np.ndarray:
         raise DimensionError("need the identity plus at least one permutation")
     if not np.array_equal(perms[0], np.arange(n)):
         raise DimensionError("member 0 must be the identity")
-    seen = np.zeros(n, dtype=bool)
-    for k in range(perms.shape[0]):
-        seen[:] = False
-        row = perms[k]
-        if row.min() < 0 or row.max() >= n:
-            raise DimensionError(f"member {k} maps outside the row range")
-        seen[row] = True
-        if not seen.all():
-            raise DimensionError(f"member {k} is not a bijection")
+    gen = perms[1]
+    fault = _member_fault(gen, n)
+    if fault:
+        raise DimensionError(f"member 1 {fault}")
+    step = max(1, _CHUNK_VALUES // n)
+    for lo in range(2, perms.shape[0], step):
+        block = perms[lo:lo + step]
+        # Rows before the first broken one are valid, so its expected row
+        # is exact; 'clip' only keeps later, unused rows from raising.
+        expected = np.take(gen, perms[lo - 1:lo - 1 + block.shape[0]], mode="clip")
+        broken = (block != expected).any(axis=1)
+        if broken.any():
+            k = lo + int(np.argmax(broken))
+            fault = _member_fault(perms[k], n)
+            if fault:
+                raise DimensionError(f"member {k} {fault}")
+            raise GroupError(
+                f"row maps are not a cyclic group: member {k} is not member 1 "
+                f"applied to member {k - 1}"
+            )
+    if not np.array_equal(gen[perms[-1]], perms[0]):
+        raise GroupError(
+            "row maps are not a cyclic group: member 1 applied to member "
+            f"K={perms.shape[0] - 1} is not the identity"
+        )
     return perms
 
 
 class PreparedTest:
     """Annihilated treatments and row maps for a fixed (X, D, family).
 
-    The build streams over members: member k's complement projector V_k V_k'
-    is built, applied to D, and dropped.  The object retains only
+    The build works from one orthonormal basis Q of col(X): for each member
+    it projects D off the directions that the permuted covariates add to
+    col(X), found from p x p cross products (see
+    :func:`~clusterperm.projector.annihilate_permuted`).  A member whose
+    Gram has an eigenvalue in the ambiguous band is rebuilt through the SVD
+    route, :func:`~clusterperm.projector.residual_projector`, and so is every
+    member when an explicit ``tol`` is given: ``tol`` is a relative threshold
+    on the singular values of [X | X_pi], which only that route computes.
+    ``svd_members`` counts the members built through the SVD route.
+
+    The object retains only
 
     - ``pd``, shape (K, N, d): the annihilated treatments V_k V_k' D, and
     - ``perms``, shape (K+1, N): the row maps, member 0 the identity,
@@ -179,14 +234,20 @@ class PreparedTest:
         self.perms = perms
         self.num_perms = perms.shape[0] - 1
         pd = np.empty((self.num_perms, n, D.shape[1]))
-        for k in range(1, perms.shape[0]):
+        if tol is None:
+            redo = np.flatnonzero(annihilate_permuted(X, D, perms[1:], pd)) + 1
+        else:
+            redo = range(1, perms.shape[0])
+        for k in redo:
             proj = residual_projector(X, X[perms[k]], tol=tol)
             pd[k - 1] = proj.annihilate(D)
+        self.svd_members = len(redo)
         self.pd = pd
         d_scale = float(np.linalg.norm(D))
         pd_scale = float(max(np.linalg.norm(pd[k]) for k in range(self.num_perms)))
         self.degenerate = pd_scale <= _DEGENERATE_REL * max(d_scale, 1.0)
-        self.all_identity = bool((perms[1:] == np.arange(n)).all())
+        # In a cyclic group every member is the identity iff member 1 is.
+        self.all_identity = bool(np.array_equal(perms[1], perms[0]))
 
     @property
     def n(self) -> int:

@@ -35,6 +35,10 @@ class NonFiniteInputError(ClusterPermError):
     """Data or statistics hold NaN or inf, so no valid p-value exists."""
 
 
+class GroupError(ClusterPermError):
+    """Row maps do not form the cyclic group the validity argument needs."""
+
+
 class ResolutionError(ClusterPermError):
     """Requested level is below the attainable p-value floor 1/(K+1)."""
 

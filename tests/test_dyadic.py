@@ -20,11 +20,12 @@ from clusterperm.dyadic import (
 )
 from clusterperm.exceptions import (
     DimensionError,
+    GroupError,
     InsufficientDimensionError,
     NonFiniteInputError,
     ResolutionError,
 )
-from clusterperm.model import DyadArray, StackedDesign
+from clusterperm.model import DyadArray, PermutationFamily, StackedDesign, TwoWayPermutation
 from clusterperm.permgroup import build_two_way_group
 from clusterperm.simulate import gen_dyadic_dataset
 
@@ -161,6 +162,56 @@ class TestTwoWayTest:
         perms = np.stack([np.roll(np.arange(16), 1), np.arange(16)])
         with pytest.raises(DimensionError):
             permutation_test(X, D, y, perms)
+
+
+def _powers(gen, count):
+    perms = [np.arange(gen.shape[0])]
+    for _ in range(count - 1):
+        perms.append(gen[perms[-1]])
+    return np.stack(perms)
+
+
+class TestGroupValidation:
+    def test_random_two_way_permutations_raise(self):
+        X, D, y = _design(n=6, seed=50)
+        rng = np.random.default_rng(50)
+        members = [TwoWayPermutation(np.arange(6), np.arange(6))]
+        members += [TwoWayPermutation(rng.permutation(6), rng.permutation(6))
+                    for _ in range(5)]
+        with pytest.raises(GroupError, match="member 2 is not member 1"):
+            permutation_test(X, D, y, PermutationFamily(tuple(members)).stacked())
+
+    def test_group_must_close(self):
+        # Powers 0..2 of a 4-cycle follow the law but do not return to the
+        # identity after K+1 = 3 steps.
+        X, D, y = _design(n=4, seed=51)
+        gen = np.arange(16)
+        gen[:4] = [1, 2, 3, 0]
+        with pytest.raises(GroupError, match="not the identity"):
+            permutation_test(X, D, y, _powers(gen, 3))
+        permutation_test(X, D, y, _powers(gen, 4))
+
+    def test_faulty_member_is_named(self):
+        X, D, y = _design(n=4, seed=52)
+        gen = np.roll(np.arange(16), 4)
+        perms = _powers(gen, 4)
+        perms[2, 3] = perms[2, 4]
+        with pytest.raises(DimensionError, match="member 2 is not a bijection"):
+            permutation_test(X, D, y, perms)
+        perms[2, 3] = 16
+        with pytest.raises(DimensionError, match="member 2 maps outside"):
+            permutation_test(X, D, y, perms)
+        perms[1, 0] = -1
+        with pytest.raises(DimensionError, match="member 1 maps outside"):
+            permutation_test(X, D, y, perms)
+
+    @pytest.mark.parametrize("n_rows, n_cols, num_perms",
+                             [(25, 25, 24), (5, 30, 19), (3, 3, 19), (40, 7, 99)])
+    def test_two_way_groups_pass(self, n_rows, n_cols, num_perms):
+        perms = build_two_way_group(n_rows, n_cols, num_perms, seed=53).stacked()
+        X = np.ones((perms.shape[1], 1))
+        prepared = PreparedTest(X, np.arange(perms.shape[1], dtype=float), perms)
+        assert prepared.perms is perms
 
 
 class TestPreparedState:

@@ -12,9 +12,22 @@ The hashes pin the JSON byte for byte, floating-point digits included.  They
 were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64), and were the same
 with one and with two BLAS threads; another BLAS build may round the last bit
 of a statistic differently.
+
+``golden_reports.json`` holds the ``results`` block of each report as a
+companion golden.  p-values, covers, notes, interval bounds and every other
+field must match it exactly; the statistics ``a``, ``b`` and ``min_a`` must
+match to a relative 1e-9.  A change that moves only the last bits of the
+statistics re-records the hashes, never this file; a flipped p-value fails
+here.  ``python tests/test_golden.py --record`` rewrites the file.
 """
 
 import hashlib
+import json
+import math
+import os
+import pathlib
+import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -105,12 +118,12 @@ def _messy(path, seed, pad):
 CASES = {
     "test": (
         ["test", "--data", "grid.csv", "--num-perms", "19", "--seed", "3"],
-        "67365f98cde79dd3000876c430b94426b0374b411e28a8c990492f390ccaa135",
+        "9d37c93b8a5cdee88571bb0fdbb7ff0fc44cb4f2c5a4bdca61d950b98e039c5c",
     ),
     "test-beta0": (
         ["test", "--data", "grid.csv", "--num-perms", "19", "--seed", "4",
          "--beta0", "0.3"],
-        "617129d5089844f582a93de24947674d52db245cae3df35a2ebfc18f50e3b97f",
+        "6c54ea8403ccd9d87cf90426c9b78e0fc58ce40c0b4045b1816f936b69bb0e1a",
     ),
     "ci": (
         ["ci", "--data", "grid.csv", "--num-perms", "19", "--seed", "5",
@@ -139,23 +152,23 @@ CASES = {
     ),
     "test-threeway": (
         ["test-threeway", "--data", "box.csv", "--num-perms", "3", "--seed", "11"],
-        "617e4bb5975022c406218af0cdfb735d23367770e6892b474439d0034db1c398",
+        "cafe53e9e866390482160f9ebc2afeebc56995eb229a01bddec0e44bd3703ad6",
     ),
     "test-panel": (
         ["test-panel", "--data", "box.csv", "--num-perms", "3", "--seed", "12"],
-        "06d58aa91aa8d81547d7faacf819ef58cd3dfac8d4ae2a55c65f30f66c37454a",
+        "bc8900be459577657d713f3cb39a6992438a7605aadbc4205982e25c9ed42bda",
     ),
     "test-layout": (
         ["test-layout", "--data", "box.csv", "--num-perms", "3", "--seed", "13"],
-        "09ac5b63ea245cde057a68e811f4ebbb2dd90b663217a1bd43ce2f6817697e8f",
+        "eb494d4e1081919e59feb6f232854ca18188b26ccbb12f071a6b574edb9fe9cd",
     ),
     "test-missing": (
         ["test-missing", "--data", "holey.csv", "--num-perms", "4", "--seed", "14"],
-        "6a8e6bb06addaba684c90e952762d13822f1b7d21dc7309f8bb92738d5674f9b",
+        "d7d9637912083cada60d750e781c2bd00110659c239d25acc8271fef769ef58e",
     ),
     "test-messy-csv": (
         ["test-missing", "--data", "messy.csv", "--num-perms", "4", "--seed", "15"],
-        "60d9b4d862f143ea621ca402a880f7d9e3249774c480aa4400dc7fd01618f04e",
+        "9c3c9415167078a0b4fe1a42e32a235c8b3512627930b6dfb5279b4e0ba6ef61",
     ),
     "test-irregular-messy": (
         ["test-irregular", "--data", "messy-records.csv", "--num-perms", "5",
@@ -170,19 +183,90 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_report_hash(case, tmp_path, monkeypatch, capsys):
-    argv, expected = CASES[case]
+REPORTS_PATH = pathlib.Path(__file__).with_name("golden_reports.json")
+
+# Fields that carry a statistic and may move in the last bits when the
+# arithmetic of the statistics is reordered.
+_CLOSE_FIELDS = frozenset({"a", "b", "min_a"})
+_CLOSE_REL = 1e-9
+
+
+def _write_inputs(root):
+    _grid_csv(root / "grid.csv", n=20, seed=101)
+    _records_csv(root / "records.csv", n=20, seed=202)
+    _records_csv(root / "small.csv", n=12, seed=303)
+    _box_csv(root / "box.csv", n=8, ell=4, seed=404)
+    _holey_grid_csv(root / "holey.csv", n=12, seed=505)
+    _holey_grid_csv(root / "messy.csv", n=12, seed=606)
+    _messy(root / "messy.csv", seed=607, pad=True)
+    _records_csv(root / "messy-records.csv", n=12, seed=707)
+    _messy(root / "messy-records.csv", seed=708, pad=False)
+
+
+def _run_case(case, root):
+    """Run one case from inside ``root`` (the inputs written there) and
+    return the report's bytes."""
+    argv, _ = CASES[case]
+    code = main(argv + ["--out", "report.json"])
+    assert code == 0, f"{case}: exit {code}"
+    return (root / "report.json").read_bytes()
+
+
+def _assert_close(got, want, path, close=False):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}/{key}",
+                          close or key in _CLOSE_FIELDS)
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}[{i}]", close)
+    elif close and isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=_CLOSE_REL, abs_tol=0.0), (
+            f"{path}: {got!r} vs recorded {want!r}")
+    else:
+        assert type(got) is type(want) and got == want, (
+            f"{path}: {got!r} vs recorded {want!r}")
+
+
+@pytest.fixture
+def case_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    _grid_csv(tmp_path / "grid.csv", n=20, seed=101)
-    _records_csv(tmp_path / "records.csv", n=20, seed=202)
-    _records_csv(tmp_path / "small.csv", n=12, seed=303)
-    _box_csv(tmp_path / "box.csv", n=8, ell=4, seed=404)
-    _holey_grid_csv(tmp_path / "holey.csv", n=12, seed=505)
-    _holey_grid_csv(tmp_path / "messy.csv", n=12, seed=606)
-    _messy(tmp_path / "messy.csv", seed=607, pad=True)
-    _records_csv(tmp_path / "messy-records.csv", n=12, seed=707)
-    _messy(tmp_path / "messy-records.csv", seed=708, pad=False)
-    assert main(argv + ["--out", "report.json"]) == 0, capsys.readouterr().out
-    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
-    assert digest == expected, f"{case}: report changed (sha256 {digest})"
+    _write_inputs(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_hash(case, case_dir):
+    digest = hashlib.sha256(_run_case(case, case_dir)).hexdigest()
+    assert digest == CASES[case][1], f"{case}: report changed (sha256 {digest})"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_recorded_values(case, case_dir):
+    recorded = json.loads(REPORTS_PATH.read_text())
+    report = json.loads(_run_case(case, case_dir))
+    _assert_close(report["results"], recorded[case], case)
+
+
+def _record():
+    """Rewrite ``golden_reports.json`` from the current code."""
+    reports = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            _write_inputs(root)
+            for case in sorted(CASES):
+                reports[case] = json.loads(_run_case(case, root))["results"]
+        finally:
+            os.chdir(cwd)
+    REPORTS_PATH.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record")
+    _record()

@@ -611,6 +611,27 @@ class TestCliCommands:
         assert payload["error"]["code"] == "ParseError"
         assert "line 2" in payload["error"]["message"]
 
+    def test_non_group_family_exits_2(self, tmp_path, capsys, monkeypatch):
+        # K random two-way permutations do not close into a group, so the
+        # p-value would not be valid: the run must fail closed.
+        from clusterperm import dyadic
+        from clusterperm.model import PermutationFamily, TwoWayPermutation
+
+        def random_family(n_rows, n_cols, num_perms, seed):
+            rng = np.random.default_rng(seed)
+            return PermutationFamily(
+                (TwoWayPermutation(np.arange(n_rows), np.arange(n_cols)),)
+                + tuple(TwoWayPermutation(rng.permutation(n_rows), rng.permutation(n_cols))
+                        for _ in range(num_perms)))
+
+        monkeypatch.setattr(dyadic, "build_two_way_group", random_family)
+        path, _ = _dyadic_csv(tmp_path, n=6, seed=9)
+        payload = self._json_run(
+            ["test", "--data", path, "--num-perms", "5", "--seed", "1"],
+            capsys, expect_exit=2,
+        )
+        assert payload["error"]["code"] == "GroupError"
+
     def test_missing_subcommand_with_inferred_mask(self, tmp_path, capsys):
         path, _ = _dyadic_csv(tmp_path, n=8, seed=8)
         lines = open(path).read().strip().split("\n")

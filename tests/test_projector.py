@@ -1,8 +1,15 @@
 """Tests for orthogonal-complement projectors onto null(X') ∩ null(X_perm')."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clusterperm import dyadic
+from clusterperm.dyadic import PreparedTest
+from clusterperm.permgroup import build_two_way_group
 from clusterperm.projector import residual_projector
 
 
@@ -112,3 +119,187 @@ class TestMethodAgreement:
         X, X_perm = _random_design(20, 3, seed=12)
         loose = residual_projector(X, X_perm, tol=10.0)
         assert loose.r == 0
+
+
+def _cyclic_generator_perms(n, order, cycles, seed):
+    """Powers of a generator made of ``cycles`` cycles of length ``order``
+    on random rows; the other rows stay fixed.  Row k is the generator
+    applied k times, so the K+1 = order rows form a cyclic group."""
+    rng = np.random.default_rng(seed)
+    gen = np.arange(n)
+    moved = rng.permutation(n)[: cycles * order].reshape(cycles, order)
+    gen[moved] = np.roll(moved, -1, axis=1)
+    perms = np.empty((order, n), dtype=np.intp)
+    perms[0] = np.arange(n)
+    for k in range(1, order):
+        perms[k] = gen[perms[k - 1]]
+    return perms
+
+
+@st.composite
+def _designs(draw):
+    """A cyclic group of row maps and a design that stresses the
+    cross-product route: shared directions (an intercept, duplicate columns,
+    columns every member leaves unchanged), columns nearly left unchanged,
+    badly scaled columns, p up to (N-1)/2 and d up to 2."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        n_rows, n_cols = draw(st.integers(3, 8)), draw(st.integers(3, 8))
+        perms = build_two_way_group(n_rows, n_cols, draw(st.integers(1, 7)),
+                                    seed=seed).stacked()
+    else:
+        n = draw(st.integers(8, 40))
+        order = draw(st.integers(2, 6))
+        cycles = draw(st.integers(1, n // order))
+        perms = _cyclic_generator_perms(n, order, cycles, seed)
+    n = perms.shape[1]
+    # Constant on every orbit of the group, so no member moves it.
+    invariant = rng.standard_normal(n)[perms.min(axis=0)]
+    cols = []
+    if draw(st.booleans()):
+        cols.append(np.ones(n))
+    if draw(st.booleans()):
+        cols.append(invariant)
+    if draw(st.booleans()):
+        # Nearly invariant: squared sines from about 1e-6 to 1e-1, so some
+        # members land in the band and some just above it.
+        cols.append(invariant + 10.0 ** draw(st.floats(-2.5, -0.5)) * rng.standard_normal(n))
+    cols += [rng.standard_normal(n) for _ in range(draw(st.integers(0, 3)))]
+    if cols and draw(st.booleans()):
+        cols.append(cols[draw(st.integers(0, len(cols) - 1))].copy())
+    if cols and draw(st.booleans()):
+        # Column scales up to 1e3 apart keep the basis error (about eps
+        # times the condition number) far below the 1e-9 comparison.
+        j = draw(st.integers(0, len(cols) - 1))
+        cols[j] = cols[j] * 10.0 ** draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        cols += [rng.standard_normal(n) for _ in range((n - 1) // 2 - len(cols))]
+    cols = cols[: (n - 1) // 2]
+    X = np.column_stack(cols) if cols else np.zeros((n, 0))
+    D = rng.standard_normal((n, draw(st.integers(1, 2))))
+    y = rng.standard_normal(n)
+    return X, D, y, perms
+
+
+def _svd_route(X, D, perms):
+    return np.stack([residual_projector(X, X[perms[k]]).annihilate(D)
+                     for k in range(1, perms.shape[0])])
+
+
+def _stats(pd, y, perms):
+    a = np.linalg.norm(np.einsum("knd,n->kd", pd, y), axis=1)
+    b = np.linalg.norm(np.einsum("knd,kn->kd", pd, y[perms[1:]]), axis=1)
+    return a, b
+
+
+def _assert_routes_agree(prepared, X, D, y, perms):
+    ref = _svd_route(X, D, perms)
+    scale = np.linalg.norm(D)
+    for k in range(ref.shape[0]):
+        assert np.linalg.norm(prepared.pd[k] - ref[k]) <= 1e-9 * scale, k
+    a, b = prepared.statistics(y)
+    a_ref, b_ref = _stats(ref, y, perms)
+    # |D| |y| bounds the error of a statistic, so it sets the floor for an
+    # a or b that is near zero by cancellation.
+    floor = 1e-9 * scale * np.linalg.norm(y)
+    np.testing.assert_allclose(a, a_ref, rtol=1e-9, atol=floor)
+    np.testing.assert_allclose(b, b_ref, rtol=1e-9, atol=floor)
+
+
+class TestCrossProductRoute:
+    """The build's cross-product route against the SVD reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_designs())
+    def test_matches_svd_route(self, case):
+        X, D, y, perms = case
+        prepared = PreparedTest(X, D, perms)
+        _assert_routes_agree(prepared, X, D, y, perms)
+
+    def test_ambiguous_members_take_the_svd_route(self, monkeypatch):
+        # x and x[perm] meet at an angle of ~4e-5 rad, a squared sine of
+        # ~2e-9: inside the ambiguous band, so every moving member is
+        # rebuilt through the SVD route.
+        rng = np.random.default_rng(40)
+        perms = build_two_way_group(6, 6, 5, seed=40).stacked()
+        n = perms.shape[1]
+        x = 1.0 + 3e-5 * rng.standard_normal(n)
+        X = np.column_stack([x, rng.standard_normal(n)])
+        D = rng.standard_normal((n, 1))
+        y = rng.standard_normal(n)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return residual_projector(*args, **kwargs)
+
+        monkeypatch.setattr(dyadic, "residual_projector", counting)
+        prepared = PreparedTest(X, D, perms)
+        monkeypatch.undo()
+        assert prepared.svd_members == len(calls) == prepared.num_perms
+        _assert_routes_agree(prepared, X, D, y, perms)
+
+    def test_clear_members_skip_the_svd_route(self, monkeypatch):
+        X, D, y, perms = _grid_case(seed=41)
+        monkeypatch.setattr(dyadic, "residual_projector", None)
+        prepared = PreparedTest(X, D, perms)
+        monkeypatch.undo()
+        assert prepared.svd_members == 0
+        _assert_routes_agree(prepared, X, D, y, perms)
+
+    def test_small_angles_match_exact_projection(self):
+        # x and its half-turn meet at squared sines near 1e-6, some just
+        # above the band.  A Gram formed from cosines, I - C'C, errs by up to
+        # ~1e-9 of |D| on these designs; formed from the sines it stays
+        # within 4e-11, against a projection computed in exact rationals.
+        perms = np.stack([np.arange(8), np.roll(np.arange(8), 4)])
+        worst = 0.0
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            x = 1.0 + 1e-3 * rng.standard_normal(8)
+            X = np.column_stack([x, rng.standard_normal((8, 2))])
+            D = rng.standard_normal((8, 1))
+            exact = _exact_residual(np.hstack([X, X[perms[1]]]), D[:, 0])
+            pd = PreparedTest(X, D, perms).pd[0, :, 0]
+            worst = max(worst, np.linalg.norm(pd - exact) / np.linalg.norm(D))
+        assert worst <= 2e-10
+
+    def test_explicit_tol_keeps_svd_meaning(self):
+        X, D, _, perms = _grid_case(seed=42)
+        default = PreparedTest(X, D, perms)
+        explicit = PreparedTest(X, D, perms, tol=1e-12)
+        assert explicit.svd_members == explicit.num_perms
+        assert np.allclose(explicit.pd, default.pd, atol=1e-10)
+        # A loose threshold collapses the rank of [X | X_pi] to zero, which
+        # only the SVD route can express.
+        loose = PreparedTest(X, D, perms, tol=10.0)
+        assert np.array_equal(loose.pd, np.broadcast_to(D, loose.pd.shape))
+
+
+def _exact_residual(W, d):
+    """d minus its least-squares fit on the columns of W (full column rank),
+    by Gauss-Jordan elimination of the normal equations in rationals."""
+    A = [[Fraction(float(v)) for v in row] for row in W]
+    b = [Fraction(float(v)) for v in d]
+    cols = range(W.shape[1])
+    M = [[sum(row[r] * row[c] for row in A) for c in cols]
+         + [sum(row[r] * bi for row, bi in zip(A, b))] for r in cols]
+    for c in cols:
+        pivot = next(r for r in range(c, len(M)) if M[r][c] != 0)
+        M[c], M[pivot] = M[pivot], M[c]
+        for r in cols:
+            if r != c and M[r][c] != 0:
+                f = M[r][c] / M[c][c]
+                M[r] = [a - f * e for a, e in zip(M[r], M[c])]
+    coef = [M[c][-1] / M[c][c] for c in cols]
+    return np.array([float(bi - sum(a * k for a, k in zip(row, coef)))
+                     for row, bi in zip(A, b)])
+
+
+def _grid_case(seed):
+    rng = np.random.default_rng(seed)
+    perms = build_two_way_group(7, 9, 6, seed=seed).stacked()
+    n = perms.shape[1]
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+    return X, rng.standard_normal((n, 1)), rng.standard_normal(n), perms
