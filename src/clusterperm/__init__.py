@@ -72,12 +72,14 @@ from .multiway import (
     threeway_test,
 )
 from .permgroup import (
-    block_product_perms,
+    CyclicGroup,
+    block_product_group,
     build_cyclic_family,
     build_two_way_group,
     composition_law_holds,
     default_num_perms,
     fixed_point_free,
+    two_way_group,
     verify_group,
 )
 from .projector import ResidualProjector, residual_projector
@@ -99,6 +101,7 @@ __all__ = [
     "CapExceededError",
     "ClusterPermError",
     "ConfidenceInterval",
+    "CyclicGroup",
     "DegenerateInputError",
     "DimensionError",
     "DuplicateCellError",
@@ -126,7 +129,7 @@ __all__ = [
     "VarianceBudgetError",
     "biclique_decompose",
     "biclique_growth_experiment",
-    "block_product_perms",
+    "block_product_group",
     "blockwise_test",
     "build_cyclic_family",
     "build_two_way_group",
@@ -159,6 +162,7 @@ __all__ = [
     "stack",
     "suggest_cell_threshold",
     "threeway_test",
+    "two_way_group",
     "two_way_test",
     "verify_group",
 ]

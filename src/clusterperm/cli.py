@@ -2,7 +2,9 @@
 
 Reports are JSON (or a plain-text rendering of the same payload) with a
 stable schema and no timestamps, so a repeated invocation with the same
-inputs and seed is byte-identical.  Failures surface as a machine-readable
+inputs and seed is byte-identical.  The JSON is strict: an open-ended
+interval bound is ``null`` (``open_ended`` names the side), and any other
+non-finite number is an internal error.  Failures surface as a machine-readable
 ``{"error": {"code", "message"}}`` object: a package error exits with status 2,
 any other exception with code ``InternalError``, status 3 and its traceback on
 stderr.
@@ -391,7 +393,8 @@ def run(config: RunConfig) -> int:
     diagnostics = {"warnings": [str(w.message) for w in caught]}
     report = build_report(config, results, diagnostics)
     if config.format == "json":
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        # Strict JSON: a NaN or infinite number fails the run (exit 3).
+        payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         payload = _render_text(report)
     if config.out:

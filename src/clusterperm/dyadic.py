@@ -8,14 +8,16 @@ which keeps the test level-correct at the cost of conservatism:
 
     pval = (1 + #{k : min_j a_j <= b_k}) / (K + 1).
 
-All functions here operate on stacked data; families of two-way (or more
-general) permutations enter as row-level source maps.  The maps must be the
-cyclic group that member 1 generates, which the validity argument needs;
-any other family raises :class:`~clusterperm.exceptions.GroupError`.
+All functions here operate on stacked data.  The family of row maps is a
+:class:`~clusterperm.permgroup.CyclicGroup`, held as its generator, whose
+members are streamed in chunks; a full (K+1, N) map or a
+:class:`~clusterperm.model.PermutationFamily` is also accepted, but only if
+it is the cyclic group that member 1 generates, which the validity argument
+needs.  Any other family raises :class:`~clusterperm.exceptions.GroupError`.
 
 :class:`PreparedTest` builds the annihilated treatments V_k V_k' D of all
 members from one orthonormal basis of col(X), through p x p cross products
-(:func:`~clusterperm.projector.annihilate_permuted`).  A member takes the
+(:class:`~clusterperm.projector.PermutedAnnihilator`).  A member takes the
 per-pair SVD route (:func:`~clusterperm.projector.residual_projector`) only
 when its Gram has an eigenvalue in the ambiguous band [1e-13, 1e-6], or
 when the caller sets ``tol``, a relative cutoff on the singular values of
@@ -37,8 +39,8 @@ from .exceptions import (
     ResolutionError,
 )
 from .model import DyadArray, PermutationFamily, StackedDesign
-from .permgroup import build_two_way_group, default_num_perms
-from .projector import annihilate_permuted, residual_projector
+from .permgroup import CyclicGroup, default_num_perms, member_fault, two_way_group
+from .projector import PermutedAnnihilator, residual_projector
 
 _DEGENERATE_REL = 1e-10
 # Row-map checks run in chunks of about this many entries.
@@ -89,9 +91,10 @@ class ConfidenceInterval:
         return self.lower <= value <= self.upper
 
     def to_dict(self) -> dict:
+        """Plain-JSON form: an infinite bound is None; ``open_ended`` names it."""
         return {
-            "lower": self.lower,
-            "upper": self.upper,
+            "lower": self.lower if np.isfinite(self.lower) else None,
+            "upper": self.upper if np.isfinite(self.upper) else None,
             "alpha": self.alpha,
             "open_ended": list(self.open_ended),
             "grid": dict(self.grid),
@@ -122,23 +125,14 @@ def _require_finite(values: np.ndarray, name: str) -> None:
         )
 
 
-def _member_fault(row: np.ndarray, n: int) -> str | None:
-    """Why one row map is not a bijection of [n], or None if it is one."""
-    if row.min() < 0 or row.max() >= n:
-        return "maps outside the row range"
-    if not (np.bincount(row, minlength=n) == 1).all():
-        return "is not a bijection"
-    return None
-
-
-def _validate_perms(perms: np.ndarray, n: int) -> np.ndarray:
-    """Accept only the cyclic group that member 1 generates.
+def _validate_perms(perms: np.ndarray, n: int) -> CyclicGroup:
+    """Accept a full (K+1, N) map only as the cyclic group member 1 generates.
 
     Member 0 is the identity, member 1 is a bijection of the rows, member k
     is member 1 applied to member k-1, and member 1 applied to member K is
-    the identity again.  Every member is then a bijection.  One chunked
-    pass, O(K * N); the first member that breaks the law is diagnosed so
-    the error names the fault.
+    the identity again (checked by :class:`CyclicGroup`).  Every member is
+    then a bijection.  One chunked pass, O(K * N); the first member that
+    breaks the law is diagnosed so the error names the fault.
     """
     perms = np.asarray(perms, dtype=np.intp)
     if perms.ndim != 2 or perms.shape[1] != n:
@@ -150,7 +144,7 @@ def _validate_perms(perms: np.ndarray, n: int) -> np.ndarray:
     if not np.array_equal(perms[0], np.arange(n)):
         raise DimensionError("member 0 must be the identity")
     gen = perms[1]
-    fault = _member_fault(gen, n)
+    fault = member_fault(gen, n)
     if fault:
         raise DimensionError(f"member 1 {fault}")
     step = max(1, _CHUNK_VALUES // n)
@@ -162,43 +156,41 @@ def _validate_perms(perms: np.ndarray, n: int) -> np.ndarray:
         broken = (block != expected).any(axis=1)
         if broken.any():
             k = lo + int(np.argmax(broken))
-            fault = _member_fault(perms[k], n)
+            fault = member_fault(perms[k], n)
             if fault:
                 raise DimensionError(f"member {k} {fault}")
             raise GroupError(
                 f"row maps are not a cyclic group: member {k} is not member 1 "
                 f"applied to member {k - 1}"
             )
-    if not np.array_equal(gen[perms[-1]], perms[0]):
-        raise GroupError(
-            "row maps are not a cyclic group: member 1 applied to member "
-            f"K={perms.shape[0] - 1} is not the identity"
-        )
-    return perms
+    return CyclicGroup(gen, perms.shape[0] - 1)
 
 
 class PreparedTest:
-    """Annihilated treatments and row maps for a fixed (X, D, family).
+    """Annihilated treatments and the group for a fixed (X, D, family).
 
     The build works from one orthonormal basis Q of col(X): for each member
     it projects D off the directions that the permuted covariates add to
     col(X), found from p x p cross products (see
-    :func:`~clusterperm.projector.annihilate_permuted`).  A member whose
+    :class:`~clusterperm.projector.PermutedAnnihilator`).  A member whose
     Gram has an eigenvalue in the ambiguous band is rebuilt through the SVD
     route, :func:`~clusterperm.projector.residual_projector`, and so is every
     member when an explicit ``tol`` is given: ``tol`` is a relative threshold
     on the singular values of [X | X_pi], which only that route computes.
     ``svd_members`` counts the members built through the SVD route.
 
-    The object retains only
+    ``row_perms`` is a :class:`~clusterperm.permgroup.CyclicGroup`, or a
+    full (K+1, N) map or :class:`~clusterperm.model.PermutationFamily` that
+    must be the cyclic group its member 1 generates.  The object retains
 
     - ``pd``, shape (K, N, d): the annihilated treatments V_k V_k' D, and
-    - ``perms``, shape (K+1, N): the row maps, member 0 the identity,
+    - ``group``: the group, held as its generator (N values),
 
-    so it holds K*N*d + (K+1)*N values.  That is all the statistics need, so
-    shifted tests and interval inversion reuse it and only the outcome
-    changes across evaluations.  ``projectors`` is kept as an empty tuple
-    for callers that read it; no projector outlives the build.
+    and every pass over the members streams them from the generator in
+    chunks, so no other K x N array is made.  Shifted tests and interval
+    inversion reuse it and only the outcome changes across evaluations.
+    ``projectors`` is kept as an empty tuple for callers that read it; no
+    projector outlives the build.
     """
 
     projectors: tuple = ()
@@ -207,7 +199,7 @@ class PreparedTest:
         self,
         X: np.ndarray,
         D: np.ndarray,
-        row_perms: np.ndarray,
+        row_perms,
         tol: float | None = None,
     ):
         X = np.asarray(X, dtype=float)
@@ -228,26 +220,33 @@ class PreparedTest:
             raise InsufficientDimensionError(
                 f"covariate dimension too large: need p < N/2, got p={p}, N={n}"
             )
-        perms = _validate_perms(row_perms, n)
+        if isinstance(row_perms, PermutationFamily):
+            row_perms = row_perms.stacked()
+        if isinstance(row_perms, CyclicGroup):
+            group = row_perms
+            if group.n != n:
+                raise DimensionError(f"the group acts on {group.n} rows, the data have {n}")
+        else:
+            group = _validate_perms(row_perms, n)
         self.X = X
         self.D = D
-        self.perms = perms
-        self.num_perms = perms.shape[0] - 1
+        self.group = group
+        self.num_perms = group.num_perms
         pd = np.empty((self.num_perms, n, D.shape[1]))
-        if tol is None:
-            redo = np.flatnonzero(annihilate_permuted(X, D, perms[1:], pd)) + 1
-        else:
-            redo = range(1, perms.shape[0])
-        for k in redo:
-            proj = residual_projector(X, X[perms[k]], tol=tol)
-            pd[k - 1] = proj.annihilate(D)
-        self.svd_members = len(redo)
+        annihilate = PermutedAnnihilator(X, D) if tol is None else None
+        self.svd_members = 0
+        for members, maps in group.orbit():
+            out = pd[members]
+            redo = range(len(maps)) if tol is not None else np.flatnonzero(annihilate(maps, out))
+            for i in redo:
+                out[i] = residual_projector(X, X[maps[i]], tol=tol).annihilate(D)
+            self.svd_members += len(redo)
         self.pd = pd
         d_scale = float(np.linalg.norm(D))
-        pd_scale = float(max(np.linalg.norm(pd[k]) for k in range(self.num_perms)))
+        pd_scale = float(np.sqrt(np.einsum("knd,knd->k", pd, pd).max()))
         self.degenerate = pd_scale <= _DEGENERATE_REL * max(d_scale, 1.0)
         # In a cyclic group every member is the identity iff member 1 is.
-        self.all_identity = bool(np.array_equal(perms[1], perms[0]))
+        self.all_identity = bool(np.array_equal(group.generator, np.arange(n)))
 
     @property
     def n(self) -> int:
@@ -264,8 +263,9 @@ class PreparedTest:
             raise DimensionError(f"outcome must have shape ({self.n},)")
         _require_finite(y, "outcome")
         a_vec = np.einsum("knd,n->kd", self.pd, y)
-        y_perm = y[self.perms[1:]]
-        b_vec = np.einsum("knd,kn->kd", self.pd, y_perm)
+        b_vec = np.empty_like(a_vec)
+        for members, y_perm in self.group.orbit(y):
+            b_vec[members] = np.einsum("knd,kn->kd", self.pd[members], y_perm)
         return np.linalg.norm(a_vec, axis=1), np.linalg.norm(b_vec, axis=1)
 
     def min_stat(self, values: np.ndarray) -> float:
@@ -289,6 +289,7 @@ class PreparedTest:
                 "treatment is annihilated by every projector; statistic is "
                 "degenerate and the p-value is reported as 1",
             )
+        if self.degenerate or self.all_identity:
             pval = 1.0
         else:
             pval = pvalue_from_stats(a, b)
@@ -320,7 +321,7 @@ def two_way_test(
     X: np.ndarray,
     D: np.ndarray,
     y: np.ndarray,
-    family: PermutationFamily,
+    family: PermutationFamily | CyclicGroup,
     seed: int | None = None,
     tol: float | None = None,
 ) -> TestReport:
@@ -334,10 +335,11 @@ def two_way_test(
         Stacked treatment.
     y : ndarray, shape (N,)
         Stacked outcome.
-    family : PermutationFamily
-        Member 0 must be the identity; members act on the stacked rows.
+    family : CyclicGroup or PermutationFamily
+        Acts on the stacked rows; a PermutationFamily must be the cyclic
+        group its member 1 generates.
     """
-    prepared = PreparedTest(X, D, family.stacked(), tol=tol)
+    prepared = PreparedTest(X, D, family, tol=tol)
     return prepared.report(np.asarray(y, dtype=float), seed=seed)
 
 
@@ -345,12 +347,16 @@ def permutation_test(
     X: np.ndarray,
     D: np.ndarray,
     y: np.ndarray,
-    row_perms: np.ndarray,
+    row_perms,
     seed: int | None = None,
     tol: float | None = None,
     notes: tuple[str, ...] = (),
 ) -> TestReport:
-    """Like :func:`two_way_test` but for arbitrary stacked row permutations."""
+    """Like :func:`two_way_test` for any group of stacked row maps.
+
+    ``row_perms`` is a :class:`~clusterperm.permgroup.CyclicGroup`, or a
+    full (K+1, N) map that must be the cyclic group its member 1 generates.
+    """
     prepared = PreparedTest(X, D, row_perms, tol=tol)
     return prepared.report(np.asarray(y, dtype=float), seed=seed, notes=notes)
 
@@ -359,7 +365,7 @@ def shifted_test(
     X: np.ndarray,
     D: np.ndarray,
     y: np.ndarray,
-    family: PermutationFamily,
+    family: PermutationFamily | CyclicGroup,
     beta0,
     seed: int | None = None,
     tol: float | None = None,
@@ -371,7 +377,7 @@ def shifted_test(
     :class:`PreparedTest` can be reused across many values of ``beta0``.
     """
     if prepared is None:
-        prepared = PreparedTest(X, D, family.stacked(), tol=tol)
+        prepared = PreparedTest(X, D, family, tol=tol)
     D_mat = prepared.D
     beta_vec = np.atleast_1d(np.asarray(beta0, dtype=float))
     if beta_vec.shape != (D_mat.shape[1],):
@@ -415,11 +421,13 @@ class _AffineStats:
         _require_finite(y, "outcome")
         pd = prepared.pd[:, :, 0]
         d_col = prepared.D[:, 0]
-        perms = prepared.perms[1:]
         self.u = pd @ y
-        self.v = (pd * d_col[None, :]).sum(axis=1)
-        self.w = np.einsum("kn,kn->k", pd, y[perms])
-        self.z = np.einsum("kn,kn->k", pd, d_col[perms])
+        self.v = pd @ d_col
+        self.w = np.empty_like(self.u)
+        self.z = np.empty_like(self.u)
+        for out, values in ((self.w, y), (self.z, d_col)):
+            for members, moved in prepared.group.orbit(values):
+                out[members] = np.einsum("kn,kn->k", pd[members], moved)
         self.num_perms = pd.shape[0]
 
     def pvalues(self, points: np.ndarray) -> np.ndarray:
@@ -433,7 +441,7 @@ def invert_ci(
     X: np.ndarray,
     D: np.ndarray,
     y: np.ndarray,
-    family: PermutationFamily,
+    family: PermutationFamily | CyclicGroup,
     alpha: float = 0.05,
     grid: GridSpec | None = None,
     seed: int | None = None,
@@ -444,7 +452,8 @@ def invert_ci(
     Evaluates the shifted test over a grid of point nulls and returns the
     hull of accepted points (pval > alpha), expanding the grid until both
     endpoints are rejected.  A side whose endpoint is still accepted after
-    the final expansion is reported open-ended (infinite bound).
+    the final expansion is reported open-ended (infinite bound).  A
+    degenerate treatment or a group of identities gives the whole line.
     """
     grid = grid or GridSpec()
     X = np.asarray(X, dtype=float)
@@ -464,10 +473,14 @@ def invert_ci(
             f"alpha={alpha} is below the attainable floor 1/(K+1)={floor:.6g}; "
             "increase the number of permutations"
         )
-    prepared = PreparedTest(X, D, family.stacked(), tol=tol)
-    if prepared.degenerate:
+    prepared = PreparedTest(X, D, family, tol=tol)
+    _require_finite(y, "outcome")
+    if prepared.degenerate or prepared.all_identity:
+        # Every point null is accepted: the statistics vanish, or no member
+        # moves the data so each b_k equals its a_k.
         desc = {"center": None, "half_width": None, "points": grid.points,
-                "expansions_used": 0, "n_accepted": 0, "degenerate": True}
+                "expansions_used": 0, "n_accepted": 0,
+                "degenerate": prepared.degenerate, "all_identity": prepared.all_identity}
         return ConfidenceInterval(-np.inf, np.inf, alpha, desc, (True, True))
 
     affine = _AffineStats(prepared, y)
@@ -536,6 +549,14 @@ def median_pvalue(pvals) -> float:
     return arr[(len(arr) - 1) // 2]
 
 
+def _stacked_dyadic(array: DyadArray, num_perms: int | None, seed: int):
+    """Stacked design and two-way group of a complete dyadic array."""
+    design = StackedDesign.from_array(array)
+    if num_perms is None:
+        num_perms = default_num_perms(array.n_rows, array.n_cols)
+    return design, two_way_group(array.n_rows, array.n_cols, num_perms, seed)
+
+
 def dyadic_test(
     array: DyadArray,
     num_perms: int | None = None,
@@ -548,13 +569,10 @@ def dyadic_test(
     ``beta0`` (scalar or length-d vector) switches to the shifted point
     null; default is the zero-effect null.
     """
-    design = StackedDesign.from_array(array)
-    if num_perms is None:
-        num_perms = default_num_perms(array.n_rows, array.n_cols)
-    family = build_two_way_group(array.n_rows, array.n_cols, num_perms, seed)
+    design, group = _stacked_dyadic(array, num_perms, seed)
     if beta0 is None:
-        return two_way_test(design.x, design.d, design.y, family, seed=seed, tol=tol)
-    return shifted_test(design.x, design.d, design.y, family, beta0, seed=seed, tol=tol)
+        return two_way_test(design.x, design.d, design.y, group, seed=seed, tol=tol)
+    return shifted_test(design.x, design.d, design.y, group, beta0, seed=seed, tol=tol)
 
 
 def dyadic_ci(
@@ -566,9 +584,6 @@ def dyadic_ci(
     tol: float | None = None,
 ) -> ConfidenceInterval:
     """Convenience front end for interval inversion on a dyadic array."""
-    design = StackedDesign.from_array(array)
-    if num_perms is None:
-        num_perms = default_num_perms(array.n_rows, array.n_cols)
-    family = build_two_way_group(array.n_rows, array.n_cols, num_perms, seed)
-    return invert_ci(design.x, design.d, design.y, family, alpha=alpha,
+    design, group = _stacked_dyadic(array, num_perms, seed)
+    return invert_ci(design.x, design.d, design.y, group, alpha=alpha,
                      grid=grid, seed=seed, tol=tol)

@@ -7,7 +7,7 @@ maximum-edge biclique (exactly, below a size cap, or heuristically above
 it), then removes all of its rows and columns from the mask, which is what
 guarantees disjointness.  The blockwise test permutes rows and columns
 within each block and leaves everything else fixed; its row maps come from
-:func:`~clusterperm.permgroup.block_product_perms`, one block per cover block.
+:func:`~clusterperm.permgroup.block_product_group`, one block per cover block.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .exceptions import (
     MissingDataError,
 )
 from .model import DyadArray
-from .permgroup import block_product_perms
+from .permgroup import block_product_group
 from .rng import AXIS_COLS, AXIS_ROWS, mask_seed
 
 EXACT_CAP = 16
@@ -431,9 +431,9 @@ def blockwise_test(
     d = np.vstack(d_parts)
     x = np.vstack(x_parts)
 
-    perms = block_product_perms(
+    group = block_product_group(
         [(q, ((len(rows), AXIS_ROWS), (len(cols), AXIS_COLS)))
          for q, (rows, cols) in enumerate(cover.blocks)],
         num_perms, seed,
     )
-    return permutation_test(x, d, y, perms, seed=seed, tol=tol, notes=tuple(notes))
+    return permutation_test(x, d, y, group, seed=seed, tol=tol, notes=tuple(notes))

@@ -12,7 +12,7 @@ permutations may move:
   median p-value is reported.
 
 Every layout builds its row maps with one call to
-:func:`~clusterperm.permgroup.block_product_perms`: a block per box, cell or
+:func:`~clusterperm.permgroup.block_product_group`: a block per box, cell or
 cover block, one cyclic family per moving axis, and ``None`` for an axis that
 stays fixed (panel periods, irregular slots).
 """
@@ -30,7 +30,7 @@ from .exceptions import (
     UnbalancedError,
 )
 from .missing import BicliqueCover, biclique_decompose, resolve_solver
-from .permgroup import block_product_perms, default_num_perms
+from .permgroup import block_product_group, default_num_perms
 from .rng import AXIS_CELLS, AXIS_COLS, AXIS_ROWS, generator, run_seed, trim_seed
 
 
@@ -159,8 +159,8 @@ def threeway_test(
     if num_perms is None:
         num_perms = min(default_num_perms(m, n), default_num_perms(ell))
     axes = ((m, AXIS_ROWS), (n, AXIS_COLS), (ell, AXIS_CELLS))
-    perms = block_product_perms([(0, axes)], num_perms, seed)
-    return permutation_test(x, d, y, perms, seed=seed, tol=tol)
+    group = block_product_group([(0, axes)], num_perms, seed)
+    return permutation_test(x, d, y, group, seed=seed, tol=tol)
 
 
 def panel_test(
@@ -178,8 +178,8 @@ def panel_test(
     if num_perms is None:
         num_perms = default_num_perms(m, n)
     axes = ((m, AXIS_ROWS), (n, AXIS_COLS), (ell, None))
-    perms = block_product_perms([(0, axes)], num_perms, seed)
-    return permutation_test(x, d, y, perms, seed=seed, tol=tol)
+    group = block_product_group([(0, axes)], num_perms, seed)
+    return permutation_test(x, d, y, group, seed=seed, tol=tol)
 
 
 def _cells_in_order(data: MultiIndexDataset):
@@ -216,7 +216,7 @@ def layout_test(
             f"{empty} cells have no records; use the irregular or missing-data paths"
         )
     cells = _cells_in_order(data)
-    perms = block_product_perms(
+    group = block_product_group(
         [(i * data.n_cols + j, ((positions.size, AXIS_CELLS),)) for i, j, positions in cells],
         num_perms, seed,
     )
@@ -234,7 +234,7 @@ def layout_test(
             "and keep their records fixed"
         )
     return permutation_test(
-        data.x[order], data.d[order], data.y[order], perms,
+        data.x[order], data.d[order], data.y[order], group,
         seed=seed, tol=tol, notes=tuple(notes),
     )
 
@@ -370,7 +370,7 @@ def _trimmed_block_run(
                 keep = np.sort(rng.choice(positions.size, size=l0, replace=False))
                 picked.append(positions[keep])
     order = np.concatenate(picked)
-    perms = block_product_perms(
+    group = block_product_group(
         [(q, ((len(rows), AXIS_ROWS), (len(cols), AXIS_COLS), (l0, None)))
          for q, (rows, cols) in enumerate(cover.blocks)],
         num_perms, rs,
@@ -383,6 +383,6 @@ def _trimmed_block_run(
             "their indices stay fixed"
         )
     return permutation_test(
-        data.x[order], data.d[order], data.y[order], perms,
+        data.x[order], data.d[order], data.y[order], group,
         seed=rs, tol=tol, notes=tuple(notes),
     )

@@ -1,4 +1,4 @@
-"""Construction of cyclic permutation families for randomization tests.
+"""Cyclic permutation groups for randomization tests.
 
 A cyclic family on n indices consists of the identity plus K powers of a
 blockwise cyclic shift, conjugated by a random relabeling.  The non-trivial
@@ -8,8 +8,13 @@ non-identity member moves every index.
 
 Every test acts with a product of such families: member k of the group
 applies member k of one family per moving axis of every block at once
-(:func:`block_product_perms`), which is again a cyclic group of order K+1.
-The dyadic test's two-way group is the one-block, two-axis case.
+(:func:`block_product_group`), which is again a cyclic group of order K+1.
+The dyadic test's two-way group is the one-block, two-axis case
+(:func:`two_way_group`).  A cyclic group is held as its generator g,
+member k being g^k (:class:`CyclicGroup`), so it takes O(N) memory and its
+members are streamed, never stored; the (K+1, N) arrays of
+:func:`build_cyclic_family`, :meth:`CyclicGroup.stacked` and
+:func:`build_two_way_group` are adapters for the group-law checks.
 """
 
 from __future__ import annotations
@@ -18,9 +23,87 @@ import math
 
 import numpy as np
 
-from .exceptions import DimensionError
+from .exceptions import DimensionError, GroupError
 from .model import PermutationFamily, TwoWayPermutation
 from .rng import AXIS_COLS, AXIS_ROWS, family_seed
+
+# Streamed members come in chunks of about this many values (128 KB of
+# float64), so a pass over the group holds no K x N temporary.
+_CHUNK_VALUES = 1 << 14
+
+
+def member_fault(row: np.ndarray, n: int) -> str | None:
+    """Why one row map is not a bijection of [n], or None if it is one."""
+    if row.size and (row.min() < 0 or row.max() >= n):
+        return "maps outside the row range"
+    if not (np.bincount(row, minlength=n) == 1).all():
+        return "is not a bijection"
+    return None
+
+
+class CyclicGroup:
+    """The K+1 powers of one row map g: member k is g^k, member 0 the identity.
+
+    Construction checks that g is a bijection of [n] (else
+    :class:`~clusterperm.exceptions.DimensionError`) and that g^(K+1) is the
+    identity (else :class:`~clusterperm.exceptions.GroupError`), which makes
+    the members a group: member r after member s is member (r+s) mod (K+1).
+    The check costs K+1 gathers of length n.  The group keeps a read-only
+    copy of g, so the check cannot be undone by a later write.
+    """
+
+    def __init__(self, generator, num_perms: int):
+        gen = np.array(generator, dtype=np.intp)
+        if gen.ndim != 1:
+            raise DimensionError(f"a generator must be 1-D, got shape {gen.shape}")
+        if num_perms < 1:
+            raise DimensionError(f"need at least one permutation, got {num_perms}")
+        fault = member_fault(gen, gen.size)
+        if fault:
+            raise DimensionError(f"member 1 {fault}")
+        power = gen
+        for _ in range(num_perms):
+            power = np.take(gen, power)
+        if not np.array_equal(power, np.arange(gen.size)):
+            raise GroupError(
+                "row maps are not a cyclic group: member 1 applied "
+                f"K+1={num_perms + 1} times is not the identity"
+            )
+        gen.flags.writeable = False
+        self.generator = gen
+        self.num_perms = int(num_perms)
+
+    @property
+    def n(self) -> int:
+        return self.generator.size
+
+    def orbit(self, values=None):
+        """Stream ``values`` moved by members 1..K, in order.
+
+        Yields ``(members, block)``: ``members`` is a slice of the positions
+        0..K-1 of members 1..K, and ``block[i]`` is ``values[g^k]`` for the
+        member k at position ``members.start + i``.  ``values`` is indexed
+        along its first axis and defaults to ``arange(n)``, which streams the
+        member maps themselves.  Each block is a fresh array of about
+        2^14 values, built by one gather per member.
+        """
+        cur = np.arange(self.n) if values is None else np.asarray(values)
+        if cur.ndim < 1 or cur.shape[0] != self.n:
+            raise DimensionError(f"values must have {self.n} rows, got shape {cur.shape}")
+        step = max(1, _CHUNK_VALUES // max(cur.size, 1))
+        for lo in range(0, self.num_perms, step):
+            block = np.empty((min(step, self.num_perms - lo),) + cur.shape, dtype=cur.dtype)
+            for row in block:
+                cur = np.take(cur, self.generator, axis=0, out=row, mode="clip")
+            yield slice(lo, lo + block.shape[0]), block
+
+    def stacked(self) -> np.ndarray:
+        """All members as a (K+1, n) array, row 0 the identity (an adapter)."""
+        maps = np.empty((self.num_perms + 1, self.n), dtype=np.intp)
+        maps[0] = np.arange(self.n)
+        for members, block in self.orbit():
+            maps[1:][members] = block
+        return maps
 
 
 def _blockwise_shift(n: int, num_perms: int, k: int) -> np.ndarray:
@@ -41,6 +124,15 @@ def _blockwise_shift(n: int, num_perms: int, k: int) -> np.ndarray:
     return out
 
 
+def _cyclic_generator(n: int, num_perms: int, seed) -> np.ndarray:
+    """Member 1 of a cyclic family: the first shift, conjugated by a relabeling."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    relabel = rng.permutation(n)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[relabel] = np.arange(n)
+    return inverse[_blockwise_shift(n, num_perms, 1)[relabel]]
+
+
 def build_cyclic_family(n: int, num_perms: int, seed) -> np.ndarray:
     """Build a cyclic family of K+1 bijections on 0-based [n].
 
@@ -56,29 +148,22 @@ def build_cyclic_family(n: int, num_perms: int, seed) -> np.ndarray:
     Returns
     -------
     ndarray of shape (K+1, n)
-        Row k maps position x to its image; row 0 is the identity.
+        Row k maps position x to its image; row 0 is the identity.  Row k is
+        the k-th power of row 1.
     """
     if n < 1:
         raise DimensionError(f"need at least one index, got {n}")
     if num_perms < 1:
         raise DimensionError(f"need at least one permutation, got {num_perms}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    relabel = rng.permutation(n)
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[relabel] = np.arange(n)
-    family = np.empty((num_perms + 1, n), dtype=np.intp)
-    family[0] = np.arange(n)
-    for k in range(1, num_perms + 1):
-        shift = _blockwise_shift(n, num_perms, k)
-        family[k] = inverse[shift[relabel]]
-    return family
+    return CyclicGroup(_cyclic_generator(n, num_perms, seed), num_perms).stacked()
 
 
 def build_two_way_group(n_rows: int, n_cols: int, num_perms: int, seed: int) -> PermutationFamily:
     """Two-way family: one cyclic family per axis, paired member by member.
 
     Member k is (pi_k, sigma_k); member 0 is the identity.  The row and
-    column families draw from independent sub-streams of ``seed``.
+    column families draw from independent sub-streams of ``seed``.  Its
+    stacked maps are those of :func:`two_way_group`.
     """
     rows = build_cyclic_family(n_rows, num_perms, family_seed(seed, 0, AXIS_ROWS))
     cols = build_cyclic_family(n_cols, num_perms, family_seed(seed, 0, AXIS_COLS))
@@ -88,24 +173,19 @@ def build_two_way_group(n_rows: int, n_cols: int, num_perms: int, seed: int) -> 
     return PermutationFamily(members)
 
 
-def block_product_perms(blocks, num_perms: int, seed) -> np.ndarray:
-    """Stacked row maps of cyclic families acting together on disjoint blocks.
+def block_product_group(blocks, num_perms: int, seed) -> CyclicGroup:
+    """Cyclic families acting together on disjoint blocks of stacked rows.
 
     Each block is ``(key, ((size, axis), ...))``: a box of stacked rows laid
     out row-major over its axes (first axis slowest), placed after the blocks
-    before it.  A moving axis draws
+    before it.  A moving axis carries the cyclic family of
     ``build_cyclic_family(size, K, family_seed(seed, key, axis))``; an axis
     given as ``None`` stays fixed.  Member k applies member k of every
-    family at once, so the members form a cyclic group,
-    ``P[r][P[s]] == P[(r + s) % (K + 1)]``, and each maps every block onto
-    itself.
+    family at once, and maps every block onto itself.
 
-    Returns
-    -------
-    ndarray of shape (K+1, N), dtype intp
-        Row k is member k's source map over the N stacked rows of all
-        blocks; row 0 is the identity.  Each block's families are added
-        into a view of this one array, so no second (K+1, N) array is made.
+    Only member 1 is built, from each family's member 1; the group is its
+    powers, since the k-th power of a product of commuting maps is the
+    product of their k-th powers.
     """
     if num_perms < 1:
         raise DimensionError(f"need at least one permutation, got {num_perms}")
@@ -113,24 +193,29 @@ def block_product_perms(blocks, num_perms: int, seed) -> np.ndarray:
     shapes = [tuple(size for size, _ in axes) for _, axes in blocks]
     if any(size < 1 for shape in shapes for size in shape):
         raise DimensionError("every block axis needs at least one index")
-    perms = np.empty((num_perms + 1, sum(map(math.prod, shapes))), dtype=np.intp)
+    gen = np.empty(sum(map(math.prod, shapes)), dtype=np.intp)
     offset = 0
     for (key, axes), shape in zip(blocks, shapes):
         n_block = math.prod(shape)
-        view = perms[:, offset : offset + n_block].reshape((num_perms + 1,) + shape)
+        view = gen[offset : offset + n_block].reshape(shape)
         view[...] = offset
         stride = n_block
         for a, (size, axis) in enumerate(axes):
             stride //= size
             if axis is None:
-                images = np.arange(size)[None, :]
+                image = np.arange(size)
             else:
-                images = build_cyclic_family(size, num_perms, family_seed(seed, key, axis))
-            view += (images * stride).reshape(
-                images.shape[:1] + (1,) * a + (size,) + (1,) * (len(axes) - a - 1)
-            )
+                image = _cyclic_generator(size, num_perms, family_seed(seed, key, axis))
+            view += (image * stride).reshape((1,) * a + (size,) + (1,) * (len(axes) - a - 1))
         offset += n_block
-    return perms
+    return CyclicGroup(gen, num_perms)
+
+
+def two_way_group(n_rows: int, n_cols: int, num_perms: int, seed) -> CyclicGroup:
+    """The dyadic test's group: rows and columns of one grid both move."""
+    return block_product_group(
+        [(0, ((n_rows, AXIS_ROWS), (n_cols, AXIS_COLS)))], num_perms, seed
+    )
 
 
 def _member_maps(family) -> list[np.ndarray]:

@@ -8,9 +8,9 @@ I - Q Q' with Q an orthonormal range basis).
 
 Two routes compute it.  :func:`residual_projector` factors the N x 2p
 stacked design of one pair (SVD or pivoted QR) and is the reference.
-:func:`annihilate_permuted` serves a whole group of row maps from one
-orthonormal basis Q of col(X), computed once by SVD.  For member k,
-Q_k = Q[perm] spans col(X_perm), and col([Q | Q_k]) = col(Q) + col(H_k) with
+:class:`PermutedAnnihilator` serves a whole group of row maps, fed in
+chunks, from one orthonormal basis Q of col(X), computed once by SVD.  For
+member k, Q_k = Q[perm] spans col(X_perm), and col([Q | Q_k]) = col(Q) + col(H_k) with
 H_k = Q_k - Q C_k and C_k = Q'Q_k.  Only the p x p Gram G_k = H_k'H_k is
 factored, so a member costs a row gather and a few products of length N,
 with no N x 2p copy and no SVD.
@@ -42,9 +42,6 @@ _EPS = float(np.finfo(float).eps)
 _GRAM_CUTOFF = 1e-10
 # Members with an eigenvalue in this closed band take the SVD route.
 _GRAM_BAND = (1e-13, 1e-6)
-# Members are processed in chunks whose gathered bases hold about this many
-# values, which bounds the temporaries while amortizing per-call overhead.
-_CHUNK_VALUES = 1 << 17
 
 
 class ResidualProjector:
@@ -160,52 +157,50 @@ def residual_projector(
     return ResidualProjector(np.ascontiguousarray(basis), tol_abs, method)
 
 
-def annihilate_permuted(
-    X: np.ndarray,
-    D: np.ndarray,
-    perms: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Project D off col([X | X[perm]]) for every row map in ``perms``.
+class PermutedAnnihilator:
+    """Projects D off col([X | X[perm]]) for row maps fed in chunks.
 
-    Parameters
-    ----------
-    X : ndarray, shape (n, p)
-        Covariates.
-    D : ndarray, shape (n, d)
-        Values to annihilate.
-    perms : ndarray of int, shape (m, n)
-        Row maps; member k pairs X with X[perms[k]].
-    out : ndarray, shape (m, n, d)
-        Receives (I - P_k) D for member k.
-
-    Returns
-    -------
-    ndarray of bool, shape (m,)
-        Members whose Gram has an eigenvalue in the band [1e-13, 1e-6].  Their
-        rows of ``out`` are not to be trusted; rebuild them through
-        :func:`residual_projector`.
+    The basis Q of col(X), Q'D and D - Q Q'D are computed once, at
+    construction; each call then costs a gather, a few products of length N
+    and a p x p ``eigh`` per member.  A call's temporaries are a few arrays
+    of m x n x p values, so the caller bounds them by the chunks it feeds.
     """
-    X = _as_matrix(X)
-    D = _as_matrix(D)
-    n, p = X.shape
-    q = np.zeros((n, 0))
-    if p:
-        # The rank rule residual_projector applies to [X | X_perm].
-        u, svals, _ = scipy.linalg.svd(X, full_matrices=False)
-        rank = int(np.count_nonzero(svals > _tol_abs(svals, n, 2 * p, None)))
-        q = np.ascontiguousarray(u[:, :rank])
-    r = q.shape[1]
-    qtd = q.T @ D
-    base = D - q @ qtd
-    ambiguous = np.zeros(perms.shape[0], dtype=bool)
-    if r == 0:
-        out[:] = base
-        return ambiguous
-    step = max(1, _CHUNK_VALUES // (n * r))
-    for lo in range(0, perms.shape[0], step):
-        hi = min(lo + step, perms.shape[0])
-        h = np.take(q, perms[lo:hi], axis=0)
+
+    def __init__(self, X: np.ndarray, D: np.ndarray):
+        X = _as_matrix(X)
+        self.D = _as_matrix(D)
+        n, p = X.shape
+        q = np.zeros((n, 0))
+        if p:
+            # The rank rule residual_projector applies to [X | X_perm].
+            u, svals, _ = scipy.linalg.svd(X, full_matrices=False)
+            rank = int(np.count_nonzero(svals > _tol_abs(svals, n, 2 * p, None)))
+            q = np.ascontiguousarray(u[:, :rank])
+        self.q = q
+        self.base = self.D - q @ (q.T @ self.D)
+
+    def __call__(self, perms: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write (I - P_k) D into ``out[k]`` for each row map ``perms[k]``.
+
+        Parameters
+        ----------
+        perms : ndarray of int, shape (m, n)
+            Row maps; member k pairs X with X[perms[k]].
+        out : ndarray, shape (m, n, d)
+            Receives (I - P_k) D for member k.
+
+        Returns
+        -------
+        ndarray of bool, shape (m,)
+            Members whose Gram has an eigenvalue in the band [1e-13, 1e-6].
+            Their rows of ``out`` are not to be trusted; rebuild them through
+            :func:`residual_projector`.
+        """
+        q, D, base = self.q, self.D, self.base
+        if q.shape[1] == 0:
+            out[:] = base
+            return np.zeros(perms.shape[0], dtype=bool)
+        h = np.take(q, perms, axis=0)
         qc = np.matmul(q, np.matmul(q.T, h))
         h -= qc
         # G_k = H_k'H_k with a copy as the second operand: numpy sends a
@@ -214,12 +209,11 @@ def annihilate_permuted(
         np.copyto(qc, h)
         ht = h.transpose(0, 2, 1)
         evals, evecs = np.linalg.eigh(np.matmul(ht, qc))
-        ambiguous[lo:hi] = ((evals >= _GRAM_BAND[0]) & (evals <= _GRAM_BAND[1])).any(axis=1)
         inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=evals > _GRAM_CUTOFF)
         # (I - P_k) D = base - H_k G_k^+ H_k'D.
         v = np.matmul(evecs, inv[:, :, None] * np.matmul(evecs.transpose(0, 2, 1), np.matmul(ht, D)))
-        np.subtract(base, np.matmul(h, v), out=out[lo:hi])
-    return ambiguous
+        np.subtract(base, np.matmul(h, v), out=out)
+        return ((evals >= _GRAM_BAND[0]) & (evals <= _GRAM_BAND[1])).any(axis=1)
 
 
 def _as_matrix(a: np.ndarray) -> np.ndarray:

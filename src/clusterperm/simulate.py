@@ -27,7 +27,7 @@ from .exceptions import DimensionError, VarianceBudgetError
 from .missing import max_square_side
 from .model import DyadArray, StackedDesign
 from .multiway import MultiIndexDataset, irregular_test
-from .permgroup import build_two_way_group, default_num_perms
+from .permgroup import default_num_perms, two_way_group
 from .rng import dgp_seed, generator, mask_seed, replicate_seed
 
 _BASE_DISTS = ("gaussian", "lognormal-transform", "cauchy")
@@ -270,15 +270,12 @@ def minorization_gap_suite(
             n, beta=0.0, spec_err=spec_err, cov_transform=cov_transform, seed=rs
         )
         design = StackedDesign.from_array(array)
-        family = build_two_way_group(n, n, num_perms, rs)
-        prepared = PreparedTest(design.x, design.d, family.stacked())
+        prepared = PreparedTest(design.x, design.d, two_way_group(n, n, num_perms, rs))
         feasible = prepared.report(design.y).pval
-        eps_stacked = eps.reshape(-1)
         min_a = prepared.min_stat(design.y)
         count = 0
-        for k in range(1, num_perms + 1):
-            if min_a <= prepared.min_stat(eps_stacked[prepared.perms[k]]):
-                count += 1
+        for _, moved in prepared.group.orbit(eps.reshape(-1)):
+            count += sum(min_a <= prepared.min_stat(values) for values in moved)
         infeasible = (1 + count) / (num_perms + 1)
         if infeasible > feasible:
             violations += 1

@@ -5,10 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterperm.dyadic import (
     GridSpec,
     PreparedTest,
+    _AffineStats,
     dyadic_ci,
     dyadic_test,
     invert_ci,
@@ -26,7 +29,7 @@ from clusterperm.exceptions import (
     ResolutionError,
 )
 from clusterperm.model import DyadArray, PermutationFamily, StackedDesign, TwoWayPermutation
-from clusterperm.permgroup import build_two_way_group
+from clusterperm.permgroup import build_two_way_group, two_way_group
 from clusterperm.simulate import gen_dyadic_dataset
 
 
@@ -211,25 +214,72 @@ class TestGroupValidation:
         perms = build_two_way_group(n_rows, n_cols, num_perms, seed=53).stacked()
         X = np.ones((perms.shape[1], 1))
         prepared = PreparedTest(X, np.arange(perms.shape[1], dtype=float), perms)
-        assert prepared.perms is perms
+        assert np.array_equal(prepared.group.stacked(), perms)
+        assert not np.shares_memory(prepared.group.generator, perms)
 
 
 class TestPreparedState:
-    def test_retains_only_pd_and_perms(self):
-        # 100 x 100 grid, K = 19, p = 3: pd is 1.5 MB, while the K range
-        # bases (N x 5 each) would add 7.6 MB if the build kept them.
-        X, D, _ = _design(n=100, p=3, seed=30)
-        perms = build_two_way_group(100, 100, 19, seed=30).stacked()
+    def test_retains_pd_and_linear_state_and_streams_members(self):
+        # 100 x 100 grid, K = 19, p = 3: pd is 1.5 MB.  A (K+1) x N row map
+        # would add 1.6 MB to what the object holds, a K x N gather 1.5 MB to
+        # the peak of a pass over the members, and the K range bases
+        # (N x 5 each) 7.6 MB.
+        X, D, y = _design(n=100, p=3, seed=30)
+        group = two_way_group(100, 100, 19, seed=30)
+        n = X.shape[0]
         tracemalloc.start()
         try:
-            prepared = PreparedTest(X, D, perms)
+            prepared = PreparedTest(X, D, group)
             held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            prepared.statistics(y)
+            prepared.min_stat(y)
+            _AffineStats(prepared, y).pvalues(np.linspace(-1.0, 1.0, 201))
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            invert_ci(X, D, y, group, alpha=0.1)
+            _, ci_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert prepared.perms is perms
+        assert prepared.group is group
         assert prepared.projectors == ()
-        slack = 256 * 1024
-        assert held <= prepared.pd.nbytes + prepared.perms.nbytes + slack
+        slack = 4 * n * 8  # O(N): room for a few length-N vectors
+        assert held <= prepared.pd.nbytes + slack
+        assert peak - held < prepared.pd.nbytes / 4
+        # invert_ci builds its own pd, and its other temporaries (the basis,
+        # one member's gathers, the least-squares center) are O(N), well
+        # under one more K x N array
+        assert ci_peak - held < 2 * prepared.pd.nbytes
+
+
+_SMALL = st.integers(2, 9)
+
+
+class TestGroupEqualsLegacyFamily:
+    @settings(max_examples=40, deadline=None)
+    @given(n_rows=_SMALL, n_cols=_SMALL, num_perms=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_front_ends_match_two_way_family(self, n_rows, n_cols, num_perms, seed):
+        # K+1 above a side leaves that axis fixed, up to the all-identity group
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([np.ones((n_rows, n_cols, 1)),
+                            rng.standard_normal((n_rows, n_cols, 1))], axis=2)
+        array = DyadArray(rng.standard_normal((n_rows, n_cols)),
+                          rng.standard_normal((n_rows, n_cols)), x)
+        design = StackedDesign.from_array(array)
+        family = build_two_way_group(array.n_rows, array.n_cols, num_perms, seed)
+        try:
+            legacy = two_way_test(design.x, design.d, design.y, family, seed=seed)
+        except InsufficientDimensionError:
+            return
+        report = dyadic_test(array, num_perms=num_perms, seed=seed)
+        assert report.pval == legacy.pval
+        assert report.a.tobytes() == legacy.a.tobytes()
+        assert report.b.tobytes() == legacy.b.tobytes()
+        alpha = 1.0 / (num_perms + 1)
+        ci = dyadic_ci(array, alpha=alpha, num_perms=num_perms, seed=seed)
+        legacy_ci = invert_ci(design.x, design.d, design.y, family, alpha=alpha)
+        assert ci.to_dict() == legacy_ci.to_dict()
 
 
 class TestNonFiniteInput:

@@ -597,6 +597,30 @@ class TestCliCommands:
         assert results["alpha"] == 0.4
         assert "lower" in results and "upper" in results
 
+    def test_degenerate_ci_is_strict_json(self, tmp_path, capsys):
+        # d is constant and so is the covariate: the treatment lies in
+        # col(X) and the interval is the whole line
+        rng = np.random.default_rng(3)
+        lines = ["i,j,y,d,x1"] + [f"{i},{j},{rng.standard_normal()!r},2.0,1.0"
+                                  for i in range(1, 11) for j in range(1, 11)]
+        path = _write(tmp_path / "flat.csv", "\n".join(lines) + "\n")
+        assert main(["ci", "--data", path, "--num-perms", "19", "--covariates", "x1"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        results = json.loads(capsys.readouterr().out, parse_constant=reject)["results"]
+        assert results["lower"] is None and results["upper"] is None
+        assert results["open_ended"] == [True, True]
+        assert results["grid"]["degenerate"] is True
+
+    def test_non_finite_report_value_exits_3(self, capsys, monkeypatch):
+        from clusterperm import cli
+
+        monkeypatch.setattr(cli, "_execute", lambda config: {"pval": float("nan")})
+        payload = self._json_run(["test", "--data", "unused.csv"], capsys, expect_exit=3)
+        assert payload["error"]["code"] == "InternalError"
+
     def test_ci_below_floor_exits_2(self, tmp_path, capsys):
         path, _ = _dyadic_csv(tmp_path, n=6, seed=7)
         payload = self._json_run(
@@ -624,7 +648,7 @@ class TestCliCommands:
                 + tuple(TwoWayPermutation(rng.permutation(n_rows), rng.permutation(n_cols))
                         for _ in range(num_perms)))
 
-        monkeypatch.setattr(dyadic, "build_two_way_group", random_family)
+        monkeypatch.setattr(dyadic, "two_way_group", random_family)
         path, _ = _dyadic_csv(tmp_path, n=6, seed=9)
         payload = self._json_run(
             ["test", "--data", path, "--num-perms", "5", "--seed", "1"],

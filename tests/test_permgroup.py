@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterperm.exceptions import DimensionError
+from clusterperm.exceptions import DimensionError, GroupError
 from clusterperm.model import TwoWayPermutation
 from clusterperm.permgroup import (
+    CyclicGroup,
     _blockwise_shift,
-    block_product_perms,
+    block_product_group,
     build_cyclic_family,
     build_two_way_group,
     composition_law_holds,
     default_num_perms,
     fixed_point_free,
+    two_way_group,
     verify_group,
 )
 from clusterperm.rng import AXIS_CELLS, AXIS_COLS, AXIS_ROWS, family_seed
@@ -152,12 +154,39 @@ def _block_layouts(draw):
     ]
 
 
+def _reference_family(n, num_perms, seed):
+    """Every member k built directly as the k-th shift under one relabeling."""
+    relabel = np.random.default_rng(seed).permutation(n)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[relabel] = np.arange(n)
+    return np.stack([inverse[_blockwise_shift(n, num_perms, k)[relabel]]
+                     for k in range(num_perms + 1)])
+
+
+def _reference_block_product(blocks, num_perms, seed):
+    """The (K+1, N) maps written member by member from full families."""
+    size = num_perms + 1
+    parts, offset = [], 0
+    for key, axes in blocks:
+        shape = tuple(s for s, _ in axes)
+        maps = np.zeros((size,) + shape, dtype=np.intp)
+        stride = int(np.prod(shape))
+        for a, (n, axis) in enumerate(axes):
+            stride //= n
+            images = (np.tile(np.arange(n), (size, 1)) if axis is None
+                      else _reference_family(n, num_perms, family_seed(seed, key, axis)))
+            maps += (images * stride).reshape((size,) + (1,) * a + (n,) + (1,) * (len(axes) - a - 1))
+        parts.append(maps.reshape(size, -1) + offset)
+        offset += int(np.prod(shape))
+    return np.concatenate(parts, axis=1)
+
+
 class TestBlockProductPerms:
     @settings(max_examples=200, deadline=None)
     @given(blocks=_block_layouts(), num_perms=st.integers(1, 6),
            seed=st.integers(0, 2**63 - 1))
     def test_cyclic_group_of_block_bijections(self, blocks, num_perms, seed):
-        perms = block_product_perms(blocks, num_perms, seed)
+        perms = block_product_group(blocks, num_perms, seed).stacked()
         size = num_perms + 1
         n = sum(int(np.prod([s for s, _ in axes])) for _, axes in blocks)
         assert perms.shape == (size, n) and perms.dtype == np.intp
@@ -180,20 +209,94 @@ class TestBlockProductPerms:
         # criterion 12 on the maps: a box with l = 1, a panel with T = 1 and
         # one full cover block each give exactly the dyadic group
         two_way = build_two_way_group(m, n, num_perms, seed).stacked()
+        assert np.array_equal(two_way_group(m, n, num_perms, seed).stacked(), two_way)
         rows_cols = ((m, AXIS_ROWS), (n, AXIS_COLS))
         for axes in (rows_cols + ((1, AXIS_CELLS),), rows_cols + ((1, None),), rows_cols):
-            assert np.array_equal(block_product_perms([(0, axes)], num_perms, seed), two_way)
+            assert np.array_equal(block_product_group([(0, axes)], num_perms, seed).stacked(),
+                                  two_way)
 
     def test_fixed_axis_rides_along(self):
-        perms = block_product_perms([(3, ((4, AXIS_ROWS), (2, None)))], 3, seed=1)
+        perms = block_product_group([(3, ((4, AXIS_ROWS), (2, None)))], 3, seed=1).stacked()
         rows = build_cyclic_family(4, 3, seed=family_seed(1, 3, AXIS_ROWS))
         assert np.array_equal(perms, (rows[:, :, None] * 2 + np.arange(2)).reshape(4, 8))
 
     def test_validation(self):
         with pytest.raises(DimensionError):
-            block_product_perms([(0, ((3, AXIS_ROWS),))], 0, seed=0)
+            block_product_group([(0, ((3, AXIS_ROWS),))], 0, seed=0)
         with pytest.raises(DimensionError):
-            block_product_perms([(0, ((3, AXIS_ROWS), (0, None)))], 2, seed=0)
+            block_product_group([(0, ((3, AXIS_ROWS), (0, None)))], 2, seed=0)
+
+
+_SIDES = st.integers(1, 12)
+
+
+@st.composite
+def _wide_layouts(draw):
+    """1-4 blocks of 1-3 axes, sides up to 12: some shorter and some longer than K+1."""
+    return [
+        (draw(st.integers(0, 10**6)),
+         tuple(draw(st.lists(st.tuples(_SIDES, _AXES), min_size=1, max_size=3))))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+class TestCyclicGroup:
+    @settings(max_examples=150, deadline=None)
+    @given(blocks=_wide_layouts(), num_perms=st.integers(1, 9),
+           seed=st.integers(0, 2**63 - 1))
+    def test_matches_member_by_member_construction(self, blocks, num_perms, seed):
+        group = block_product_group(blocks, num_perms, seed)
+        expected = _reference_block_product(blocks, num_perms, seed)
+        assert np.array_equal(group.stacked(), expected)
+        assert np.array_equal(group.generator, expected[1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 40), num_perms=st.integers(1, 12), width=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_orbit_moves_values_by_each_member(self, n, num_perms, width, seed):
+        group = CyclicGroup(_reference_family(n, num_perms, seed)[1], num_perms)
+        maps = group.stacked()
+        values = np.random.default_rng(seed).standard_normal((n, width) if width else n)
+        seen = 0
+        for members, block in group.orbit(values):
+            assert members.start == seen
+            assert np.array_equal(block, values[maps[1:][members]])
+            seen = members.stop
+        assert seen == num_perms
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 30), num_perms=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_order_must_divide_group_size(self, n, num_perms, seed):
+        gen = np.random.default_rng(seed).permutation(n)
+        cycles = _cycle_type(gen)
+        order = int(np.lcm.reduce(cycles))
+        if (num_perms + 1) % order == 0:
+            group = CyclicGroup(gen, num_perms)
+            assert composition_law_holds(group.stacked())
+        else:
+            with pytest.raises(GroupError, match="not the identity"):
+                CyclicGroup(gen, num_perms)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(2, 30), num_perms=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_non_bijection_raises(self, n, num_perms, seed):
+        rng = np.random.default_rng(seed)
+        gen = rng.permutation(n)
+        i, j = rng.choice(n, size=2, replace=False)
+        gen[i] = gen[j]
+        with pytest.raises(DimensionError, match="not a bijection"):
+            CyclicGroup(gen, num_perms)
+        gen[i] = n
+        with pytest.raises(DimensionError, match="maps outside"):
+            CyclicGroup(gen, num_perms)
+
+    def test_validation(self):
+        with pytest.raises(DimensionError):
+            next(CyclicGroup(np.arange(4), 2).orbit(np.ones(5)))
+        with pytest.raises(DimensionError):
+            CyclicGroup(np.arange(4), 0)
+        with pytest.raises(DimensionError):
+            CyclicGroup(np.zeros((2, 2), dtype=int), 1)
 
 
 class TestDefaultNumPerms:
