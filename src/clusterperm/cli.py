@@ -44,8 +44,8 @@ SCHEMA_VERSION = 1
 
 _PANELS = ("table1", "table4", "table3")
 
-# K for the subcommands without a divisor-based default (blockwise, layout,
-# irregular and the table3 panel).
+# K for the subcommands without a divisor-based default (blockwise, layout
+# and irregular).
 DEFAULT_NUM_PERMS = 19
 
 
@@ -238,10 +238,23 @@ def _load_multi(config: RunConfig) -> MultiIndexDataset:
     return data
 
 
+def _parse_l0(raw: str, auto_ok: bool) -> int | None:
+    """``--l0`` as an integer >= 1, or None for 'auto' where ``auto_ok``."""
+    if auto_ok and raw == "auto":
+        return None
+    try:
+        l0 = int(raw)
+    except ValueError:
+        l0 = 0
+    if l0 < 1:
+        expected = "'auto' or an integer >= 1" if auto_ok else "an integer >= 1"
+        raise ParseError(f"--l0 must be {expected}, got {raw!r}")
+    return l0
+
+
 def _resolve_l0(config: RunConfig, data: MultiIndexDataset) -> int:
-    if str(config.l0) == "auto":
-        return suggest_cell_threshold(data.cell_sizes())
-    return int(config.l0)
+    l0 = _parse_l0(config.l0, auto_ok=True)
+    return suggest_cell_threshold(data.cell_sizes()) if l0 is None else l0
 
 
 def _execute(config: RunConfig) -> dict:
@@ -321,29 +334,22 @@ def _execute(config: RunConfig) -> dict:
 
 
 def _run_panel(config: RunConfig) -> dict:
-    if config.panel == "table1":
-        return run_null_size_panel(
-            n=config.n if config.n is not None else 25,
-            reps=config.reps if config.reps is not None else 1000,
-            alpha=config.alpha, seed=config.seed,
-            num_perms=config.num_perms, threads=config.threads,
-        )
-    if config.panel == "table4":
-        return run_power_panel(
-            n=config.n if config.n is not None else 25,
-            reps=config.reps if config.reps is not None else 500,
-            alpha=config.alpha, seed=config.seed,
-            num_perms=config.num_perms, threads=config.threads,
-        )
+    """Run one panel; a size the user left unset takes the panel's default."""
+    kwargs = {"alpha": config.alpha, "seed": config.seed, "threads": config.threads}
+    for key in ("reps", "num_perms"):
+        if getattr(config, key) is not None:
+            kwargs[key] = getattr(config, key)
     if config.panel == "table3":
-        side = config.n if config.n is not None else 20
-        return run_irregular_size_panel(
-            n_rows=side, n_cols=side, l0=int(config.l0),
-            reps=config.reps if config.reps is not None else 500,
-            alpha=config.alpha, seed=config.seed,
-            num_perms=config.num_perms if config.num_perms is not None else DEFAULT_NUM_PERMS,
-            repeats=config.repeats, threads=config.threads,
-        )
+        if config.n is not None:
+            kwargs.update(n_rows=config.n, n_cols=config.n)
+        return run_irregular_size_panel(l0=_parse_l0(config.l0, auto_ok=False),
+                                        repeats=config.repeats, **kwargs)
+    if config.n is not None:
+        kwargs["n"] = config.n
+    if config.panel == "table1":
+        return run_null_size_panel(**kwargs)
+    if config.panel == "table4":
+        return run_power_panel(**kwargs)
     raise ParseError(f"unknown panel {config.panel!r}")
 
 

@@ -8,12 +8,10 @@ which keeps the test level-correct at the cost of conservatism:
 
     pval = (1 + #{k : min_j a_j <= b_k}) / (K + 1).
 
-All functions here operate on stacked data.  The family of row maps is a
-:class:`~clusterperm.permgroup.CyclicGroup`, held as its generator, whose
-members are streamed in chunks; a full (K+1, N) map or a
-:class:`~clusterperm.model.PermutationFamily` is also accepted, but only if
-it is the cyclic group that member 1 generates, which the validity argument
-needs.  Any other family raises :class:`~clusterperm.exceptions.GroupError`.
+All functions here operate on stacked data.  Every family of row maps
+passes through :func:`~clusterperm.permgroup.as_group`, which returns the
+checked :class:`~clusterperm.permgroup.CyclicGroup` the validity argument
+needs; its members are streamed in chunks.
 
 :class:`PreparedTest` builds the annihilated treatments V_k V_k' D of all
 members from one orthonormal basis of col(X), through p x p cross products
@@ -33,18 +31,15 @@ import numpy as np
 from .exceptions import (
     DegenerateInputError,
     DimensionError,
-    GroupError,
     InsufficientDimensionError,
     NonFiniteInputError,
     ResolutionError,
 )
 from .model import DyadArray, PermutationFamily, StackedDesign
-from .permgroup import CyclicGroup, default_num_perms, member_fault, two_way_group
+from .permgroup import CyclicGroup, as_group, default_num_perms, two_way_group
 from .projector import PermutedAnnihilator, residual_projector
 
 _DEGENERATE_REL = 1e-10
-# Row-map checks run in chunks of about this many entries.
-_CHUNK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -115,6 +110,14 @@ class GridSpec:
     points: int = 201
     max_expansions: int = 6
 
+    def __post_init__(self):
+        if self.points < 2 or self.max_expansions < 0:
+            raise DimensionError("the grid needs points >= 2 and max_expansions >= 0")
+        if self.center is not None and not np.isfinite(self.center):
+            raise NonFiniteInputError(f"grid center must be finite, got {self.center}")
+        if self.half_width is not None and not 0.0 < self.half_width < np.inf:
+            raise DimensionError(f"grid half-width must be > 0 and finite, got {self.half_width}")
+
 
 def _require_finite(values: np.ndarray, name: str) -> None:
     """Fail closed: NaN or inf data would make every statistic meaningless."""
@@ -123,47 +126,6 @@ def _require_finite(values: np.ndarray, name: str) -> None:
         raise NonFiniteInputError(
             f"{name} has {bad} non-finite value(s); the test needs finite data"
         )
-
-
-def _validate_perms(perms: np.ndarray, n: int) -> CyclicGroup:
-    """Accept a full (K+1, N) map only as the cyclic group member 1 generates.
-
-    Member 0 is the identity, member 1 is a bijection of the rows, member k
-    is member 1 applied to member k-1, and member 1 applied to member K is
-    the identity again (checked by :class:`CyclicGroup`).  Every member is
-    then a bijection.  One chunked pass, O(K * N); the first member that
-    breaks the law is diagnosed so the error names the fault.
-    """
-    perms = np.asarray(perms, dtype=np.intp)
-    if perms.ndim != 2 or perms.shape[1] != n:
-        raise DimensionError(
-            f"permutations must be (K+1, {n}), got {perms.shape}"
-        )
-    if perms.shape[0] < 2:
-        raise DimensionError("need the identity plus at least one permutation")
-    if not np.array_equal(perms[0], np.arange(n)):
-        raise DimensionError("member 0 must be the identity")
-    gen = perms[1]
-    fault = member_fault(gen, n)
-    if fault:
-        raise DimensionError(f"member 1 {fault}")
-    step = max(1, _CHUNK_VALUES // n)
-    for lo in range(2, perms.shape[0], step):
-        block = perms[lo:lo + step]
-        # Rows before the first broken one are valid, so its expected row
-        # is exact; 'clip' only keeps later, unused rows from raising.
-        expected = np.take(gen, perms[lo - 1:lo - 1 + block.shape[0]], mode="clip")
-        broken = (block != expected).any(axis=1)
-        if broken.any():
-            k = lo + int(np.argmax(broken))
-            fault = member_fault(perms[k], n)
-            if fault:
-                raise DimensionError(f"member {k} {fault}")
-            raise GroupError(
-                f"row maps are not a cyclic group: member {k} is not member 1 "
-                f"applied to member {k - 1}"
-            )
-    return CyclicGroup(gen, perms.shape[0] - 1)
 
 
 class PreparedTest:
@@ -179,9 +141,8 @@ class PreparedTest:
     on the singular values of [X | X_pi], which only that route computes.
     ``svd_members`` counts the members built through the SVD route.
 
-    ``row_perms`` is a :class:`~clusterperm.permgroup.CyclicGroup`, or a
-    full (K+1, N) map or :class:`~clusterperm.model.PermutationFamily` that
-    must be the cyclic group its member 1 generates.  The object retains
+    ``row_perms`` is any family :func:`~clusterperm.permgroup.as_group`
+    accepts.  The object retains
 
     - ``pd``, shape (K, N, d): the annihilated treatments V_k V_k' D, and
     - ``group``: the group, held as its generator (N values),
@@ -220,14 +181,7 @@ class PreparedTest:
             raise InsufficientDimensionError(
                 f"covariate dimension too large: need p < N/2, got p={p}, N={n}"
             )
-        if isinstance(row_perms, PermutationFamily):
-            row_perms = row_perms.stacked()
-        if isinstance(row_perms, CyclicGroup):
-            group = row_perms
-            if group.n != n:
-                raise DimensionError(f"the group acts on {group.n} rows, the data have {n}")
-        else:
-            group = _validate_perms(row_perms, n)
+        group = as_group(row_perms, n)
         self.X = X
         self.D = D
         self.group = group
@@ -256,24 +210,31 @@ class PreparedTest:
     def alpha_floor(self) -> float:
         return 1.0 / (self.num_perms + 1)
 
-    def statistics(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Observed and permuted statistics (a, b) for one outcome vector."""
+    def _outcome(self, y) -> np.ndarray:
+        """``y`` as a finite float vector of shape (N,), or a typed error."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n,):
-            raise DimensionError(f"outcome must have shape ({self.n},)")
+            raise DimensionError(f"outcome must have shape ({self.n},), got {y.shape}")
         _require_finite(y, "outcome")
-        a_vec = np.einsum("knd,n->kd", self.pd, y)
-        b_vec = np.empty_like(a_vec)
-        for members, y_perm in self.group.orbit(y):
-            b_vec[members] = np.einsum("knd,kn->kd", self.pd[members], y_perm)
+        return y
+
+    def _contract(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(pd_k' v, pd_k' v[g^k]) for members 1..K, each of shape (K, d)."""
+        fixed = np.einsum("knd,n->kd", self.pd, v)
+        moved = np.empty_like(fixed)
+        for members, v_perm in self.group.orbit(v):
+            moved[members] = np.einsum("knd,kn->kd", self.pd[members], v_perm)
+        return fixed, moved
+
+    def statistics(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Observed and permuted statistics (a, b) for one outcome vector."""
+        a_vec, b_vec = self._contract(self._outcome(y))
         return np.linalg.norm(a_vec, axis=1), np.linalg.norm(b_vec, axis=1)
 
     def min_stat(self, values: np.ndarray) -> float:
         """min_k ||D' V_k V_k' values||, the minorized statistic."""
-        values = np.asarray(values, dtype=float)
-        _require_finite(values, "outcome")
-        stat = np.linalg.norm(np.einsum("knd,n->kd", self.pd, values), axis=1)
-        return float(stat.min())
+        stat = np.einsum("knd,n->kd", self.pd, self._outcome(values))
+        return float(np.linalg.norm(stat, axis=1).min())
 
     def report(self, y: np.ndarray, seed: int | None = None,
                notes: tuple[str, ...] = ()) -> TestReport:
@@ -305,16 +266,17 @@ class PreparedTest:
         )
 
 
-def pvalue_from_stats(a: np.ndarray, b: np.ndarray) -> float:
-    """Randomization p-value with ties counted as extreme."""
+def pvalue_from_stats(a: np.ndarray, b: np.ndarray):
+    """Randomization p-value with ties counted as extreme; one per row of a stack."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 1:
-        raise DimensionError("a and b must be equal-length non-empty vectors")
+    if a.shape != b.shape or a.ndim not in (1, 2) or a.shape[-1] < 1:
+        raise DimensionError("a and b must be equal-shape non-empty vectors or stacks of rows")
     if np.isnan(a).any() or np.isnan(b).any():
         raise NonFiniteInputError("statistics contain NaN; no p-value is defined")
-    count = int(np.count_nonzero(a.min() <= b))
-    return (1 + count) / (a.size + 1)
+    counts = np.count_nonzero(a.min(axis=-1, keepdims=True) <= b, axis=-1)
+    pvals = (1 + counts) / (a.shape[-1] + 1)
+    return float(pvals) if a.ndim == 1 else pvals
 
 
 def two_way_test(
@@ -384,7 +346,7 @@ def shifted_test(
         raise DimensionError(
             f"beta0 must have shape ({D_mat.shape[1]},), got {beta_vec.shape}"
         )
-    y_shift = np.asarray(y, dtype=float) - D_mat @ beta_vec
+    y_shift = prepared._outcome(y) - D_mat @ beta_vec
     return prepared.report(y_shift, seed=seed)
 
 
@@ -414,27 +376,17 @@ class _AffineStats:
     """Member statistics as affine functions of the tested value b0 (d = 1).
 
     a_k(b0) = |u_k - b0 v_k| and b_k(b0) = |w_k - b0 z_k|, so a whole grid
-    of point nulls costs four dot products per member plus scalar work.
+    of point nulls costs two contractions plus scalar work.
     """
 
     def __init__(self, prepared: PreparedTest, y: np.ndarray):
-        _require_finite(y, "outcome")
-        pd = prepared.pd[:, :, 0]
-        d_col = prepared.D[:, 0]
-        self.u = pd @ y
-        self.v = pd @ d_col
-        self.w = np.empty_like(self.u)
-        self.z = np.empty_like(self.u)
-        for out, values in ((self.w, y), (self.z, d_col)):
-            for members, moved in prepared.group.orbit(values):
-                out[members] = np.einsum("kn,kn->k", pd[members], moved)
-        self.num_perms = pd.shape[0]
+        self.u, self.w = (col[:, 0] for col in prepared._contract(prepared._outcome(y)))
+        self.v, self.z = (col[:, 0] for col in prepared._contract(prepared.D[:, 0]))
 
     def pvalues(self, points: np.ndarray) -> np.ndarray:
         a = np.abs(self.u[None, :] - points[:, None] * self.v[None, :])
         b = np.abs(self.w[None, :] - points[:, None] * self.z[None, :])
-        counts = np.count_nonzero(a.min(axis=1)[:, None] <= b, axis=1)
-        return (1 + counts) / (self.num_perms + 1)
+        return pvalue_from_stats(a, b)
 
 
 def invert_ci(
@@ -455,26 +407,22 @@ def invert_ci(
     the final expansion is reported open-ended (infinite bound).  A
     degenerate treatment or a group of identities gives the whole line.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ResolutionError(f"alpha must lie in (0, 1), got {alpha}")
     grid = grid or GridSpec()
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    D = np.asarray(D, dtype=float)
-    if D.ndim == 1:
-        D = D[:, None]
-    y = np.asarray(y, dtype=float)
-    if D.shape[1] != 1:
+    if np.ndim(D) > 1 and np.shape(D)[1] != 1:
         raise DimensionError(
-            f"interval inversion supports a single treatment column, got {D.shape[1]}"
+            f"interval inversion supports a single treatment column, got {np.shape(D)[1]}"
         )
-    floor = 1.0 / (family.num_perms + 1)
+    group = as_group(family, len(D))
+    floor = 1.0 / (group.num_perms + 1)
     if alpha < floor - 1e-12:
         raise ResolutionError(
             f"alpha={alpha} is below the attainable floor 1/(K+1)={floor:.6g}; "
             "increase the number of permutations"
         )
-    prepared = PreparedTest(X, D, family, tol=tol)
-    _require_finite(y, "outcome")
+    prepared = PreparedTest(X, D, group, tol=tol)
+    y = prepared._outcome(y)
     if prepared.degenerate or prepared.all_identity:
         # Every point null is accepted: the statistics vanish, or no member
         # moves the data so each b_k equals its a_k.
@@ -485,14 +433,12 @@ def invert_ci(
 
     affine = _AffineStats(prepared, y)
     if grid.center is None or grid.half_width is None:
-        center, unit = _ols_center_and_unit(X, D[:, 0:1], y)
+        center, unit = _ols_center_and_unit(prepared.X, prepared.D, y)
     else:
         center, unit = grid.center, 0.0
     if grid.center is not None:
         center = grid.center
     half = grid.half_width if grid.half_width is not None else 4.0 * unit
-    if not np.isfinite(half) or half <= 0:
-        half = 1.0
 
     expansions = 0
     while True:

@@ -40,7 +40,7 @@ class GroupError(ClusterPermError):
 
 
 class ResolutionError(ClusterPermError):
-    """Requested level is below the attainable p-value floor 1/(K+1)."""
+    """Requested level is outside (0, 1) or below the p-value floor 1/(K+1)."""
 
 
 class CapExceededError(ClusterPermError):

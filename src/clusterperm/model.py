@@ -156,18 +156,15 @@ class StackedDesign:
         return self.n_rows * self.n_cols
 
 
-def _check_bijection(arr: np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.intp)
-    if arr.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D")
-    n = arr.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    if n and (arr.min() < 0 or arr.max() >= n):
-        raise DimensionError(f"{name} maps outside its index set")
-    seen[arr] = True
-    if not seen.all():
-        raise DimensionError(f"{name} is not a bijection")
-    return arr
+def member_fault(row: np.ndarray, n: int) -> str | None:
+    """Why one row map is not a bijection of [n], or None if it is one."""
+    if row.ndim != 1:
+        return f"must be 1-D, got shape {row.shape}"
+    if row.size and (row.min() < 0 or row.max() >= n):
+        return "maps outside the row range"
+    if not (np.bincount(row, minlength=n) == 1).all():
+        return "is not a bijection"
+    return None
 
 
 @dataclass(frozen=True)
@@ -181,8 +178,12 @@ class TwoWayPermutation:
     sigma: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pi", _check_bijection(self.pi, "pi"))
-        object.__setattr__(self, "sigma", _check_bijection(self.sigma, "sigma"))
+        for name in ("pi", "sigma"):
+            arr = np.asarray(getattr(self, name), dtype=np.intp)
+            fault = member_fault(arr, arr.size)
+            if fault:
+                raise DimensionError(f"{name} {fault}")
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def identity(cls, n_rows: int, n_cols: int) -> "TwoWayPermutation":
@@ -205,9 +206,6 @@ class TwoWayPermutation:
     def stacked(self) -> np.ndarray:
         """Row-level source map: stacked row of (i, j) reads from (pi(i), sigma(j))."""
         return (self.pi[:, None] * self.n_cols + self.sigma[None, :]).reshape(-1)
-
-    def key(self) -> tuple:
-        return (tuple(self.pi.tolist()), tuple(self.sigma.tolist()))
 
 
 def compose(g: TwoWayPermutation, h: TwoWayPermutation) -> TwoWayPermutation:

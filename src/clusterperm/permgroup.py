@@ -15,6 +15,8 @@ member k being g^k (:class:`CyclicGroup`), so it takes O(N) memory and its
 members are streamed, never stored; the (K+1, N) arrays of
 :func:`build_cyclic_family`, :meth:`CyclicGroup.stacked` and
 :func:`build_two_way_group` are adapters for the group-law checks.
+:func:`as_group` is the one place where a family given in any of these
+forms becomes a checked group.
 """
 
 from __future__ import annotations
@@ -24,21 +26,12 @@ import math
 import numpy as np
 
 from .exceptions import DimensionError, GroupError
-from .model import PermutationFamily, TwoWayPermutation
+from .model import PermutationFamily, TwoWayPermutation, member_fault
 from .rng import AXIS_COLS, AXIS_ROWS, family_seed
 
-# Streamed members come in chunks of about this many values (128 KB of
-# float64), so a pass over the group holds no K x N temporary.
+# Members are streamed and checked in chunks of about this many values
+# (128 KB of float64), so a pass over the group holds no K x N temporary.
 _CHUNK_VALUES = 1 << 14
-
-
-def member_fault(row: np.ndarray, n: int) -> str | None:
-    """Why one row map is not a bijection of [n], or None if it is one."""
-    if row.size and (row.min() < 0 or row.max() >= n):
-        return "maps outside the row range"
-    if not (np.bincount(row, minlength=n) == 1).all():
-        return "is not a bijection"
-    return None
 
 
 class CyclicGroup:
@@ -54,8 +47,6 @@ class CyclicGroup:
 
     def __init__(self, generator, num_perms: int):
         gen = np.array(generator, dtype=np.intp)
-        if gen.ndim != 1:
-            raise DimensionError(f"a generator must be 1-D, got shape {gen.shape}")
         if num_perms < 1:
             raise DimensionError(f"need at least one permutation, got {num_perms}")
         fault = member_fault(gen, gen.size)
@@ -104,6 +95,54 @@ class CyclicGroup:
         for members, block in self.orbit():
             maps[1:][members] = block
         return maps
+
+
+def as_group(family, n: int) -> CyclicGroup:
+    """The checked cyclic group that ``family`` states, acting on n rows.
+
+    ``family`` is a :class:`CyclicGroup` (checked at construction), a
+    :class:`~clusterperm.model.PermutationFamily` or a full (K+1, n) row map.
+    A map, or a family's stacked maps, is accepted only as the cyclic group
+    member 1 generates: member 0 is the identity, member 1 a bijection of the
+    rows, member k is member 1 applied to member k-1, and member 1 applied to
+    member K is the identity again (checked by :class:`CyclicGroup`).  Every
+    member is then a bijection.  One chunked pass, O(K * n); the first member
+    that breaks the law is diagnosed so the error names the fault.
+    """
+    if isinstance(family, CyclicGroup):
+        if family.n != n:
+            raise DimensionError(f"the group acts on {family.n} rows, the data have {n}")
+        return family
+    if isinstance(family, PermutationFamily):
+        family = family.stacked()
+    perms = np.asarray(family, dtype=np.intp)
+    if perms.ndim != 2 or perms.shape[1] != n:
+        raise DimensionError(f"permutations must be (K+1, {n}), got {perms.shape}")
+    if perms.shape[0] < 2:
+        raise DimensionError("need the identity plus at least one permutation")
+    if not np.array_equal(perms[0], np.arange(n)):
+        raise DimensionError("member 0 must be the identity")
+    gen = perms[1]
+    fault = member_fault(gen, n)
+    if fault:
+        raise DimensionError(f"member 1 {fault}")
+    step = max(1, _CHUNK_VALUES // max(n, 1))
+    for lo in range(2, perms.shape[0], step):
+        block = perms[lo:lo + step]
+        # Rows before the first broken one are valid, so its expected row
+        # is exact; 'clip' only keeps later, unused rows from raising.
+        expected = np.take(gen, perms[lo - 1:lo - 1 + block.shape[0]], mode="clip")
+        broken = (block != expected).any(axis=1)
+        if broken.any():
+            k = lo + int(np.argmax(broken))
+            fault = member_fault(perms[k], n)
+            if fault:
+                raise DimensionError(f"member {k} {fault}")
+            raise GroupError(
+                f"row maps are not a cyclic group: member {k} is not member 1 "
+                f"applied to member {k - 1}"
+            )
+    return CyclicGroup(gen, perms.shape[0] - 1)
 
 
 def _blockwise_shift(n: int, num_perms: int, k: int) -> np.ndarray:

@@ -79,6 +79,16 @@ class TestPvalueFromStats:
     def test_shape_validation(self):
         with pytest.raises(DimensionError):
             pvalue_from_stats(np.array([1.0]), np.array([1.0, 2.0]))
+        with pytest.raises(DimensionError):
+            pvalue_from_stats(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
+
+    def test_stack_gives_one_pvalue_per_row(self):
+        rng = np.random.default_rng(0)
+        a = rng.exponential(size=(30, 7))
+        b = rng.exponential(size=(30, 7))
+        b[3] = a[3].min()  # ties on one row
+        rows = [pvalue_from_stats(a_row, b_row) for a_row, b_row in zip(a, b)]
+        assert pvalue_from_stats(a, b).tolist() == rows
 
 
 class TestTwoWayTest:
@@ -313,6 +323,24 @@ class TestNonFiniteInput:
             invert_ci(X, D, y, family)
 
 
+class TestOutcomeShape:
+    @pytest.mark.parametrize("length", [35, 37])
+    def test_wrong_length_outcome_raises(self, length):
+        X, D, y = _design(n=6, seed=35)
+        group = two_way_group(6, 6, 5, seed=35)
+        prepared = PreparedTest(X, D, group)
+        bad = np.resize(y, length)
+        with pytest.raises(DimensionError, match="outcome"):
+            prepared.min_stat(bad)
+        with pytest.raises(DimensionError, match="outcome"):
+            shifted_test(X, D, bad, group, 0.5)
+        with pytest.raises(DimensionError, match="outcome"):
+            invert_ci(X, D, bad, group, alpha=0.2)
+        # a degenerate treatment gives the whole line, but only for a valid y
+        with pytest.raises(DimensionError, match="outcome"):
+            invert_ci(X, X[:, :1], bad, group, alpha=0.2)
+
+
 class TestShiftedTest:
     def test_zero_shift_matches_plain_test(self):
         X, D, y = _design(n=6, seed=11)
@@ -407,6 +435,44 @@ class TestInvertCi:
         family = build_two_way_group(5, 5, 4, seed=20)
         with pytest.raises(DimensionError):
             invert_ci(X, D, y, family, alpha=0.3)
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_full_map_gives_the_groups_interval(self, seed):
+        X, D, y = _design(n=8, beta=0.3, seed=seed)
+        group = two_way_group(8, 8, 7, seed=seed)
+        via_group = invert_ci(X, D, y, group, alpha=0.25)
+        via_map = invert_ci(X, D, y, group.stacked(), alpha=0.25)
+        assert via_map.to_dict() == via_group.to_dict()
+        with pytest.raises(ResolutionError):
+            invert_ci(X, D, y, group.stacked(), alpha=0.1)
+
+    def test_non_group_map_rejected(self):
+        X, D, y = _design(n=4, seed=24)
+        gen = np.arange(16)
+        gen[:4] = [1, 2, 3, 0]
+        with pytest.raises(GroupError):
+            invert_ci(X, D, y, _powers(gen, 3), alpha=0.5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, np.nan, np.inf])
+    def test_alpha_outside_unit_interval_raises(self, alpha):
+        X, D, y = _design(n=6, seed=25)
+        with pytest.raises(ResolutionError, match="alpha"):
+            invert_ci(X, D, y, two_way_group(6, 6, 5, seed=25), alpha=alpha)
+
+    @pytest.mark.parametrize("spec, error", [
+        (dict(points=1), DimensionError),
+        (dict(points=0), DimensionError),
+        (dict(max_expansions=-1), DimensionError),
+        (dict(half_width=0.0), DimensionError),
+        (dict(half_width=-1.0), DimensionError),
+        (dict(half_width=np.inf), DimensionError),
+        (dict(half_width=np.nan), DimensionError),
+        (dict(center=np.nan), NonFiniteInputError),
+        (dict(center=-np.inf), NonFiniteInputError),
+    ])
+    def test_grid_spec_validated(self, spec, error):
+        with pytest.raises(error, match="grid"):
+            GridSpec(**spec)
 
 
 class TestMedianPvalue:

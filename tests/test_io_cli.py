@@ -629,6 +629,58 @@ class TestCliCommands:
         )
         assert payload["error"]["code"] == "ResolutionError"
 
+    @pytest.mark.parametrize("flags, code", [
+        (["--grid-points", "1"], "DimensionError"),
+        (["--grid-points", "0"], "DimensionError"),
+        (["--max-expansions", "-1"], "DimensionError"),
+        (["--grid-half-width", "-1"], "DimensionError"),
+        (["--grid-half-width", "0"], "DimensionError"),
+        (["--grid-center", "nan"], "NonFiniteInputError"),
+        (["--grid-center", "inf"], "NonFiniteInputError"),
+        (["--alpha", "nan"], "ResolutionError"),
+        (["--alpha", "1.5"], "ResolutionError"),
+    ])
+    def test_ci_bad_grid_or_level_exits_2(self, tmp_path, capsys, flags, code):
+        # these used to crash (exit 3), print a point interval, or be replaced
+        path, _ = _dyadic_csv(tmp_path, n=6, seed=7)
+        payload = self._json_run(
+            ["ci", "--data", path, "--num-perms", "5", "--alpha", "0.4"] + flags,
+            capsys, expect_exit=2,
+        )
+        assert payload["error"]["code"] == code
+
+    @pytest.mark.parametrize("argv", [
+        ["test-irregular", "--l0", "abc"],
+        ["test-irregular", "--l0", "2.5"],
+        ["test-irregular", "--l0", "0"],
+        ["simulate", "--panel", "table3", "--l0", "auto"],
+        ["simulate", "--panel", "table3", "--l0", "-3"],
+    ])
+    def test_bad_l0_exits_2(self, tmp_path, capsys, argv):
+        # int() used to raise ValueError here (exit 3)
+        if argv[0] == "test-irregular":
+            argv = argv + ["--data", _irregular_csv(tmp_path, seed=19)]
+        payload = self._json_run(argv, capsys, expect_exit=2)
+        assert payload["error"]["code"] == "ParseError"
+        assert "--l0" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("panel, runner", [
+        ("table1", "run_null_size_panel"),
+        ("table4", "run_power_panel"),
+        ("table3", "run_irregular_size_panel"),
+    ])
+    def test_simulate_passes_only_the_sizes_set(self, capsys, monkeypatch, panel, runner):
+        calls = []
+        monkeypatch.setattr(cli, runner, lambda **kwargs: calls.append(kwargs) or {})
+        assert main(["simulate", "--panel", panel]) == 0
+        assert main(["simulate", "--panel", panel, "--n", "6", "--reps", "2",
+                     "--num-perms", "5"]) == 0
+        capsys.readouterr()
+        unset, given = calls
+        assert not {"n", "n_rows", "n_cols", "reps", "num_perms"} & set(unset)
+        assert given["reps"] == 2 and given["num_perms"] == 5
+        assert given.get("n", given.get("n_rows")) == 6
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = _write(tmp_path / "bad.csv", "i,j,y,d\n1,1,zzz,1.0\n")
         payload = self._json_run(["test", "--data", path], capsys, expect_exit=2)

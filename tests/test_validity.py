@@ -1,23 +1,35 @@
-"""Property tests: the p-value is invariant under y -> c * y + X gamma.
+"""Property tests of the p-value's validity.
 
-Every member's projector annihilates X, so the statistics see the outcome
-only through D' V_k V_k' y, and a positive rescaling multiplies every a_k
-and b_k by the same c.  The p-value must therefore not move when the
-outcome is rescaled by c > 0 or shifted by any X gamma.  A projector route
-that leaves part of col(X) or of col(X_pi) in the complement fails this.
+Invariance: every member's projector annihilates X, so the statistics see
+the outcome only through D' V_k V_k' y, and a positive rescaling multiplies
+every a_k and b_k by the same c.  The p-value must therefore not move when
+the outcome is rescaled by c > 0 or shifted by any X gamma.  A projector
+route that leaves part of col(X) or of col(X_pi) in the complement fails
+this.
 
-The data come from a seeded normal generator, never from raw floats drawn
-by hypothesis: an outcome such as y = 0 puts every statistic at a
-rounding-level tie, where no ordering is meaningful.
+Orbit bound (Hemerik & Goeman, 2018): under y = X gamma + eps, at most
+floor(alpha (K+1)) of the K+1 translates X gamma + eps[g^j] have p <= alpha,
+for any finite gamma and eps, because the family is a group and the
+feasible p-value dominates the oracle one.  The check is exact, not Monte
+Carlo: a non-group family or a tie rule that drops ties breaks it.  The
+outcome 0 (gamma = 0, eps = 0) is the case where every statistic ties.
+
+The data come from a seeded generator, never from raw floats drawn by
+hypothesis: an outcome in col(X), such as a constant, puts every statistic
+at a rounding-level tie, where no ordering is meaningful.  Only the exact
+outcome 0 ties every statistic exactly.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clusterperm.dyadic import dyadic_test
+from clusterperm.dyadic import PreparedTest, dyadic_test
 from clusterperm.model import DyadArray
 from clusterperm.multiway import MultiIndexDataset, panel_test
+from clusterperm.permgroup import block_product_group
+from clusterperm.rng import AXIS_CELLS, AXIS_COLS, AXIS_ROWS
 
 _transforms = st.tuples(
     st.floats(0.05, 20.0),           # c
@@ -69,3 +81,48 @@ def test_panel_pvalue_invariant(seed, m, n, ell, num_perms, transform):
                        num_perms=num_perms, seed=seed)
     assert moved.pval == base.pval
     assert moved.notes == base.notes
+
+
+_SIDE = st.integers(2, 6)
+
+
+def _boxes(axes, count):
+    """Between count[0] and count[1] blocks keyed 0.., each a box on ``axes``."""
+    box = st.tuples(*[st.tuples(_SIDE, st.just(axis)) for axis in axes])
+    return st.lists(box, min_size=count[0], max_size=count[1]).map(
+        lambda boxes: list(enumerate(boxes)))
+
+
+# The block layouts of the six tests, as they call block_product_group.
+_LAYOUTS = {
+    "dyadic": _boxes((AXIS_ROWS, AXIS_COLS), (1, 1)),
+    "blockwise": _boxes((AXIS_ROWS, AXIS_COLS), (2, 4)),
+    "threeway": _boxes((AXIS_ROWS, AXIS_COLS, AXIS_CELLS), (1, 1)),
+    "panel": _boxes((AXIS_ROWS, AXIS_COLS, None), (1, 1)),
+    "layout": _boxes((AXIS_CELLS,), (3, 8)),
+    "irregular": _boxes((AXIS_ROWS, AXIS_COLS, None), (2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAYOUTS))
+@settings(max_examples=45, deadline=None)
+@given(data=st.data(), num_perms=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-2.0, 4.0))
+def test_orbit_bound(name, data, num_perms, seed, log_scale):
+    group = block_product_group(data.draw(_LAYOUTS[name]), num_perms, seed)
+    n = group.n
+    assume(n >= 5)  # two covariates need N > 4
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+    D = rng.standard_normal((n, 1))
+    gamma = 10.0 ** log_scale * rng.standard_normal(2)
+    eps = rng.standard_cauchy(n)
+    prepared = PreparedTest(X, D, group)
+    # gamma = 0, eps = 0 ties every statistic at exactly 0: its K+1
+    # translates are equal, so the bound forces p = 1
+    for shift, noise in ((X @ gamma, eps), (np.zeros(n), np.zeros(n))):
+        ranks = np.array([round(prepared.report(shift + noise[member]).pval * (num_perms + 1))
+                          for member in group.stacked()])
+        # p <= m / (K+1) for at most m translates, for every level m / (K+1)
+        for m in range(1, num_perms + 1):
+            assert np.count_nonzero(ranks <= m) <= m, (m, ranks.tolist())
