@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .dyadic import GridSpec, dyadic_ci, dyadic_test
-from .exceptions import ClusterPermError, ParseError
+from .exceptions import ClusterPermError, ParseError, ResolutionError
 from .io import ingest_csv, ingest_mask_csv
 from .missing import MAX_EXACT_CAP, biclique_decompose, blockwise_test, check_exact_cap
 from .model import DyadArray
@@ -103,14 +103,14 @@ def _add_global_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
     parser.add_argument("--num-perms", type=int, default=None, metavar="K",
                         help="group size minus one (default: auto)")
-    parser.add_argument("--alpha", type=float, default=0.05, help="level (default 0.05)")
+    parser.add_argument("--alpha", type=float, default=0.05, help="level in (0, 1) (default 0.05)")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker processes for simulation panels (default 1)")
     parser.add_argument("--out", default=None, help="report path (default: stdout)")
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="report format (default json)")
     parser.add_argument("--rank-tol", type=float, default=None,
-                        help="relative singular-value cutoff on [X | X_pi]; builds "
+                        help="relative singular-value cutoff in (0, 1) on [X | X_pi]; builds "
                              "every member through the SVD projector")
 
 
@@ -258,6 +258,12 @@ def _resolve_l0(config: RunConfig, data: MultiIndexDataset) -> int:
 
 
 def _execute(config: RunConfig) -> dict:
+    # Every subcommand takes a level in (0, 1) and a rank cutoff in (0, 1):
+    # at a cutoff of 1 or more no covariate direction is projected out.
+    if not 0.0 < config.alpha < 1.0:
+        raise ResolutionError(f"--alpha must lie in (0, 1), got {config.alpha}")
+    if config.rank_tol is not None and not 0.0 < config.rank_tol < 1.0:
+        raise ParseError(f"--rank-tol must be a finite number in (0, 1), got {config.rank_tol}")
     cmd = config.subcommand
     if cmd in ("test-missing", "test-irregular", "biclique"):
         check_exact_cap(config.cap)

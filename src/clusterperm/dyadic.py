@@ -11,7 +11,10 @@ which keeps the test level-correct at the cost of conservatism:
 All functions here operate on stacked data.  Every family of row maps
 passes through :func:`~clusterperm.permgroup.as_group`, which returns the
 checked :class:`~clusterperm.permgroup.CyclicGroup` the validity argument
-needs; its members are streamed in chunks.
+needs; its members are streamed in chunks.  The multi-block tests of
+:mod:`~clusterperm.missing` and :mod:`~clusterperm.multiway` only describe
+their blocks of records: :func:`block_test` stacks them and builds their
+group.
 
 :class:`PreparedTest` builds the annihilated treatments V_k V_k' D of all
 members from one orthonormal basis of col(X), through p x p cross products
@@ -32,11 +35,12 @@ from .exceptions import (
     DegenerateInputError,
     DimensionError,
     InsufficientDimensionError,
+    NoEligibleCellsError,
     NonFiniteInputError,
     ResolutionError,
 )
 from .model import DyadArray, PermutationFamily, StackedDesign
-from .permgroup import CyclicGroup, as_group, default_num_perms, two_way_group
+from .permgroup import CyclicGroup, as_group, block_product_group, default_num_perms, two_way_group
 from .projector import PermutedAnnihilator, residual_projector
 
 _DEGENERATE_REL = 1e-10
@@ -323,6 +327,43 @@ def permutation_test(
     return prepared.report(np.asarray(y, dtype=float), seed=seed, notes=notes)
 
 
+def short_blocks(blocks, num_perms: int) -> int:
+    """How many blocks have a moving axis shorter than K+1 (its indices stay fixed)."""
+    return sum(
+        any(size <= num_perms for size, axis in zip(np.shape(records), axes) if axis is not None)
+        for _, axes, records in blocks
+    )
+
+
+def block_test(x, d, y, blocks, num_perms: int, seed, tol: float | None = None,
+               notes: tuple[str, ...] = ()) -> TestReport:
+    """Test with cyclic families acting on disjoint blocks of stacked records.
+
+    Each block is ``(key, axes, records)``: ``records`` holds positions of
+    rows of x, d and y in an array shaped like the block's box, and ``axes``
+    gives per box axis its ``AXIS_*`` family stream, or ``None`` to keep it
+    fixed.  The boxes are stacked row-major in order and permuted by
+    :func:`~clusterperm.permgroup.block_product_group`; ``seed`` seeds it and
+    the report.  Rows in no block never enter the test.
+    """
+    if not blocks:
+        raise NoEligibleCellsError("no block of records to permute: the cover has no "
+                                   "fully observed block with both sides >= min_block")
+    specs, order = [], []
+    for key, axes, records in blocks:
+        records = np.asarray(records, dtype=np.intp)
+        if records.ndim != len(axes):
+            raise DimensionError(
+                f"block {key} has records of shape {records.shape} for {len(axes)} axes"
+            )
+        specs.append((key, tuple(zip(records.shape, axes))))
+        order.append(records.reshape(-1))
+    order = np.concatenate(order)
+    group = block_product_group(specs, num_perms, seed)
+    return permutation_test(np.asarray(x)[order], np.asarray(d)[order], np.asarray(y)[order],
+                            group, seed=seed, tol=tol, notes=notes)
+
+
 def shifted_test(
     X: np.ndarray,
     D: np.ndarray,
@@ -346,6 +387,7 @@ def shifted_test(
         raise DimensionError(
             f"beta0 must have shape ({D_mat.shape[1]},), got {beta_vec.shape}"
         )
+    _require_finite(beta_vec, "beta0")
     y_shift = prepared._outcome(y) - D_mat @ beta_vec
     return prepared.report(y_shift, seed=seed)
 

@@ -6,8 +6,8 @@ pairwise-disjoint column sets.  The decomposition greedily extracts a
 maximum-edge biclique (exactly, below a size cap, or heuristically above
 it), then removes all of its rows and columns from the mask, which is what
 guarantees disjointness.  The blockwise test permutes rows and columns
-within each block and leaves everything else fixed; its row maps come from
-:func:`~clusterperm.permgroup.block_product_group`, one block per cover block.
+within each block and leaves everything else fixed: it hands one block of
+cell positions per cover block to :func:`~clusterperm.dyadic.block_test`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import TestReport, permutation_test
+from .dyadic import TestReport, block_test, short_blocks
 from .exceptions import (
     CapExceededError,
     DimensionError,
@@ -25,7 +25,6 @@ from .exceptions import (
     MissingDataError,
 )
 from .model import DyadArray
-from .permgroup import block_product_group
 from .rng import AXIS_COLS, AXIS_ROWS, mask_seed
 
 EXACT_CAP = 16
@@ -400,6 +399,7 @@ def blockwise_test(
     families sharing the member index; cells outside the cover stay fixed
     (they never enter the stacked data).  Blocks with a side shorter than
     K+1 keep those indices fixed, which is valid but contributes little.
+    An empty cover raises :class:`~clusterperm.exceptions.NoEligibleCellsError`.
     """
     mask = as_mask(mask)
     if mask.shape != (array.n_rows, array.n_cols):
@@ -410,30 +410,18 @@ def blockwise_test(
     cover.check_observed(mask)
     cover.check_observed(array.observed.astype(np.int8))
 
-    notes: list[str] = []
-    short = [q for q, (nr, nc) in enumerate(cover.sides()) if min(nr, nc) < num_perms + 1]
+    grid = np.arange(array.n_rows * array.n_cols).reshape(array.n_rows, array.n_cols)
+    blocks = [(q, (AXIS_ROWS, AXIS_COLS), grid[np.ix_(rows, cols)])
+              for q, (rows, cols) in enumerate(cover.blocks)]
+    notes = ()
+    short = short_blocks(blocks, num_perms)
     if short:
         message = (
-            f"{len(short)} of {len(cover)} blocks have a side shorter than "
+            f"{short} of {len(cover)} blocks have a side shorter than "
             f"K+1={num_perms + 1}; their indices stay fixed"
         )
         warnings.warn(message)
-        notes.append(message)
-
-    y_parts, d_parts, x_parts = [], [], []
-    for rows, cols in cover.blocks:
-        sub = np.ix_(rows, cols)
-        cells = len(rows) * len(cols)
-        y_parts.append(array.y[sub].reshape(cells))
-        d_parts.append(array.d[sub].reshape(cells, array.d_dim))
-        x_parts.append(array.x[sub].reshape(cells, array.p))
-    y = np.concatenate(y_parts)
-    d = np.vstack(d_parts)
-    x = np.vstack(x_parts)
-
-    group = block_product_group(
-        [(q, ((len(rows), AXIS_ROWS), (len(cols), AXIS_COLS)))
-         for q, (rows, cols) in enumerate(cover.blocks)],
-        num_perms, seed,
-    )
-    return permutation_test(x, d, y, group, seed=seed, tol=tol, notes=tuple(notes))
+        notes = (message,)
+    cells = grid.size
+    return block_test(array.x.reshape(cells, array.p), array.d.reshape(cells, array.d_dim),
+                      array.y.reshape(cells), blocks, num_perms, seed, tol, notes)

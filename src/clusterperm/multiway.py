@@ -11,10 +11,10 @@ permutations may move:
   blockwise panel; the whole pipeline repeats with derived seeds and the
   median p-value is reported.
 
-Every layout builds its row maps with one call to
-:func:`~clusterperm.permgroup.block_product_group`: a block per box, cell or
-cover block, one cyclic family per moving axis, and ``None`` for an axis that
-stays fixed (panel periods, irregular slots).
+Every layout is one call to :func:`~clusterperm.dyadic.block_test`, which
+only needs its blocks of record positions: one per box, cell or cover block,
+with a cyclic family per moving axis and ``None`` for an axis that stays
+fixed (panel periods, irregular slots).
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import TestReport, median_pvalue, permutation_test
+from .dyadic import TestReport, block_test, median_pvalue, short_blocks
 from .exceptions import (
     DimensionError,
     NoEligibleCellsError,
     UnbalancedError,
 )
 from .missing import BicliqueCover, biclique_decompose, resolve_solver
-from .permgroup import block_product_group, default_num_perms
+from .permgroup import default_num_perms
 from .rng import AXIS_CELLS, AXIS_COLS, AXIS_ROWS, generator, run_seed, trim_seed
 
 
@@ -129,8 +129,8 @@ class MultiIndexDataset:
         )
 
 
-def _ordered_box(data: MultiIndexDataset):
-    """Sort records lexicographically by (i, j, l) and demand a full box."""
+def _box_test(data: MultiIndexDataset, third_axis, num_perms, seed, tol) -> TestReport:
+    """Test on records filling the (i, j, l) box once; l moves as ``third_axis``."""
     m, n, ell = data.n_rows, data.n_cols, data.n_slots
     total = m * n * ell
     if data.n_obs != total:
@@ -141,7 +141,12 @@ def _ordered_box(data: MultiIndexDataset):
     order = np.argsort(key)
     if not np.array_equal(key[order], np.arange(total)):
         raise UnbalancedError("records must fill the (i, j, l) box exactly once")
-    return data.y[order], data.d[order], data.x[order], (m, n, ell)
+    if num_perms is None:
+        num_perms = default_num_perms(m, n)
+        if third_axis is not None:
+            num_perms = min(num_perms, default_num_perms(ell))
+    blocks = [(0, (AXIS_ROWS, AXIS_COLS, third_axis), order.reshape(m, n, ell))]
+    return block_test(data.x, data.d, data.y, blocks, num_perms, seed, tol)
 
 
 def threeway_test(
@@ -155,12 +160,7 @@ def threeway_test(
     Valid when the error law is exchangeable separately in i, j, and l
     conditional on the design.
     """
-    y, d, x, (m, n, ell) = _ordered_box(data)
-    if num_perms is None:
-        num_perms = min(default_num_perms(m, n), default_num_perms(ell))
-    axes = ((m, AXIS_ROWS), (n, AXIS_COLS), (ell, AXIS_CELLS))
-    group = block_product_group([(0, axes)], num_perms, seed)
-    return permutation_test(x, d, y, group, seed=seed, tol=tol)
+    return _box_test(data, AXIS_CELLS, num_perms, seed, tol)
 
 
 def panel_test(
@@ -174,26 +174,17 @@ def panel_test(
     Because every period moves together, arbitrary deterministic period
     effects (trends, seasonality) cancel without being modeled.
     """
-    y, d, x, (m, n, ell) = _ordered_box(data)
-    if num_perms is None:
-        num_perms = default_num_perms(m, n)
-    axes = ((m, AXIS_ROWS), (n, AXIS_COLS), (ell, None))
-    group = block_product_group([(0, axes)], num_perms, seed)
-    return permutation_test(x, d, y, group, seed=seed, tol=tol)
+    return _box_test(data, None, num_perms, seed, tol)
 
 
-def _cells_in_order(data: MultiIndexDataset):
-    """Record positions per occupied cell, cells lexicographic, records stable."""
+def _cells_in_order(data: MultiIndexDataset) -> dict:
+    """Record positions per occupied cell (i, j), cells lexicographic, records by l."""
     order = np.lexsort((np.arange(data.n_obs), data.l, data.j, data.i))
-    i_sorted = data.i[order]
-    j_sorted = data.j[order]
-    cells = []
-    start = 0
-    for t in range(1, data.n_obs + 1):
-        if t == data.n_obs or i_sorted[t] != i_sorted[start] or j_sorted[t] != j_sorted[start]:
-            cells.append((int(i_sorted[start]), int(j_sorted[start]), order[start:t]))
-            start = t
-    return cells
+    cell = (data.i * data.n_cols + data.j)[order]
+    starts = np.flatnonzero(np.diff(cell)) + 1
+    heads = order[np.r_[0, starts]]
+    return dict(zip(zip(data.i[heads].tolist(), data.j[heads].tolist()),
+                    np.split(order, starts)))
 
 
 def layout_test(
@@ -215,28 +206,21 @@ def layout_test(
         raise UnbalancedError(
             f"{empty} cells have no records; use the irregular or missing-data paths"
         )
-    cells = _cells_in_order(data)
-    group = block_product_group(
-        [(i * data.n_cols + j, ((positions.size, AXIS_CELLS),)) for i, j, positions in cells],
-        num_perms, seed,
-    )
-    frozen = sum(positions.size < num_perms + 1 for _, _, positions in cells)
-    order = np.concatenate([positions for _, _, positions in cells])
-    notes = []
-    if frozen == len(cells):
-        notes.append(
+    blocks = [(i * data.n_cols + j, (AXIS_CELLS,), positions)
+              for (i, j), positions in _cells_in_order(data).items()]
+    frozen = short_blocks(blocks, num_perms)
+    notes = ()
+    if frozen == len(blocks):
+        notes = (
             f"every cell is shorter than K+1={num_perms + 1}; all permutations "
-            "are the identity and the p-value is 1"
+            "are the identity and the p-value is 1",
         )
     elif frozen:
-        notes.append(
-            f"{frozen} of {len(cells)} cells are shorter than K+1={num_perms + 1} "
-            "and keep their records fixed"
+        notes = (
+            f"{frozen} of {len(blocks)} cells are shorter than K+1={num_perms + 1} "
+            "and keep their records fixed",
         )
-    return permutation_test(
-        data.x[order], data.d[order], data.y[order], group,
-        seed=seed, tol=tol, notes=tuple(notes),
-    )
+    return block_test(data.x, data.d, data.y, blocks, num_perms, seed, tol, notes)
 
 
 @dataclass(frozen=True)
@@ -321,19 +305,14 @@ def irregular_test(
     resolved = resolve_solver(solver, mask.shape, cap)
 
     def decompose(rs: int) -> BicliqueCover:
-        cover = biclique_decompose(
+        return biclique_decompose(
             mask, solver=resolved, min_block=min_block, cap=cap,
             restarts=restarts, seed=rs,
         )
-        if len(cover) == 0:
-            raise NoEligibleCellsError(
-                f"decomposition found no block with sides >= {min_block}"
-            )
-        return cover
 
     # The exact cover ignores the seed: build it once for every repeat.
     fixed_cover = decompose(seed) if resolved == "exact" else None
-    cells = {(i, j): positions for i, j, positions in _cells_in_order(data)}
+    cells = _cells_in_order(data)
     reports = []
     for r in range(repeats):
         rs = run_seed(seed, r)
@@ -352,37 +331,21 @@ def irregular_test(
     )
 
 
-def _trimmed_block_run(
-    data: MultiIndexDataset,
-    cells: dict,
-    cover: BicliqueCover,
-    l0: int,
-    num_perms: int,
-    rs: int,
-    tol: float | None,
-) -> TestReport:
+def _trimmed_block_run(data: MultiIndexDataset, cells: dict, cover: BicliqueCover, l0: int,
+                       num_perms: int, rs: int, tol: float | None) -> TestReport:
+    """One repeat: keep l0 records, drawn at random, of every cell of the cover."""
     rng = generator(trim_seed(rs))
-    picked = []
-    for rows, cols in cover.blocks:
-        for i in rows:
-            for j in cols:
-                positions = cells[(i, j)]
-                keep = np.sort(rng.choice(positions.size, size=l0, replace=False))
-                picked.append(positions[keep])
-    order = np.concatenate(picked)
-    group = block_product_group(
-        [(q, ((len(rows), AXIS_ROWS), (len(cols), AXIS_COLS), (l0, None)))
-         for q, (rows, cols) in enumerate(cover.blocks)],
-        num_perms, rs,
-    )
-    sides = cover.sides()
-    notes = []
-    if any(min(nr, nc) < num_perms + 1 for nr, nc in sides):
-        notes.append(
+
+    def trim(positions):
+        return positions[np.sort(rng.choice(positions.size, size=l0, replace=False))]
+
+    blocks = [(q, (AXIS_ROWS, AXIS_COLS, None),
+               np.array([[trim(cells[i, j]) for j in cols] for i in rows]))
+              for q, (rows, cols) in enumerate(cover.blocks)]
+    notes = ()
+    if short_blocks(blocks, num_perms):
+        notes = (
             f"some blocks have a side shorter than K+1={num_perms + 1}; "
-            "their indices stay fixed"
+            "their indices stay fixed",
         )
-    return permutation_test(
-        data.x[order], data.d[order], data.y[order], group,
-        seed=rs, tol=tol, notes=tuple(notes),
-    )
+    return block_test(data.x, data.d, data.y, blocks, num_perms, rs, tol, notes)

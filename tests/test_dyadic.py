@@ -12,6 +12,7 @@ from clusterperm.dyadic import (
     GridSpec,
     PreparedTest,
     _AffineStats,
+    block_test,
     dyadic_ci,
     dyadic_test,
     invert_ci,
@@ -19,17 +20,20 @@ from clusterperm.dyadic import (
     permutation_test,
     pvalue_from_stats,
     shifted_test,
+    short_blocks,
     two_way_test,
 )
 from clusterperm.exceptions import (
     DimensionError,
     GroupError,
     InsufficientDimensionError,
+    NoEligibleCellsError,
     NonFiniteInputError,
     ResolutionError,
 )
 from clusterperm.model import DyadArray, PermutationFamily, StackedDesign, TwoWayPermutation
-from clusterperm.permgroup import build_two_way_group, two_way_group
+from clusterperm.permgroup import block_product_group, build_two_way_group, two_way_group
+from clusterperm.rng import AXIS_CELLS, AXIS_COLS, AXIS_ROWS
 from clusterperm.simulate import gen_dyadic_dataset
 
 
@@ -341,6 +345,39 @@ class TestOutcomeShape:
             invert_ci(X, X[:, :1], bad, group, alpha=0.2)
 
 
+class TestBlockTest:
+    def test_stacks_blocks_and_permutes_them_as_one_group(self):
+        X, D, y = _design(n=6, seed=36)
+        blocks = [(0, (AXIS_ROWS, AXIS_COLS), np.arange(36)[::2].reshape(3, 6)),
+                  (1, (AXIS_CELLS, None), np.arange(36)[1::2].reshape(6, 3))]
+        order = np.r_[np.arange(36)[::2], np.arange(36)[1::2]]
+        group = block_product_group([(0, ((3, AXIS_ROWS), (6, AXIS_COLS))),
+                                     (1, ((6, AXIS_CELLS), (3, None)))], 5, 36)
+        direct = permutation_test(X[order], D[order], y[order], group, seed=36)
+        report = block_test(X, D, y, blocks, 5, 36)
+        assert report.pval == direct.pval and report.seed == 36
+        assert report.a.tobytes() == direct.a.tobytes()
+        assert report.b.tobytes() == direct.b.tobytes()
+
+    def test_short_blocks_counts_moving_axes_only(self):
+        blocks = [(0, (AXIS_ROWS, AXIS_COLS), np.zeros((3, 6))),
+                  (1, (AXIS_CELLS, None), np.zeros((6, 3))),
+                  (2, (AXIS_CELLS,), np.zeros(6))]
+        assert short_blocks(blocks, 5) == 1
+        assert short_blocks(blocks, 2) == 0
+        assert short_blocks(blocks, 6) == 3
+
+    def test_empty_block_list_raises(self):
+        X, D, y = _design(n=6, seed=37)
+        with pytest.raises(NoEligibleCellsError):
+            block_test(X, D, y, [], 5, 37)
+
+    def test_records_must_match_their_axes(self):
+        X, D, y = _design(n=6, seed=38)
+        with pytest.raises(DimensionError, match="block 0"):
+            block_test(X, D, y, [(0, (AXIS_ROWS, AXIS_COLS), np.arange(36))], 5, 38)
+
+
 class TestShiftedTest:
     def test_zero_shift_matches_plain_test(self):
         X, D, y = _design(n=6, seed=11)
@@ -371,6 +408,13 @@ class TestShiftedTest:
         family = build_two_way_group(5, 5, 4, seed=14)
         with pytest.raises(DimensionError):
             shifted_test(X, D, y, family, 0.5)
+
+    @pytest.mark.parametrize("beta0", [np.nan, np.inf])
+    def test_non_finite_beta0_is_named(self, beta0):
+        X, D, y = _design(n=5, seed=14)
+        family = build_two_way_group(5, 5, 4, seed=14)
+        with pytest.raises(NonFiniteInputError, match="^beta0 has 1 non-finite"):
+            shifted_test(X, D, y, family, beta0)
 
     def test_prepared_reuse(self):
         X, D, y = _design(n=6, seed=15)

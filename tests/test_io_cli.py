@@ -735,6 +735,46 @@ class TestCliCommands:
         blocks = report["results"]["cover"]["blocks"]
         assert blocks == [{"rows": [1, 2, 3, 4], "cols": [1, 2, 3, 4]}]
 
+    def test_missing_with_empty_cover_exits_2(self, tmp_path, capsys):
+        # a diagonal grid holds no 2x2 block, so the cover is empty
+        path, _ = _dyadic_csv(tmp_path, n=6, seed=10)
+        lines = open(path).read().strip().split("\n")
+        diagonal = [lines[0]] + [lines[1 + 7 * i] for i in range(6)]
+        sparse = _write(tmp_path / "diagonal.csv", "\n".join(diagonal) + "\n")
+        payload = self._json_run(
+            ["test-missing", "--data", sparse, "--num-perms", "3"], capsys, expect_exit=2,
+        )
+        assert payload["error"]["code"] == "NoEligibleCellsError"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["test", "--alpha", "nan"], "ResolutionError"),
+        (["test", "--alpha", "0"], "ResolutionError"),
+        (["simulate", "--panel", "table1", "--alpha", "nan"], "ResolutionError"),
+        (["simulate", "--panel", "table1", "--alpha", "1.5"], "ResolutionError"),
+        (["test", "--rank-tol", "nan"], "ParseError"),
+        (["test", "--rank-tol", "inf"], "ParseError"),
+        (["test", "--rank-tol", "2.0"], "ParseError"),
+        (["test", "--rank-tol", "1"], "ParseError"),
+        (["test", "--rank-tol", "0"], "ParseError"),
+        (["test-missing", "--rank-tol", "-1"], "ParseError"),
+    ])
+    def test_bad_shared_flag_exits_2(self, tmp_path, capsys, argv, code):
+        # a NaN flag cannot be written to the strict JSON report, and a level
+        # or rank cutoff outside (0, 1) has no meaning
+        if argv[0] != "simulate":
+            argv = argv + ["--data", _dyadic_csv(tmp_path, n=6, seed=11)[0]]
+        payload = self._json_run(argv, capsys, expect_exit=2)
+        assert payload["error"]["code"] == code
+
+    def test_non_finite_beta0_is_named(self, tmp_path, capsys):
+        path, _ = _dyadic_csv(tmp_path, n=6, seed=12)
+        payload = self._json_run(
+            ["test", "--data", path, "--num-perms", "5", "--beta0", "nan"],
+            capsys, expect_exit=2,
+        )
+        assert payload["error"]["code"] == "NonFiniteInputError"
+        assert payload["error"]["message"].startswith("beta0 ")
+
     def test_threeway_panel_layout_subcommands(self, tmp_path, capsys):
         path = _box_csv(tmp_path, m=6, n=6, ell=2, seed=10)
         for sub in ("test-threeway", "test-panel"):

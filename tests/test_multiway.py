@@ -91,18 +91,40 @@ class TestBalancedBoxValidation:
         with pytest.raises(UnbalancedError):
             panel_test(dup, num_perms=2)
 
-    def test_record_order_does_not_matter(self):
-        data = _box_data(4, 4, 2, seed=4)
-        shuffled_order = np.random.default_rng(4).permutation(data.n_obs)
-        shuffled = MultiIndexDataset(
-            i=data.i[shuffled_order], j=data.j[shuffled_order],
-            l=data.l[shuffled_order], y=data.y[shuffled_order],
-            d=data.d[shuffled_order], x=data.x[shuffled_order],
-        )
-        a = threeway_test(data, num_perms=3, seed=9)
-        b = threeway_test(shuffled, num_perms=3, seed=9)
-        assert a.pval == b.pval
-        assert np.array_equal(a.a, b.a)
+
+def _runs(result):
+    return result.runs if isinstance(result, multiway.IrregularResult) else (result,)
+
+
+# Each layout's data and test; record order must not change any report.
+_RECORD_ORDER_CASES = {
+    "threeway": (lambda: _box_data(4, 4, 2, seed=4),
+                 lambda data: threeway_test(data, num_perms=3, seed=9)),
+    "panel": (lambda: _box_data(4, 4, 2, seed=4),
+              lambda data: panel_test(data, num_perms=3, seed=9)),
+    "layout": (lambda: _box_data(3, 3, 4, seed=4),
+               lambda data: layout_test(data, num_perms=3, seed=9)),
+    "irregular": (lambda: gen_irregular_dataset(8, 8, 3, "two-way-weak", seed=4),
+                  lambda data: irregular_test(data, l0=3, num_perms=3, repeats=3, seed=9)),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORD_ORDER_CASES))
+def test_record_order_does_not_matter(name):
+    make, run = _RECORD_ORDER_CASES[name]
+    data = make()
+    shuffled_order = np.random.default_rng(4).permutation(data.n_obs)
+    shuffled = MultiIndexDataset(
+        i=data.i[shuffled_order], j=data.j[shuffled_order],
+        l=data.l[shuffled_order], y=data.y[shuffled_order],
+        d=data.d[shuffled_order], x=data.x[shuffled_order],
+    )
+    a, b = run(data), run(shuffled)
+    assert a.pval == b.pval
+    for run_a, run_b in zip(_runs(a), _runs(b), strict=True):
+        assert run_a.pval == run_b.pval
+        assert run_a.a.tobytes() == run_b.a.tobytes()
+        assert run_a.b.tobytes() == run_b.b.tobytes()
 
 
 class TestReductionIdentities:
@@ -260,6 +282,18 @@ class TestIrregularTest:
         data = gen_irregular_dataset(6, 6, 3, "two-way-weak", seed=23, extra_slots=2)
         with pytest.raises(NoEligibleCellsError):
             irregular_test(data, l0=50, num_perms=3, repeats=2, seed=23)
+
+    @pytest.mark.parametrize("solver", ["exact", "greedy"])
+    def test_empty_cover_raises(self, solver):
+        # only the diagonal cells hold l0 = 3 records: no 2x2 block exists
+        i, j = np.divmod(np.arange(36), 6)
+        counts = np.where(i == j, 3, 1)
+        i, j = np.repeat(i, counts), np.repeat(j, counts)
+        l = np.concatenate([np.arange(c) for c in counts])
+        y = np.random.default_rng(29).standard_normal(i.size)
+        data = MultiIndexDataset(i=i, j=j, l=l, y=y, d=y[::-1], x=np.ones(i.size))
+        with pytest.raises(NoEligibleCellsError, match="no fully observed block"):
+            irregular_test(data, l0=3, num_perms=3, repeats=2, solver=solver)
 
     def test_trimming_subsets_each_cell(self):
         data = gen_irregular_dataset(6, 6, 4, "two-way-weak", seed=24)
