@@ -92,11 +92,8 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _split_names(raw: str | None) -> list[str] | None:
-    if raw is None:
-        return None
-    names = [part.strip() for part in raw.split(",") if part.strip()]
-    return names or None
+def _split_names(raw: str) -> list[str] | None:
+    return [part.strip() for part in raw.split(",") if part.strip()] or None
 
 
 def _add_global_flags(parser: argparse.ArgumentParser):
@@ -115,10 +112,11 @@ def _add_global_flags(parser: argparse.ArgumentParser):
 
 
 def _add_data_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--data", required=True, help="input CSV path")
-    parser.add_argument("--treatment", default=None,
+    parser.add_argument("--data", dest="data_path", metavar="DATA", required=True,
+                        help="input CSV path")
+    parser.add_argument("--treatment", type=_split_names, default=None,
                         help="comma-separated treatment columns (default: d, d1, ...)")
-    parser.add_argument("--covariates", default=None,
+    parser.add_argument("--covariates", type=_split_names, default=None,
                         help="comma-separated covariate columns (default: x, x1, ...)")
 
 
@@ -166,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     _add_global_flags(p)
     _add_biclique_flags(p)
-    p.add_argument("--mask", default=None,
+    p.add_argument("--mask", dest="mask_path", metavar="MASK", default=None,
                    help="observation mask CSV of (i, j, m) triples "
                         "(default: cells present in --data)")
 
@@ -205,23 +203,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("biclique", help="decompose an observation mask into blocks")
     _add_global_flags(p)
     _add_biclique_flags(p)
-    p.add_argument("--data", default=None, help="input CSV; its present cells form the mask")
-    p.add_argument("--mask", default=None, help="mask CSV of (i, j, m) triples")
+    p.add_argument("--data", dest="data_path", metavar="DATA", default=None,
+                   help="input CSV; its present cells form the mask")
+    p.add_argument("--mask", dest="mask_path", metavar="MASK", default=None,
+                   help="mask CSV of (i, j, m) triples")
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    known = {f for f in RunConfig.__dataclass_fields__}
-    payload = {}
-    for key, value in vars(args).items():
-        name = key if key != "data" else "data_path"
-        name = name if name != "mask" else "mask_path"
-        if name in known:
-            payload[name] = value
-    payload["treatment"] = _split_names(payload.get("treatment"))
-    payload["covariates"] = _split_names(payload.get("covariates"))
-    return RunConfig(**payload)
+    return RunConfig(**{key: value for key, value in vars(args).items()
+                        if key in RunConfig.__dataclass_fields__})
 
 
 def _load_dyadic(config: RunConfig) -> DyadArray:
@@ -257,6 +249,11 @@ def _resolve_l0(config: RunConfig, data: MultiIndexDataset) -> int:
     return suggest_cell_threshold(data.cell_sizes()) if l0 is None else l0
 
 
+def _cover(config: RunConfig, mask):
+    return biclique_decompose(mask, solver=config.biclique_solver, min_block=config.min_block,
+                              cap=config.cap, restarts=config.restarts, seed=config.seed)
+
+
 def _execute(config: RunConfig) -> dict:
     # Every subcommand takes a level in (0, 1) and a rank cutoff in (0, 1):
     # at a cutoff of 1 or more no covariate direction is projected out.
@@ -264,51 +261,43 @@ def _execute(config: RunConfig) -> dict:
         raise ResolutionError(f"--alpha must lie in (0, 1), got {config.alpha}")
     if config.rank_tol is not None and not 0.0 < config.rank_tol < 1.0:
         raise ParseError(f"--rank-tol must be a finite number in (0, 1), got {config.rank_tol}")
+    if config.threads < 1:
+        raise ParseError(f"--threads must be an integer >= 1, got {config.threads}")
     cmd = config.subcommand
     if cmd in ("test-missing", "test-irregular", "biclique"):
         check_exact_cap(config.cap)
+    num_perms = config.num_perms
+    if num_perms is None and cmd in ("test-missing", "test-layout", "test-irregular"):
+        num_perms = DEFAULT_NUM_PERMS
     if cmd == "test":
         array = _load_dyadic(config)
-        report = dyadic_test(array, num_perms=config.num_perms, seed=config.seed,
+        report = dyadic_test(array, num_perms=num_perms, seed=config.seed,
                              beta0=config.beta0, tol=config.rank_tol)
         return report.to_dict()
     if cmd == "ci":
         array = _load_dyadic(config)
         grid = GridSpec(center=config.grid_center, half_width=config.grid_half_width,
                         points=config.grid_points, max_expansions=config.max_expansions)
-        ci = dyadic_ci(array, alpha=config.alpha, num_perms=config.num_perms,
+        ci = dyadic_ci(array, alpha=config.alpha, num_perms=num_perms,
                        seed=config.seed, grid=grid, tol=config.rank_tol)
         return ci.to_dict()
     if cmd == "test-missing":
         array = _load_dyadic(config)
         mask = ingest_mask_csv(config.mask_path) if config.mask_path else array.observed
-        cover = biclique_decompose(
-            mask, solver=config.biclique_solver, min_block=config.min_block,
-            cap=config.cap, restarts=config.restarts, seed=config.seed,
-        )
-        num_perms = config.num_perms if config.num_perms is not None else DEFAULT_NUM_PERMS
+        cover = _cover(config, mask)
         report = blockwise_test(array, mask, cover, num_perms,
                                 seed=config.seed, tol=config.rank_tol)
         payload = report.to_dict()
         payload["cover"] = cover.to_dict()
         return payload
-    if cmd == "test-threeway":
-        data = _load_multi(config)
-        return threeway_test(data, num_perms=config.num_perms, seed=config.seed,
-                             tol=config.rank_tol).to_dict()
-    if cmd == "test-panel":
-        data = _load_multi(config)
-        return panel_test(data, num_perms=config.num_perms, seed=config.seed,
-                          tol=config.rank_tol).to_dict()
-    if cmd == "test-layout":
-        data = _load_multi(config)
-        num_perms = config.num_perms if config.num_perms is not None else DEFAULT_NUM_PERMS
-        return layout_test(data, num_perms, seed=config.seed,
-                           tol=config.rank_tol).to_dict()
+    if cmd in ("test-threeway", "test-panel", "test-layout"):
+        test = {"test-threeway": threeway_test, "test-panel": panel_test,
+                "test-layout": layout_test}[cmd]
+        return test(_load_multi(config), num_perms=num_perms, seed=config.seed,
+                    tol=config.rank_tol).to_dict()
     if cmd == "test-irregular":
         data = _load_multi(config)
         l0 = _resolve_l0(config, data)
-        num_perms = config.num_perms if config.num_perms is not None else DEFAULT_NUM_PERMS
         result = irregular_test(
             data, l0=l0, num_perms=num_perms, repeats=config.repeats,
             seed=config.seed, solver=config.biclique_solver,
@@ -323,16 +312,10 @@ def _execute(config: RunConfig) -> dict:
             mask = ingest_mask_csv(config.mask_path)
         elif config.data_path:
             data = ingest_csv(config.data_path, config.treatment, config.covariates)
-            if isinstance(data, DyadArray):
-                mask = data.observed
-            else:
-                mask = data.cell_sizes() > 0
+            mask = data.observed if isinstance(data, DyadArray) else data.cell_sizes() > 0
         else:
             raise ParseError("biclique needs --mask or --data")
-        cover = biclique_decompose(
-            mask, solver=config.biclique_solver, min_block=config.min_block,
-            cap=config.cap, restarts=config.restarts, seed=config.seed,
-        )
+        cover = _cover(config, mask)
         payload = cover.to_dict()
         payload["sides"] = [[len(rows), len(cols)] for rows, cols in cover.blocks]
         return payload

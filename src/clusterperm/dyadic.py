@@ -11,10 +11,11 @@ which keeps the test level-correct at the cost of conservatism:
 All functions here operate on stacked data.  Every family of row maps
 passes through :func:`~clusterperm.permgroup.as_group`, which returns the
 checked :class:`~clusterperm.permgroup.CyclicGroup` the validity argument
-needs; its members are streamed in chunks.  The multi-block tests of
-:mod:`~clusterperm.missing` and :mod:`~clusterperm.multiway` only describe
-their blocks of records: :func:`block_test` stacks them and builds their
-group.
+needs; its members are streamed in chunks.  :func:`permutation_test` is the
+zero-effect test, and ``two_way_test`` is another name for it.  The
+multi-block tests of :mod:`~clusterperm.missing` and
+:mod:`~clusterperm.multiway` only describe their blocks of records:
+:func:`block_test` stacks them and builds their group.
 
 :class:`PreparedTest` builds the annihilated treatments V_k V_k' D of all
 members from one orthonormal basis of col(X), through p x p cross products
@@ -283,32 +284,6 @@ def pvalue_from_stats(a: np.ndarray, b: np.ndarray):
     return float(pvals) if a.ndim == 1 else pvals
 
 
-def two_way_test(
-    X: np.ndarray,
-    D: np.ndarray,
-    y: np.ndarray,
-    family: PermutationFamily | CyclicGroup,
-    seed: int | None = None,
-    tol: float | None = None,
-) -> TestReport:
-    """Randomization test of no treatment effect under a two-way family.
-
-    Parameters
-    ----------
-    X : ndarray, shape (N, p)
-        Stacked covariates (may have zero columns).
-    D : ndarray, shape (N, d)
-        Stacked treatment.
-    y : ndarray, shape (N,)
-        Stacked outcome.
-    family : CyclicGroup or PermutationFamily
-        Acts on the stacked rows; a PermutationFamily must be the cyclic
-        group its member 1 generates.
-    """
-    prepared = PreparedTest(X, D, family, tol=tol)
-    return prepared.report(np.asarray(y, dtype=float), seed=seed)
-
-
 def permutation_test(
     X: np.ndarray,
     D: np.ndarray,
@@ -318,13 +293,25 @@ def permutation_test(
     tol: float | None = None,
     notes: tuple[str, ...] = (),
 ) -> TestReport:
-    """Like :func:`two_way_test` for any group of stacked row maps.
+    """Randomization test of no treatment effect under a group of row maps.
 
-    ``row_perms`` is a :class:`~clusterperm.permgroup.CyclicGroup`, or a
-    full (K+1, N) map that must be the cyclic group its member 1 generates.
+    Parameters
+    ----------
+    X : ndarray, shape (N, p)
+        Stacked covariates (may have zero columns).
+    D : ndarray, shape (N, d)
+        Stacked treatment.
+    y : ndarray, shape (N,)
+        Stacked outcome.
+    row_perms : CyclicGroup, PermutationFamily or ndarray of shape (K+1, N)
+        Acts on the stacked rows.  A PermutationFamily or a full map must be
+        the cyclic group its member 1 generates
+        (:func:`~clusterperm.permgroup.as_group` checks it).
     """
-    prepared = PreparedTest(X, D, row_perms, tol=tol)
-    return prepared.report(np.asarray(y, dtype=float), seed=seed, notes=notes)
+    return PreparedTest(X, D, row_perms, tol=tol).report(y, seed=seed, notes=notes)
+
+
+two_way_test = permutation_test
 
 
 def short_blocks(blocks, num_perms: int) -> int:
@@ -559,7 +546,7 @@ def dyadic_test(
     """
     design, group = _stacked_dyadic(array, num_perms, seed)
     if beta0 is None:
-        return two_way_test(design.x, design.d, design.y, group, seed=seed, tol=tol)
+        return permutation_test(design.x, design.d, design.y, group, seed=seed, tol=tol)
     return shifted_test(design.x, design.d, design.y, group, beta0, seed=seed, tol=tol)
 
 

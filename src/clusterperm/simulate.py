@@ -16,8 +16,9 @@ any single replicate sees.
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -193,15 +194,7 @@ class McSummary:
     config_digest: str
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "reps": self.reps,
-            "alpha": self.alpha,
-            "rejections": self.rejections,
-            "rate": self.rate,
-            "mc_se": self.mc_se,
-            "config_digest": self.config_digest,
-        }
+        return asdict(self)
 
 
 def _digest(label: str, reps: int, alpha: float, seed: int) -> str:
@@ -220,15 +213,17 @@ def mc_rejection_rate(
     """Rejection rate of ``test_fn`` over derived replicate seeds.
 
     ``test_fn`` maps one integer seed to a p-value (or anything with a
-    ``pval`` attribute).  With ``threads > 1`` replicates run in worker
-    processes; the reduction is a count, so scheduling cannot matter.
+    ``pval`` attribute).  Replicates run in min(threads, reps, CPUs) worker
+    processes when that is more than one; the reduction is a count, so
+    scheduling cannot matter.
     """
     if reps < 1:
         raise DimensionError(f"reps must be positive, got {reps}")
     seeds = [replicate_seed(seed, r) for r in range(reps)]
-    if threads > 1:
-        chunk = max(1, reps // (threads * 8))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, reps, os.cpu_count() or 1)
+    if workers > 1:
+        chunk = max(1, reps // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(test_fn, seeds, chunksize=chunk))
     else:
         outcomes = [test_fn(s) for s in seeds]
@@ -397,6 +392,21 @@ def _irregular_rep(n_rows, n_cols, l0, kind, num_perms, repeats, rep_seed):
     return result.pval
 
 
+def _panel(header: dict, rep, cases, reps: int, alpha: float, seed: int,
+           threads: int) -> dict:
+    """Rejection rate of ``rep`` per case, as ``header`` plus one row per case.
+
+    Each case is ``(label, args, fields)``: ``partial(rep, *args)`` maps a
+    replicate seed to a p-value, and ``fields`` are added to the case's row.
+    """
+    rows = []
+    for label, args, fields in cases:
+        summary = mc_rejection_rate(partial(rep, *args), reps=reps, alpha=alpha,
+                                    seed=seed, threads=threads, label=label)
+        rows.append({**summary.to_dict(), **fields})
+    return {**header, "rows": rows}
+
+
 def run_null_size_panel(
     n: int = 25,
     reps: int = 1000,
@@ -410,18 +420,11 @@ def run_null_size_panel(
     """Null rejection rates across covariate transforms and column shares."""
     if num_perms is None:
         num_perms = default_num_perms(n)
-    rows = []
-    for transform in cov_transforms:
-        for phi2 in phi2_values:
-            label = f"size n={n} cov={transform} phi2={phi2}"
-            summary = mc_rejection_rate(
-                partial(_size_rep, n, transform, phi2, num_perms),
-                reps=reps, alpha=alpha, seed=seed, threads=threads, label=label,
-            )
-            row = summary.to_dict()
-            row.update({"cov_transform": transform, "phi2": phi2})
-            rows.append(row)
-    return {"panel": "null-size", "n": n, "num_perms": num_perms, "rows": rows}
+    cases = [(f"size n={n} cov={transform} phi2={phi2}", (n, transform, phi2, num_perms),
+              {"cov_transform": transform, "phi2": phi2})
+             for transform in cov_transforms for phi2 in phi2_values]
+    return _panel({"panel": "null-size", "n": n, "num_perms": num_perms}, _size_rep, cases,
+                  reps, alpha, seed, threads)
 
 
 def run_power_panel(
@@ -437,17 +440,10 @@ def run_power_panel(
     """Power curve over effect sizes with lognormal treatment."""
     if num_perms is None:
         num_perms = default_num_perms(n)
-    rows = []
-    for beta in betas:
-        label = f"power n={n} beta={beta} phi2={phi2}"
-        summary = mc_rejection_rate(
-            partial(_power_rep, n, beta, phi2, num_perms),
-            reps=reps, alpha=alpha, seed=seed, threads=threads, label=label,
-        )
-        row = summary.to_dict()
-        row.update({"beta": beta, "phi2": phi2})
-        rows.append(row)
-    return {"panel": "power", "n": n, "num_perms": num_perms, "rows": rows}
+    cases = [(f"power n={n} beta={beta} phi2={phi2}", (n, beta, phi2, num_perms),
+              {"beta": beta, "phi2": phi2}) for beta in betas]
+    return _panel({"panel": "power", "n": n, "num_perms": num_perms}, _power_rep, cases,
+                  reps, alpha, seed, threads)
 
 
 def run_irregular_size_panel(
@@ -463,22 +459,9 @@ def run_irregular_size_panel(
     kinds=ERROR_KINDS,
 ) -> dict:
     """Null rejection rates of the irregular pipeline per error kind."""
-    rows = []
-    for kind in kinds:
-        label = f"irregular {n_rows}x{n_cols} l0={l0} errors={kind}"
-        summary = mc_rejection_rate(
-            partial(_irregular_rep, n_rows, n_cols, l0, kind, num_perms, repeats),
-            reps=reps, alpha=alpha, seed=seed, threads=threads, label=label,
-        )
-        row = summary.to_dict()
-        row.update({"errors": kind})
-        rows.append(row)
-    return {
-        "panel": "irregular-size",
-        "n_rows": n_rows,
-        "n_cols": n_cols,
-        "l0": l0,
-        "num_perms": num_perms,
-        "repeats": repeats,
-        "rows": rows,
-    }
+    cases = [(f"irregular {n_rows}x{n_cols} l0={l0} errors={kind}",
+              (n_rows, n_cols, l0, kind, num_perms, repeats), {"errors": kind})
+             for kind in kinds]
+    header = {"panel": "irregular-size", "n_rows": n_rows, "n_cols": n_cols, "l0": l0,
+              "num_perms": num_perms, "repeats": repeats}
+    return _panel(header, _irregular_rep, cases, reps, alpha, seed, threads)

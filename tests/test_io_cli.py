@@ -757,6 +757,9 @@ class TestCliCommands:
         (["test", "--rank-tol", "1"], "ParseError"),
         (["test", "--rank-tol", "0"], "ParseError"),
         (["test-missing", "--rank-tol", "-1"], "ParseError"),
+        (["test", "--threads", "0"], "ParseError"),
+        (["simulate", "--panel", "table1", "--threads", "0"], "ParseError"),
+        (["simulate", "--panel", "table1", "--threads", "-5"], "ParseError"),
     ])
     def test_bad_shared_flag_exits_2(self, tmp_path, capsys, argv, code):
         # a NaN flag cannot be written to the strict JSON report, and a level
@@ -774,6 +777,26 @@ class TestCliCommands:
         )
         assert payload["error"]["code"] == "NonFiniteInputError"
         assert payload["error"]["message"].startswith("beta0 ")
+
+    @pytest.mark.parametrize("sub, fixed", [
+        ("test", False), ("test-panel", False),
+        ("test-missing", True), ("test-layout", True), ("test-irregular", True),
+    ])
+    def test_num_perms_fallback(self, tmp_path, capsys, sub, fixed):
+        # blockwise, layout and irregular runs fall back to K = 19; the
+        # others take their divisor-based default, 99 on these 6 x 6 grids
+        from clusterperm.cli import DEFAULT_NUM_PERMS
+        from clusterperm.permgroup import default_num_perms
+
+        if sub in ("test", "test-missing"):
+            argv = ["--data", _dyadic_csv(tmp_path, n=6, seed=13)[0]]
+        elif sub == "test-irregular":
+            argv = ["--data", _irregular_csv(tmp_path, seed=13), "--repeats", "1"]
+        else:
+            argv = ["--data", _box_csv(tmp_path, seed=13)]
+        report = self._json_run([sub] + argv, capsys)
+        want = DEFAULT_NUM_PERMS if fixed else default_num_perms(6, 6)
+        assert report["results"]["num_perms"] == want
 
     def test_threeway_panel_layout_subcommands(self, tmp_path, capsys):
         path = _box_csv(tmp_path, m=6, n=6, ell=2, seed=10)

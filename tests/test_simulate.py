@@ -242,6 +242,40 @@ class TestMcRejectionRate:
         with pytest.raises(DimensionError):
             mc_rejection_rate(lambda s: 1.0, reps=0, alpha=0.05, seed=0)
 
+    @pytest.mark.parametrize("threads, reps, cpus, workers", [
+        (100_000, 4, 8, 4),
+        (100_000, 50, 2, 2),
+        (3, 50, 8, 3),
+        (2, 50, None, None),
+        (0, 5, 8, None),
+        (-5, 5, 8, None),
+    ])
+    def test_pool_is_bounded_by_reps_and_cpus(self, monkeypatch, threads, reps, cpus, workers):
+        # A stub executor records its size and maps serially, so no process starts.
+        from clusterperm import simulate
+
+        sizes = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        summary = mc_rejection_rate(lambda s: 0.5, reps=reps, alpha=0.5, seed=1,
+                                    threads=threads)
+        assert summary.rejections == reps
+        assert sizes == ([] if workers is None else [workers])
+
 
 class TestMinorizationDominance:
     def test_no_violations_on_small_suite(self):
