@@ -26,12 +26,16 @@ resolves a squared sine to about eps / sin relative.  Eigenvalues below
 member with an eigenvalue in the band [1e-13, 1e-6], where a shared and a
 new direction are hardest to tell apart, is flagged, and the caller
 rebuilds it through :func:`residual_projector`.
+
+The SVDs and the complete QR that extends a range basis to the complement
+basis V are ``numpy.linalg`` calls (LAPACK gesdd, and geqrf with orgqr), so
+the default routes import numpy alone.  Only the pivoted QR of
+``method="qr"`` needs ``scipy.linalg``, which that branch imports itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DimensionError
 
@@ -89,7 +93,7 @@ class ResidualProjector:
         n, r = q.shape
         if r == 0:
             return np.eye(n)
-        full, _ = scipy.linalg.qr(q, mode="full")
+        full, _ = np.linalg.qr(q, mode="complete")
         # Householder QR of an orthonormal Q spans col(Q) with its first r
         # columns, so the rest span the complement.
         return full[:, r:]
@@ -142,12 +146,14 @@ def residual_projector(
         return ResidualProjector(np.zeros((n, 0)), 0.0, method)
 
     if method == "svd":
-        u, svals, _ = scipy.linalg.svd(stacked, full_matrices=False)
+        u, svals, _ = np.linalg.svd(stacked, full_matrices=False)
         tol_abs = _tol_abs(svals, n, width, tol)
         r = int(np.count_nonzero(svals > tol_abs))
         basis = u[:, :r]
     elif method == "qr":
-        svals = scipy.linalg.svdvals(stacked)
+        import scipy.linalg  # numpy has no pivoted QR
+
+        svals = np.linalg.svd(stacked, compute_uv=False)
         tol_abs = _tol_abs(svals, n, width, tol)
         r = int(np.count_nonzero(svals > tol_abs))
         q_econ, _, _ = scipy.linalg.qr(stacked, mode="economic", pivoting=True)
@@ -173,7 +179,7 @@ class PermutedAnnihilator:
         q = np.zeros((n, 0))
         if p:
             # The rank rule residual_projector applies to [X | X_perm].
-            u, svals, _ = scipy.linalg.svd(X, full_matrices=False)
+            u, svals, _ = np.linalg.svd(X, full_matrices=False)
             rank = int(np.count_nonzero(svals > _tol_abs(svals, n, 2 * p, None)))
             q = np.ascontiguousarray(u[:, :rank])
         self.q = q

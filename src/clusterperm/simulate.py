@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -222,6 +221,9 @@ def mc_rejection_rate(
     seeds = [replicate_seed(seed, r) for r in range(reps)]
     workers = min(threads, reps, os.cpu_count() or 1)
     if workers > 1:
+        # Imported here, so a serial run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, reps // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(test_fn, seeds, chunksize=chunk))

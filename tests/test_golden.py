@@ -11,7 +11,9 @@ directory, because the report echoes ``--data`` in its ``config`` block.
 The hashes pin the JSON byte for byte, floating-point digits included.  They
 were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64), and were the same
 with one and with two BLAS threads; another BLAS build may round the last bit
-of a statistic differently.
+of a statistic differently.  Every factorization on these paths is a
+``numpy.linalg`` call, so the hashes depend on numpy's bundled LAPACK alone,
+not also on scipy's.
 
 ``golden_reports.json`` holds the ``results`` block of each report as a
 companion golden.  p-values, covers, notes, interval bounds and every other

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterperm import dyadic
 from clusterperm.dyadic import PreparedTest
 from clusterperm.permgroup import build_two_way_group
-from clusterperm.projector import residual_projector
+from clusterperm.projector import PermutedAnnihilator, residual_projector
 
 
 def _random_design(n, p, seed, rank_deficient=False):
@@ -119,6 +120,44 @@ class TestMethodAgreement:
         X, X_perm = _random_design(20, 3, seed=12)
         loose = residual_projector(X, X_perm, tol=10.0)
         assert loose.r == 0
+
+
+# (n, p, rank_deficient): random, rank-deficient and p = 0 designs.
+_ROUTE_DESIGNS = [(30, 3, False), (25, 4, True), (10, 0, False)]
+
+
+class TestNumpyRoutes:
+    """The numpy.linalg factorizations against scipy.linalg's."""
+
+    @pytest.mark.parametrize("n, p, deficient", _ROUTE_DESIGNS)
+    def test_svd_basis_matches_scipy(self, n, p, deficient):
+        X, X_perm = _random_design(n, p, seed=n + p, rank_deficient=deficient)
+        for design, q in [(np.hstack([X, X_perm]), residual_projector(X, X_perm).range_basis),
+                          (X, PermutedAnnihilator(X, np.ones((n, 1))).q)]:
+            ref = np.zeros((n, 0))
+            if design.shape[1]:
+                u, svals, _ = scipy.linalg.svd(design, full_matrices=False)
+                cutoff = max(n, 2 * p) * np.finfo(float).eps * svals[0]
+                ref = u[:, : np.count_nonzero(svals > cutoff)]
+            assert q.shape == ref.shape
+            assert np.max(np.abs(q @ q.T - ref @ ref.T), initial=0.0) <= 1e-13
+
+    @pytest.mark.parametrize("n, p, deficient", _ROUTE_DESIGNS)
+    def test_complete_qr_complement(self, n, p, deficient):
+        X, X_perm = _random_design(n, p, seed=n + p, rank_deficient=deficient)
+        proj = residual_projector(X, X_perm)
+        V, Q = proj.V, proj.range_basis
+        assert V.shape == (n, n - proj.r)
+        assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 1e-12
+        assert np.max(np.abs(Q.T @ V), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("n, p, deficient", _ROUTE_DESIGNS)
+    def test_qr_route_matches_svd_route(self, n, p, deficient):
+        X, X_perm = _random_design(n, p, seed=n + p, rank_deficient=deficient)
+        svd = residual_projector(X, X_perm, method="svd").range_basis
+        qr = residual_projector(X, X_perm, method="qr").range_basis
+        assert qr.shape == svd.shape
+        assert np.max(np.abs(qr @ qr.T - svd @ svd.T), initial=0.0) <= 1e-12
 
 
 def _cyclic_generator_perms(n, order, cycles, seed):

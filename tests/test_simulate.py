@@ -269,7 +269,8 @@ class TestMcRejectionRate:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", StubPool)
+        # mc_rejection_rate imports the pool when it needs one, so patch its source
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
         summary = mc_rejection_rate(lambda s: 0.5, reps=reps, alpha=0.5, seed=1,
                                     threads=threads)
