@@ -25,7 +25,7 @@ from .exceptions import (
     MissingDataError,
 )
 from .model import DyadArray
-from .rng import AXIS_COLS, AXIS_ROWS, mask_seed
+from .rng import AXIS_COLS, AXIS_ROWS, generator, mask_seed
 
 EXACT_CAP = 16
 
@@ -159,104 +159,135 @@ def _candidate_key(score: int, rows: tuple, cols: tuple):
     return (-score, -len(rows), rows, cols)
 
 
-def max_biclique_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int = 1):
+def _local_search(A: np.ndarray, start: tuple[int, ...], min_side: int):
+    """Single-row moves from the row set ``start`` to a local optimum.
+
+    ``A`` holds the candidate rows as 0/1 floats: every count below is a small
+    integer, exact in float64, and the products run in BLAS.  ``start`` and
+    the returned rows are positions in ``A``; the columns are those common to
+    the returned rows.
+
+    ``cnt`` counts the chosen rows covering each column, so the columns common
+    to S are ``cnt == |S|`` and those common to S - {r} are
+    ``cnt - A[r] == |S| - 1``.  Each move kind takes its first improving move
+    in scan order: adds over all rows, removes over sorted S, swaps over
+    sorted S (out) and then all rows (in).  At most 200 moves are made.
+    """
+    n = A.shape[0]
+    chosen = np.zeros(n, dtype=bool)
+    chosen[list(start)] = True
+    cnt = A[chosen].sum(axis=0)
+    size = len(start)
+    for _ in range(200):
+        common = cnt == size
+        score = size * int(common.sum())
+        gain = A @ common
+        ok = ~chosen & (gain >= min_side) & ((size + 1) * gain > score)
+        if ok.any():
+            r = int(np.argmax(ok))
+            chosen[r] = True
+            cnt += A[r]
+            size += 1
+            continue
+        members = np.flatnonzero(chosen)
+        base = (cnt - A[members]) == size - 1
+        if size > min_side:
+            rest = base.sum(axis=1)
+            ok = (rest >= min_side) & ((size - 1) * rest > score)
+            if ok.any():
+                r = members[int(np.argmax(ok))]
+                chosen[r] = False
+                cnt -= A[r]
+                size -= 1
+                continue
+        swap = base @ A.T
+        ok = ~chosen & (swap >= min_side) & (size * swap > score)
+        if not ok.any():
+            break
+        out_at, r_in = divmod(int(np.argmax(ok)), n)
+        r_out = members[out_at]
+        chosen[r_out] = False
+        chosen[r_in] = True
+        cnt += A[r_in] - A[r_out]
+    return np.flatnonzero(chosen), np.flatnonzero(cnt == size)
+
+
+# Restarts are scored this many at a time, so the chunk's bool prefix tensor
+# (restarts x rows x columns) is no larger than one float64 copy of the mask
+# however many restarts are asked for.
+_RESTART_CHUNK = 8
+
+
+def max_biclique_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int = 1, *,
+                        searches: dict | None = None):
     """Seeded greedy maximum-edge biclique heuristic.
 
-    Each restart orders rows by degree (random tie-break), scores every
-    prefix against its common-neighbor column set, then applies single-row
-    add/remove/swap moves to a local optimum.  Deterministic given ``seed``.
+    Restart t orders the rows by degree, ties broken by its own noise row
+    drawn from ``generator(mask_seed(seed, 7, t))``, and starts from the
+    first best-scoring prefix of that order against its common-neighbor
+    column set.  Restarts are scored :data:`_RESTART_CHUNK` at a time with
+    one sort and one cumulative AND.  Each start set then goes through
+    :func:`_local_search`, in restart order, and the best block wins (ties
+    keep the first).  Deterministic given ``seed``.
 
-    The local search depends only on its start set (the best prefix), so
-    each distinct start set is searched once per call.  A repeated start set
-    would yield the same candidate, which never displaces the best (ties keep
-    the first), so the result is the same as searching on every restart.
+    The local search depends only on the mask, its start set and
+    ``min_side``, so ``searches`` keeps every result: it maps
+    (mask bytes, shape, ``min_side``) to a dict from start set to
+    (rows, cols).  Pass one dict to several calls, for example every repeat
+    of one irregular test, and each start set on each mask is searched once.
+    A repeated start set yields the same candidate, which never displaces the
+    best, so the result is the one a search on every restart would give.
+    Without ``searches`` the dict lives for this call only.
 
     Returns (rows, cols) or None when ``min_side`` cannot be met.  Raises
     :class:`DimensionError` when ``restarts`` is below 1.
     """
     if restarts < 1:
         raise DimensionError(f"restarts must be at least 1, got {restarts}")
-    mask = as_mask(mask)
-    mask_bool = mask.astype(bool)
+    mask_bool = as_mask(mask).astype(bool)
     degrees = mask_bool.sum(axis=1)
     active = np.flatnonzero(degrees > 0)
     if active.size == 0:
         raise EmptyMaskError("mask has no observed cells")
+    if searches is None:
+        searches = {}
+    found = searches.setdefault((mask_bool.tobytes(), mask_bool.shape, min_side), {})
     # Rows are addressed by position in ``active``; it is sorted, so position
-    # order is row order.  ``A`` holds the active rows as 0/1 floats: every
-    # count below is a small integer, exact in float64, and the products run
-    # in BLAS.
-    A = mask_bool[active].astype(np.float64)
-    prefix_sizes = np.arange(1, active.size + 1)
-    searched: set[tuple[int, ...]] = set()
+    # order is row order.  ``B`` holds the active rows, ``A`` the same as floats.
+    B = mask_bool[active]
+    A = B.astype(np.float64)
+    n = active.size
+    prefix_sizes = np.arange(1, n + 1)
     best = None
 
-    for t in range(restarts):
-        rng_noise = np.random.default_rng(mask_seed(seed, 7, t)).random(active.size)
-        order = np.lexsort((rng_noise, -degrees[active]))
-        # Column counts of every prefix of ``order``; they never increase, so
-        # requiring a positive count cuts the prefixes at the first empty one.
-        counts = np.logical_and.accumulate(A[order], axis=0).sum(axis=1)
+    for lo in range(0, restarts, _RESTART_CHUNK):
+        chunk = range(lo, min(lo + _RESTART_CHUNK, restarts))
+        noise = np.empty((len(chunk), n))
+        for i, t in enumerate(chunk):
+            generator(mask_seed(seed, 7, t)).random(out=noise[i])
+        orders = np.lexsort((noise, np.broadcast_to(-degrees[active], noise.shape)), axis=-1)
+        # Column counts of every prefix of each order; they never increase,
+        # so requiring a positive count cuts a prefix at its first empty one.
+        prefix = B[orders]
+        np.logical_and.accumulate(prefix, axis=1, out=prefix)
+        counts = prefix.sum(axis=2)
+        del prefix
         valid = (prefix_sizes >= min_side) & (counts >= min_side) & (counts > 0)
-        if not valid.any():
-            continue
         # argmax takes the first best prefix, as a strict ``>`` scan would.
-        scores = np.where(valid, prefix_sizes * counts, 0)
-        start = np.sort(order[: int(np.argmax(scores)) + 1])
-        start_key = tuple(start.tolist())
-        if start_key in searched:
-            continue
-        searched.add(start_key)
-
-        # Local search on the chosen set S: ``cnt`` counts the chosen rows
-        # covering each column, so the columns common to S are ``cnt == |S|``
-        # and those common to S - {r} are ``cnt - A[r] == |S| - 1``.  Each
-        # move kind takes its first improving move in scan order: adds over
-        # ``active``, removes over sorted S, swaps over sorted S (out) and
-        # then ``active`` (in).  At most 200 moves are made.
-        chosen = np.zeros(active.size, dtype=bool)
-        chosen[start] = True
-        cnt = A[start].sum(axis=0)
-        size = start.size
-        for _ in range(200):
-            common = cnt == size
-            score = size * int(common.sum())
-            gain = A @ common
-            ok = ~chosen & (gain >= min_side) & ((size + 1) * gain > score)
-            if ok.any():
-                r = int(np.argmax(ok))
-                chosen[r] = True
-                cnt += A[r]
-                size += 1
+        ends = np.where(valid, prefix_sizes * counts, 0).argmax(axis=1) + 1
+        for order, end, any_valid in zip(orders, ends, valid.any(axis=1)):
+            if not any_valid:
                 continue
-            members = np.flatnonzero(chosen)
-            base = (cnt - A[members]) == size - 1
-            if size > min_side:
-                rest = base.sum(axis=1)
-                ok = (rest >= min_side) & ((size - 1) * rest > score)
-                if ok.any():
-                    r = members[int(np.argmax(ok))]
-                    chosen[r] = False
-                    cnt -= A[r]
-                    size -= 1
-                    continue
-            swap = base @ A.T
-            ok = ~chosen & (swap >= min_side) & (size * swap > score)
-            if not ok.any():
-                break
-            out_at, r_in = divmod(int(np.argmax(ok)), active.size)
-            r_out = members[out_at]
-            chosen[r_out] = False
-            chosen[r_in] = True
-            cnt += A[r_in] - A[r_out]
-
-        rows = tuple(int(r) for r in active[chosen])
-        cols = tuple(int(c) for c in np.flatnonzero(cnt == size))
-        if len(rows) < min_side or len(cols) < min_side:
-            continue
-        key = _candidate_key(len(rows) * len(cols), rows, cols)
-        if best is None or key < best[0]:
-            best = (key, (rows, cols))
+            start = tuple(np.sort(order[:end]).tolist())
+            if start not in found:
+                rows, cols = _local_search(A, start, min_side)
+                found[start] = (tuple(active[rows].tolist()), tuple(cols.tolist()))
+            rows, cols = found[start]
+            if len(rows) < min_side or len(cols) < min_side:
+                continue
+            key = _candidate_key(len(rows) * len(cols), rows, cols)
+            if best is None or key < best[0]:
+                best = (key, (rows, cols))
     return None if best is None else best[1]
 
 
@@ -343,14 +374,22 @@ def biclique_decompose(
     cap: int = EXACT_CAP,
     restarts: int = 16,
     seed: int = 0,
+    *,
+    searches: dict | None = None,
 ) -> BicliqueCover:
     """Iteratively extract maximum bicliques into a disjoint cover.
 
     Each round finds the largest block whose sides are both >= ``min_block``
     and then zeroes every row and column the block touches, so later blocks
     cannot share either axis with it.  Stops when no eligible block remains.
-    Raises :class:`DimensionError` when ``min_block`` or ``restarts`` is
-    below 1, even when the exact solver makes ``restarts`` moot.
+    A block needs ``min_block`` rows, and ``min_block`` columns, with at
+    least ``min_block`` observed cells each; when the mask left has fewer,
+    the loop stops and skips a solver call that could only return None, so
+    either solver's cover is unchanged.  Greedy rounds hand ``searches`` to
+    :func:`max_biclique_greedy`, so calls that share one dict share their
+    local searches.  Raises :class:`DimensionError` when ``min_block`` or
+    ``restarts`` is below 1, even when the exact solver makes ``restarts``
+    moot.
     """
     check_exact_cap(cap)
     work = as_mask(mask).astype(bool)
@@ -365,7 +404,10 @@ def biclique_decompose(
 
     blocks = []
     round_no = 0
-    while work.any():
+    # A block with both sides >= min_block needs min_block rows, and min_block
+    # columns, holding at least min_block cells each.
+    while ((work.sum(axis=1) >= min_block).sum() >= min_block
+           and (work.sum(axis=0) >= min_block).sum() >= min_block):
         if use_exact:
             found = max_biclique_exact(work, cap=cap, min_side=min_block)
         else:
@@ -374,6 +416,7 @@ def biclique_decompose(
                 restarts=restarts,
                 seed=mask_seed(seed, 9, round_no),
                 min_side=min_block,
+                searches=searches,
             )
         if found is None:
             break

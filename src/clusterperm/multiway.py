@@ -289,8 +289,12 @@ def irregular_test(
     retained cell to exactly L0 records (slots keep original record order),
     and permute block rows and columns with the L0 slots riding along.
     The exact solver's cover does not depend on the seed, so it is built
-    once and shared by every repeat.  Reports the lower-median p-value
-    across repeats.
+    once and shared by every repeat.  The greedy solver's covers differ by
+    repeat, but its local searches depend only on the mask left and the
+    start set, so the repeats of one call share them through one
+    ``searches`` dict (see :func:`~clusterperm.missing.max_biclique_greedy`);
+    the dict is dropped when the call returns.  Reports the lower-median
+    p-value across repeats.
     """
     if l0 < 1:
         raise DimensionError(f"l0 must be positive, got {l0}")
@@ -303,11 +307,12 @@ def irregular_test(
         raise NoEligibleCellsError(f"no cell holds at least l0={l0} observations")
 
     resolved = resolve_solver(solver, mask.shape, cap)
+    searches: dict = {}
 
     def decompose(rs: int) -> BicliqueCover:
         return biclique_decompose(
             mask, solver=resolved, min_block=min_block, cap=cap,
-            restarts=restarts, seed=rs,
+            restarts=restarts, seed=rs, searches=searches,
         )
 
     # The exact cover ignores the seed: build it once for every repeat.

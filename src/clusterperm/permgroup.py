@@ -27,7 +27,7 @@ import numpy as np
 
 from .exceptions import DimensionError, GroupError
 from .model import PermutationFamily, TwoWayPermutation, member_fault
-from .rng import AXIS_COLS, AXIS_ROWS, family_seed
+from .rng import AXIS_COLS, AXIS_ROWS, family_seed, generator
 
 # Members are streamed and checked in chunks of about this many values
 # (128 KB of float64), so a pass over the group holds no K x N temporary.
@@ -164,8 +164,15 @@ def _blockwise_shift(n: int, num_perms: int, k: int) -> np.ndarray:
 
 
 def _cyclic_generator(n: int, num_perms: int, seed) -> np.ndarray:
-    """Member 1 of a cyclic family: the first shift, conjugated by a relabeling."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    """Member 1 of a cyclic family: the first shift, conjugated by a relabeling.
+
+    An integer seed is read as :func:`~clusterperm.rng.generator` reads it,
+    which is ``np.random.default_rng(seed)`` for seeds in [0, 2**64).
+    """
+    if isinstance(seed, (int, np.integer)):
+        rng = generator(seed)
+    else:
+        rng = np.random.default_rng(seed)
     relabel = rng.permutation(n)
     inverse = np.empty(n, dtype=np.intp)
     inverse[relabel] = np.arange(n)

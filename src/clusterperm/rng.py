@@ -5,6 +5,14 @@ All randomness in the package flows from integer root seeds through
 Derived streams are independent of evaluation order, so adding Monte Carlo
 replicates or changing worker counts never reshuffles earlier draws.
 
+``SeedSequence`` turns its entropy list into uint32 words: each non-negative
+integer, little-endian, as many words as it needs (one word for 0).
+:func:`derive_seed` and :func:`generator` hand it that word array directly,
+which skips numpy's per-integer coercion and gives the same sequence, so
+``generator(s)`` draws what ``np.random.default_rng(s)`` draws for every s in
+[0, 2**64), and ``derive_seed(seed, *keys)`` equals
+``SeedSequence([seed mod 2**64, *keys]).generate_state(1, np.uint64)[0]``.
+
 Namespaces (first key) keep unrelated uses from colliding:
 
 * 1 -- Monte Carlo replicate streams
@@ -32,23 +40,32 @@ AXIS_COLS = 1
 AXIS_CELLS = 2
 
 _MASK64 = (1 << 64) - 1
+_WORD = (1 << 32) - 1
 
 
-def _normalize(seed: int) -> int:
-    # SeedSequence entropy must be non-negative.
-    return int(seed) & _MASK64
+def _seed_sequence(seed: int, keys) -> np.random.SeedSequence:
+    """``SeedSequence([seed mod 2**64, *keys])``, built from its uint32 words."""
+    words = []
+    # SeedSequence entropy must be non-negative: the seed wraps, a key raises.
+    for value in (int(seed) & _MASK64, *(int(k) for k in keys)):
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & _WORD)
+        value >>= 32
+        while value:
+            words.append(value & _WORD)
+            value >>= 32
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def derive_seed(seed: int, *keys: int) -> int:
     """Return a 64-bit integer sub-seed, stable in ``(seed, *keys)``."""
-    ss = np.random.SeedSequence([_normalize(seed), *[int(k) for k in keys]])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, keys).generate_state(1, np.uint64)[0])
 
 
 def generator(seed: int, *keys: int) -> np.random.Generator:
     """A fresh Generator on the sub-stream keyed by ``keys``."""
-    ss = np.random.SeedSequence([_normalize(seed), *[int(k) for k in keys]])
-    return np.random.default_rng(ss)
+    return np.random.default_rng(_seed_sequence(seed, keys))
 
 
 def family_seed(seed: int, block: int, axis: int) -> int:

@@ -1,6 +1,7 @@
 """Tests for biclique solvers, mask decomposition, and the blockwise test."""
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -75,7 +76,10 @@ def _candidate_key(score: int, rows: tuple, cols: tuple):
     return (-score, -len(rows), rows, cols)
 
 
-def _reference_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int = 1):
+def _reference_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int = 1,
+                      searches=None):
+    # ``searches`` is accepted so that biclique_decompose can call this in
+    # place of the solver; the reference searches every restart afresh.
     mask = as_mask(mask)
     mask_bool = mask.astype(bool)
     degrees = mask_bool.sum(axis=1)
@@ -341,6 +345,63 @@ class TestMaxBicliqueGreedy:
         )
 
 
+    def test_searches_shared_across_masks_and_min_sides(self):
+        # one dict serves several masks and min_side values; two masks with
+        # equal bytes but transposed shapes must not share entries
+        masks = [
+            _random_mask(12, 15, 0.6, 1),
+            _random_mask(12, 15, 0.6, 2),
+            np.ones((4, 6), dtype=np.int8),
+            np.ones((6, 4), dtype=np.int8),
+        ]
+        searches = {}
+        for _ in range(2):
+            for mask in masks:
+                for min_side in (1, 2):
+                    kwargs = dict(restarts=6, seed=5, min_side=min_side)
+                    assert max_biclique_greedy(mask, searches=searches, **kwargs) == (
+                        _reference_greedy(mask, **kwargs)
+                    )
+        assert len(searches) == len(masks) * 2
+
+    def test_searches_reused_on_repeat_call(self):
+        mask = _random_mask(20, 20, 0.5, 3)
+        searches = {}
+        calls = []
+        real = missing._local_search
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        with mock.patch.object(missing, "_local_search", counting):
+            first = max_biclique_greedy(mask, restarts=8, seed=1, searches=searches)
+            searched = len(calls)
+            again = max_biclique_greedy(mask, restarts=8, seed=1, searches=searches)
+        assert searched > 0 and len(calls) == searched
+        assert len(set(calls)) == searched
+        assert first == again
+
+    def test_restart_chunks_bound_memory(self):
+        # restarts are scored in fixed chunks: the peak must not grow with
+        # restarts and stays near two float64 copies of the mask (the rows
+        # held for the local search, and one chunk's bool prefixes)
+        n = 200
+        mask = _random_mask(n, n, 0.7, 5)
+        max_biclique_greedy(mask, restarts=1)
+        peaks = {}
+        for restarts in (8, 64):
+            tracemalloc.start()
+            try:
+                max_biclique_greedy(mask, restarts=restarts, seed=0)
+                _, peaks[restarts] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        float_copy = n * n * 8
+        assert peaks[64] <= peaks[8] + float_copy // 4
+        assert peaks[64] <= 3 * float_copy
+
+
 class TestBicliqueCover:
     def test_normalizes_and_reports(self):
         cover = BicliqueCover(blocks=(((2, 0), (1, 0)), ((1,), (3, 2))), n_rows=3, n_cols=4)
@@ -423,6 +484,28 @@ class TestBicliqueDecompose:
     def test_sparse_mask_can_yield_empty_cover(self):
         cover = biclique_decompose(np.eye(4, dtype=np.int8), min_block=2, seed=0)
         assert len(cover) == 0
+
+    @pytest.mark.parametrize("solver", ["exact", "greedy"])
+    def test_no_solver_call_when_no_block_can_fit(self, solver):
+        # a planted 3x3 block, then a mask left with rows of two cells but
+        # only one column of two cells: no 2x2 block fits after the first
+        mask = np.zeros((12, 12), dtype=np.int8)
+        mask[:3, :3] = 1
+        mask[3:9, 3] = 1
+        mask[np.arange(3, 9), np.arange(4, 10)] = 1
+        name = f"max_biclique_{solver}"
+        real = getattr(missing, name)
+        with mock.patch.object(missing, name, side_effect=real) as spy:
+            cover = biclique_decompose(mask, solver=solver, min_block=2, seed=0)
+        assert spy.call_count == 1
+        assert cover.blocks == (((0, 1, 2), (0, 1, 2)),)
+        rest = mask.copy()
+        rest[:3, :] = 0
+        rest[:, :3] = 0
+        assert real(rest, min_side=2) is None  # the call the loop skipped
+        with mock.patch.object(missing, name, side_effect=real) as spy:
+            assert len(biclique_decompose(np.eye(12, dtype=np.int8), solver=solver)) == 0
+        assert spy.call_count == 0
 
     @pytest.mark.parametrize("solver", ["auto", "exact", "greedy"])
     def test_restarts_below_one_rejected(self, solver):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from clusterperm import multiway
+from clusterperm import missing, multiway
 from clusterperm.dyadic import two_way_test
 from clusterperm.exceptions import (
     DimensionError,
@@ -336,6 +336,35 @@ class TestIrregularTest:
         assert once.to_dict() == every.to_dict()
         for a, b in zip(once.runs, every.runs):
             assert np.array_equal(a.a, b.a) and np.array_equal(a.b, b.b)
+
+    def test_shared_searches_change_nothing(self, monkeypatch):
+        # the repeats share one searches dict; a fresh dict per repeat must
+        # give the same bytes, after searching more start sets
+        data = gen_irregular_dataset(12, 12, 3, "row-heavy", seed=30)
+        kwargs = dict(l0=3, num_perms=3, repeats=6, seed=30, solver="greedy")
+        searched = []
+        real_search = missing._local_search
+
+        def counting(*args):
+            searched.append(args[1])
+            return real_search(*args)
+
+        monkeypatch.setattr(missing, "_local_search", counting)
+        shared = irregular_test(data, **kwargs)
+        shared_searches = len(searched)
+        searched.clear()
+        real = multiway.biclique_decompose
+
+        def fresh(mask, **kw):
+            return real(mask, **{**kw, "searches": {}})
+
+        monkeypatch.setattr(multiway, "biclique_decompose", fresh)
+        unshared = irregular_test(data, **kwargs)
+        assert 0 < shared_searches < len(searched)
+        assert shared.to_dict() == unshared.to_dict()
+        for a, b in zip(shared.runs, unshared.runs):
+            assert a.a.tobytes() == b.a.tobytes() and a.b.tobytes() == b.b.tobytes()
+            assert a.pval == b.pval
 
     def test_restarts_below_one_rejected(self):
         data = gen_irregular_dataset(6, 6, 3, "two-way-weak", seed=28)
