@@ -144,7 +144,9 @@ class PreparedTest:
     route, :func:`~clusterperm.projector.residual_projector`, and so is every
     member when an explicit ``tol`` is given: ``tol`` is a relative threshold
     on the singular values of [X | X_pi], which only that route computes.
-    ``svd_members`` counts the members built through the SVD route.
+    ``svd_members`` counts the members built through the SVD route; only
+    they have their row map g^k built, as the other route streams the
+    permuted basis itself.
 
     ``row_perms`` is any family :func:`~clusterperm.permgroup.as_group`
     accepts.  The object retains
@@ -157,6 +159,9 @@ class PreparedTest:
     inversion reuse it and only the outcome changes across evaluations.
     ``projectors`` is kept as an empty tuple for callers that read it; no
     projector outlives the build.
+
+    ``degenerate`` holds iff max_k ||pd_k|| <= 1e-10 ||D||, whatever the
+    scale of D; each chunk's norms are taken as it is written.
     """
 
     projectors: tuple = ()
@@ -192,18 +197,20 @@ class PreparedTest:
         self.group = group
         self.num_perms = group.num_perms
         pd = np.empty((self.num_perms, n, D.shape[1]))
-        annihilate = PermutedAnnihilator(X, D) if tol is None else None
+        chunks = (PermutedAnnihilator(X, D).stream(group, pd) if tol is None
+                  else ((slice(k, k + 1), [True]) for k in range(self.num_perms)))
         self.svd_members = 0
-        for members, maps in group.orbit():
+        pd_scale = 0.0
+        for members, flagged in chunks:
             out = pd[members]
-            redo = range(len(maps)) if tol is not None else np.flatnonzero(annihilate(maps, out))
-            for i in redo:
-                out[i] = residual_projector(X, X[maps[i]], tol=tol).annihilate(D)
-            self.svd_members += len(redo)
+            for i in np.flatnonzero(flagged):
+                perm = group.member(members.start + i + 1)
+                out[i] = residual_projector(X, X[perm], tol=tol).annihilate(D)
+            self.svd_members += int(np.count_nonzero(flagged))
+            flat = out.reshape(len(flagged), -1)
+            pd_scale = max(pd_scale, float(np.matmul(flat[:, None], flat[:, :, None]).max()))
         self.pd = pd
-        d_scale = float(np.linalg.norm(D))
-        pd_scale = float(np.sqrt(np.einsum("knd,knd->k", pd, pd).max()))
-        self.degenerate = pd_scale <= _DEGENERATE_REL * max(d_scale, 1.0)
+        self.degenerate = bool(np.sqrt(pd_scale) <= _DEGENERATE_REL * np.linalg.norm(D))
         # In a cyclic group every member is the identity iff member 1 is.
         self.all_identity = bool(np.array_equal(group.generator, np.arange(n)))
 

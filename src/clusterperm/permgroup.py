@@ -41,8 +41,9 @@ class CyclicGroup:
     :class:`~clusterperm.exceptions.DimensionError`) and that g^(K+1) is the
     identity (else :class:`~clusterperm.exceptions.GroupError`), which makes
     the members a group: member r after member s is member (r+s) mod (K+1).
-    The check costs K+1 gathers of length n.  The group keeps a read-only
-    copy of g, so the check cannot be undone by a later write.
+    The check forms g^(K+1) by repeated squaring, about 2 log2(K+1) gathers
+    of length n.  The group keeps a read-only copy of g, so the check cannot
+    be undone by a later write.
     """
 
     def __init__(self, generator, num_perms: int):
@@ -52,21 +53,36 @@ class CyclicGroup:
         fault = member_fault(gen, gen.size)
         if fault:
             raise DimensionError(f"member 1 {fault}")
-        power = gen
-        for _ in range(num_perms):
-            power = np.take(gen, power)
-        if not np.array_equal(power, np.arange(gen.size)):
+        gen.flags.writeable = False
+        self.generator = gen
+        self.num_perms = int(num_perms)
+        if not np.array_equal(self.member(num_perms + 1), np.arange(gen.size)):
             raise GroupError(
                 "row maps are not a cyclic group: member 1 applied "
                 f"K+1={num_perms + 1} times is not the identity"
             )
-        gen.flags.writeable = False
-        self.generator = gen
-        self.num_perms = int(num_perms)
 
     @property
     def n(self) -> int:
         return self.generator.size
+
+    def member(self, k: int) -> np.ndarray:
+        """The row map g^k, by repeated squaring: about 2 log2(k) gathers."""
+        out, square = np.arange(self.n), self.generator
+        while k:
+            if k & 1:
+                out = square[out]
+            k >>= 1
+            if k:
+                square = square[square]
+        return out
+
+    def chunks(self, width: int):
+        """Equal slices (the last may be short) of the positions 0..K-1 of
+        members 1..K, each about 2^14 values at ``width`` values a member."""
+        step = max(1, _CHUNK_VALUES // max(width, 1))
+        return [slice(lo, min(lo + step, self.num_perms))
+                for lo in range(0, self.num_perms, step)]
 
     def orbit(self, values=None):
         """Stream ``values`` moved by members 1..K, in order.
@@ -81,12 +97,11 @@ class CyclicGroup:
         cur = np.arange(self.n) if values is None else np.asarray(values)
         if cur.ndim < 1 or cur.shape[0] != self.n:
             raise DimensionError(f"values must have {self.n} rows, got shape {cur.shape}")
-        step = max(1, _CHUNK_VALUES // max(cur.size, 1))
-        for lo in range(0, self.num_perms, step):
-            block = np.empty((min(step, self.num_perms - lo),) + cur.shape, dtype=cur.dtype)
+        for members in self.chunks(cur.size):
+            block = np.empty((members.stop - members.start,) + cur.shape, dtype=cur.dtype)
             for row in block:
                 cur = np.take(cur, self.generator, axis=0, out=row, mode="clip")
-            yield slice(lo, lo + block.shape[0]), block
+            yield members, block
 
     def stacked(self) -> np.ndarray:
         """All members as a (K+1, n) array, row 0 the identity (an adapter)."""

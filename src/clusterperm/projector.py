@@ -8,12 +8,12 @@ I - Q Q' with Q an orthonormal range basis).
 
 Two routes compute it.  :func:`residual_projector` factors the N x 2p
 stacked design of one pair (SVD or pivoted QR) and is the reference.
-:class:`PermutedAnnihilator` serves a whole group of row maps, fed in
+:class:`PermutedAnnihilator` serves every member g^k of a cyclic group, in
 chunks, from one orthonormal basis Q of col(X), computed once by SVD.  For
-member k, Q_k = Q[perm] spans col(X_perm), and col([Q | Q_k]) = col(Q) + col(H_k) with
-H_k = Q_k - Q C_k and C_k = Q'Q_k.  Only the p x p Gram G_k = H_k'H_k is
-factored, so a member costs a row gather and a few products of length N,
-with no N x 2p copy and no SVD.
+member k, Q_k = Q[g^k] spans col(X[g^k]), and col([Q | Q_k]) = col(Q) +
+col(H_k) with H_k = Q_k - Q C_k and C_k = Q'Q_k.  Only the p x p Gram
+G_k = H_k'H_k is factored, so a member costs one gather of p x N values and
+a few products of length N, with no N x 2p copy, no row map and no SVD.
 
 The eigenvalues of G_k are the squared sines of the principal angles between
 col(X) and col(X_perm).  Formed from cosines, as I - C_k'C_k, they carry an
@@ -164,12 +164,18 @@ def residual_projector(
 
 
 class PermutedAnnihilator:
-    """Projects D off col([X | X[perm]]) for row maps fed in chunks.
+    """Projects D off col([X | X[g^k]]) for the members g^k of a cyclic group.
 
-    The basis Q of col(X), Q'D and D - Q Q'D are computed once, at
-    construction; each call then costs a gather, a few products of length N
-    and a p x p ``eigh`` per member.  A call's temporaries are a few arrays
-    of m x n x p values, so the caller bounds them by the chunks it feeds.
+    The basis Q of col(X) and D - Q Q'D are computed once, at construction.
+    A pass over the group (:meth:`stream`) streams the gathered basis
+    Q_k' = Q'[:, g^k], the generator applied to the previous member's rows,
+    so no row map is made.  A chunk of m members is held member-major, N
+    contiguous, in two arrays allocated once per pass: the gathered bases
+    (max(m, 2) x p x N) and rows [H_k' ; D'] (m x (p+d) x N).  The batched
+    products C_k' = Q_k'Q, H_k' = Q_k' - C_k'Q', [G_k ; D'H_k] = [H_k' ; D'] H_k
+    and pd_k = base - H_k v_k write into them and into the output, so a
+    member costs one p x N gather, four gemms and a p x p ``eigh``, with no
+    N-sized temporary.
     """
 
     def __init__(self, X: np.ndarray, D: np.ndarray):
@@ -181,45 +187,58 @@ class PermutedAnnihilator:
             # The rank rule residual_projector applies to [X | X_perm].
             u, svals, _ = np.linalg.svd(X, full_matrices=False)
             rank = int(np.count_nonzero(svals > _tol_abs(svals, n, 2 * p, None)))
-            q = np.ascontiguousarray(u[:, :rank])
+            # The transpose of a row-major array: each basis vector is
+            # contiguous, as the member products want it.
+            q = np.ascontiguousarray(u[:, :rank].T).T
         self.q = q
         self.base = self.D - q @ (q.T @ self.D)
 
-    def __call__(self, perms: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write (I - P_k) D into ``out[k]`` for each row map ``perms[k]``.
+    def stream(self, group, out: np.ndarray):
+        """Write (I - P_k) D into ``out[k - 1]``, shape (K, n, d), for the
+        members k = 1..K of the :class:`~clusterperm.permgroup.CyclicGroup`
+        ``group``, one chunk at a time.
 
-        Parameters
-        ----------
-        perms : ndarray of int, shape (m, n)
-            Row maps; member k pairs X with X[perms[k]].
-        out : ndarray, shape (m, n, d)
-            Receives (I - P_k) D for member k.
-
-        Returns
-        -------
-        ndarray of bool, shape (m,)
-            Members whose Gram has an eigenvalue in the band [1e-13, 1e-6].
-            Their rows of ``out`` are not to be trusted; rebuild them through
-            :func:`residual_projector`.
+        Yields ``(members, flagged)`` once ``out[members]`` is written:
+        ``flagged`` marks the members whose Gram has an eigenvalue in the
+        band [1e-13, 1e-6].  Their rows of ``out`` are not to be trusted;
+        rebuild them through :func:`residual_projector`.
         """
-        q, D, base = self.q, self.D, self.base
-        if q.shape[1] == 0:
-            out[:] = base
-            return np.zeros(perms.shape[0], dtype=bool)
-        h = np.take(q, perms, axis=0)
-        qc = np.matmul(q, np.matmul(q.T, h))
-        h -= qc
-        # G_k = H_k'H_k with a copy as the second operand: numpy sends a
-        # product of an array with its own transpose to syrk, which is
-        # several times slower than gemm at this shape.
-        np.copyto(qc, h)
-        ht = h.transpose(0, 2, 1)
-        evals, evecs = np.linalg.eigh(np.matmul(ht, qc))
-        inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=evals > _GRAM_CUTOFF)
-        # (I - P_k) D = base - H_k G_k^+ H_k'D.
-        v = np.matmul(evecs, inv[:, :, None] * np.matmul(evecs.transpose(0, 2, 1), np.matmul(ht, D)))
-        np.subtract(base, np.matmul(h, v), out=out)
-        return ((evals >= _GRAM_BAND[0]) & (evals <= _GRAM_BAND[1])).any(axis=1)
+        q, base, gen = self.q, self.base, group.generator
+        chunks = group.chunks(self.D.shape[0])
+        r, d = q.shape[1], self.D.shape[1]
+        m = chunks[0].stop
+        # The gathers of a chunk read the previous member's basis, the first
+        # one the last of the chunk before.  With one member per chunk the
+        # members alternate between two slots: numpy copies a take onto its
+        # own input.
+        slots = max(m, 2)
+        qt = q.T
+        basis = np.empty((slots,) + qt.shape)
+        basis[-1] = qt
+        work = np.empty((m, r + d, qt.shape[1]))
+        work[:, r:] = self.D.T
+        for c, members in enumerate(chunks):
+            size = members.stop - members.start
+            lo = c * m % slots
+            for i in range(lo, lo + size):
+                basis[i - 1].take(gen, axis=1, out=basis[i], mode="clip")
+            qk, w = basis[lo:lo + size], work[:size]
+            h = w[:, :r]
+            np.matmul(np.matmul(qk, qt.T), qt, out=h)
+            np.subtract(qk, h, out=h)
+            ht = h.transpose(0, 2, 1)
+            # [G_k ; D'H_k]; with d >= 1 rows below H_k' the product is not
+            # square, so numpy sends it to gemm, not to the slower syrk.
+            gram = np.matmul(w, ht)
+            evals, evecs = np.linalg.eigh(gram[:, :r])
+            inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=evals > _GRAM_CUTOFF)
+            # (I - P_k) D = base - H_k G_k^+ H_k'D.
+            hd = np.matmul(evecs.transpose(0, 2, 1), gram[:, r:].transpose(0, 2, 1))
+            v = np.matmul(evecs, inv[:, :, None] * hd)
+            chunk = out[members]
+            np.matmul(ht, v, out=chunk)
+            np.subtract(base, chunk, out=chunk)
+            yield members, ((evals >= _GRAM_BAND[0]) & (evals <= _GRAM_BAND[1])).any(axis=1)
 
 
 def _as_matrix(a: np.ndarray) -> np.ndarray:

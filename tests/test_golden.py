@@ -121,12 +121,12 @@ def _messy(path, seed, pad):
 CASES = {
     "test": (
         ["test", "--data", "grid.csv", "--num-perms", "19", "--seed", "3"],
-        "9d37c93b8a5cdee88571bb0fdbb7ff0fc44cb4f2c5a4bdca61d950b98e039c5c",
+        "ff40ff98c38e1d062cd380ba29320f65b515953e67829a9fea0b97eb416406a8",
     ),
     "test-beta0": (
         ["test", "--data", "grid.csv", "--num-perms", "19", "--seed", "4",
          "--beta0", "0.3"],
-        "6c54ea8403ccd9d87cf90426c9b78e0fc58ce40c0b4045b1816f936b69bb0e1a",
+        "7a8bd3aec03e727990fb283725871701b5f0490e1dc99c0f112529faeedf81f1",
     ),
     "ci": (
         ["ci", "--data", "grid.csv", "--num-perms", "19", "--seed", "5",
@@ -155,11 +155,11 @@ CASES = {
     ),
     "test-threeway": (
         ["test-threeway", "--data", "box.csv", "--num-perms", "3", "--seed", "11"],
-        "cafe53e9e866390482160f9ebc2afeebc56995eb229a01bddec0e44bd3703ad6",
+        "02df38c6d684dd6e2c38f354a45dba5fc4a8af4af45ac79a16f86492815ef350",
     ),
     "test-panel": (
         ["test-panel", "--data", "box.csv", "--num-perms", "3", "--seed", "12"],
-        "bc8900be459577657d713f3cb39a6992438a7605aadbc4205982e25c9ed42bda",
+        "d6f487816a047a1ec68981768d2ce51ca79e4cacc7b8d3769b84c81c8b6f96d7",
     ),
     "test-layout": (
         ["test-layout", "--data", "box.csv", "--num-perms", "3", "--seed", "13"],
@@ -167,11 +167,11 @@ CASES = {
     ),
     "test-missing": (
         ["test-missing", "--data", "holey.csv", "--num-perms", "4", "--seed", "14"],
-        "d7d9637912083cada60d750e781c2bd00110659c239d25acc8271fef769ef58e",
+        "c4e32768e81e1b596115d3e21744222781e05765700de036f8f1a0a4530ac853",
     ),
     "test-messy-csv": (
         ["test-missing", "--data", "messy.csv", "--num-perms", "4", "--seed", "15"],
-        "9c3c9415167078a0b4fe1a42e32a235c8b3512627930b6dfb5279b4e0ba6ef61",
+        "d4836f0ba5820c31a8bdafc7ed542d0c3ebb44ca13c7c21d90190fab955d1fd6",
     ),
     "test-irregular-messy": (
         ["test-irregular", "--data", "messy-records.csv", "--num-perms", "5",

@@ -22,6 +22,17 @@ from clusterperm.permgroup import (
 from clusterperm.rng import AXIS_CELLS, AXIS_COLS, AXIS_ROWS, family_seed
 
 
+def _with_cycles(lengths):
+    """A row map made of consecutive cycles of the given lengths."""
+    gen = np.arange(sum(lengths))
+    start = 0
+    for length in lengths:
+        cycle = np.arange(start, start + length)
+        gen[cycle] = np.roll(cycle, -1)
+        start += length
+    return gen
+
+
 def _cycle_type(perm):
     n = perm.shape[0]
     seen = np.zeros(n, dtype=bool)
@@ -265,7 +276,7 @@ class TestCyclicGroup:
         assert seen == num_perms
 
     @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(2, 30), num_perms=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    @given(n=st.integers(2, 30), num_perms=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
     def test_order_must_divide_group_size(self, n, num_perms, seed):
         gen = np.random.default_rng(seed).permutation(n)
         cycles = _cycle_type(gen)
@@ -276,6 +287,22 @@ class TestCyclicGroup:
         else:
             with pytest.raises(GroupError, match="not the identity"):
                 CyclicGroup(gen, num_perms)
+
+    @pytest.mark.parametrize("size", [64, 100, 127, 128])
+    def test_squaring_check_at_large_orders(self, size):
+        # One cycle per divisor of K+1 = size: g^size is the identity, and
+        # member(k) is g applied k times for every k up to K+1.
+        gen = _with_cycles([c for c in range(2, size + 1) if size % c == 0])
+        group = CyclicGroup(gen, size - 1)
+        power = np.arange(gen.size)
+        for k in range(size + 1):
+            assert np.array_equal(group.member(k), power), k
+            power = gen[power]
+        assert np.array_equal(group.member(size), np.arange(gen.size))
+        # A cycle one longer or one shorter than K+1 does not divide it.
+        for length in (size - 1, size + 1):
+            with pytest.raises(GroupError, match=f"K\\+1={size} times is not the identity"):
+                CyclicGroup(_with_cycles([2, length]), size - 1)
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(2, 30), num_perms=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterperm import dyadic
+from clusterperm import dyadic, permgroup
 from clusterperm.dyadic import PreparedTest
 from clusterperm.permgroup import build_two_way_group
 from clusterperm.projector import PermutedAnnihilator, residual_projector
@@ -304,6 +304,34 @@ class TestCrossProductRoute:
             worst = max(worst, np.linalg.norm(pd - exact) / np.linalg.norm(D))
         assert worst <= 2e-10
 
+    @pytest.mark.parametrize("per_chunk", [1, 2, 4])
+    def test_chunked_build_matches_one_chunk(self, monkeypatch, per_chunk):
+        # K = 5 members in chunks of 1, 2 or 4: the workspace is reused, the
+        # gathered basis carries across chunk boundaries and the last chunk
+        # is short.  Member 3 leaves x nearly in place (a squared sine of
+        # ~1e-9, inside the band), so it alone takes the SVD route, with
+        # its row map built on demand.
+        X, D, y, perms = _band_case(seed=43)
+        one_chunk = PreparedTest(X, D, perms)
+        maps = []
+
+        def recording(X_, X_perm, **kwargs):
+            maps.append(X_perm)
+            return residual_projector(X_, X_perm, **kwargs)
+
+        monkeypatch.setattr(permgroup, "_CHUNK_VALUES", per_chunk * perms.shape[1])
+        monkeypatch.setattr(dyadic, "residual_projector", recording)
+        chunked = PreparedTest(X, D, perms)
+        sizes = [c.stop - c.start for c in chunked.group.chunks(perms.shape[1])]
+        monkeypatch.undo()
+        assert sizes == {1: [1] * 5, 2: [2, 2, 1], 4: [4, 1]}[per_chunk]
+        assert one_chunk.svd_members == chunked.svd_members == 1
+        assert len(maps) == 1 and np.array_equal(maps[0], X[perms[3]])
+        assert np.array_equal(chunked.pd, one_chunk.pd)
+        for got, want in zip(chunked.statistics(y), one_chunk.statistics(y)):
+            assert np.array_equal(got, want)
+        _assert_routes_agree(chunked, X, D, y, perms)
+
     def test_explicit_tol_keeps_svd_meaning(self):
         X, D, _, perms = _grid_case(seed=42)
         default = PreparedTest(X, D, perms)
@@ -334,6 +362,23 @@ def _exact_residual(W, d):
     coef = [M[c][-1] / M[c][c] for c in cols]
     return np.array([float(bi - sum(a * k for a, k in zip(row, coef)))
                      for row, bi in zip(A, b)])
+
+
+def _band_case(seed):
+    """A design whose member 3 alone lands in the band: the generator has
+    cycles of length 6, and x repeats with period 3 along each cycle up to
+    a noise of 3e-5, so g^3 nearly fixes x while g, g^2, g^4 and g^5 move
+    it.  D has two columns."""
+    perms = _cyclic_generator_perms(60, 6, 10, seed)
+    rng = np.random.default_rng(seed)
+    n = perms.shape[1]
+    x = np.zeros(n)
+    for start in np.flatnonzero(perms.min(axis=0) == np.arange(n)):
+        cycle = perms[:, start]
+        x[cycle] = np.tile(rng.standard_normal(3), 2)
+    x += 3e-5 * rng.standard_normal(n)
+    X = np.column_stack([np.ones(n), x, rng.standard_normal(n)])
+    return X, rng.standard_normal((n, 2)), rng.standard_normal(n), perms
 
 
 def _grid_case(seed):

@@ -3,7 +3,8 @@
 Invariance: every member's projector annihilates X, so the statistics see
 the outcome only through D' V_k V_k' y, and a positive rescaling multiplies
 every a_k and b_k by the same c.  The p-value must therefore not move when
-the outcome is rescaled by c > 0 or shifted by any X gamma.  A projector
+the outcome is rescaled by c > 0 or shifted by any X gamma, or when the
+treatment is rescaled, which scales every statistic alike.  A projector
 route that leaves part of col(X) or of col(X_pi) in the complement fails
 this.
 
@@ -47,8 +48,8 @@ def _transformed(y, x, transform):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(4, 9),
        n_cols=st.integers(4, 9), num_perms=st.integers(1, 7),
-       transform=_transforms)
-def test_dyadic_pvalue_invariant(seed, n_rows, n_cols, num_perms, transform):
+       transform=_transforms, log_d_scale=st.floats(-12.0, 12.0))
+def test_dyadic_pvalue_invariant(seed, n_rows, n_cols, num_perms, transform, log_d_scale):
     rng = np.random.default_rng(seed)
     shape = (n_rows, n_cols)
     x = np.stack([np.ones(shape),
@@ -57,7 +58,8 @@ def test_dyadic_pvalue_invariant(seed, n_rows, n_cols, num_perms, transform):
     d = rng.standard_normal(shape + (1,))
     y = rng.standard_normal(n_rows)[:, None] + rng.standard_normal(shape)
     base = dyadic_test(DyadArray(y=y, d=d, x=x), num_perms=num_perms, seed=seed)
-    moved = dyadic_test(DyadArray(y=_transformed(y, x, transform), d=d, x=x),
+    moved = dyadic_test(DyadArray(y=_transformed(y, x, transform),
+                                  d=10.0 ** log_d_scale * d, x=x),
                         num_perms=num_perms, seed=seed)
     assert moved.pval == base.pval
     assert moved.notes == base.notes
