@@ -5,9 +5,9 @@ stable schema and no timestamps, so a repeated invocation with the same
 inputs and seed is byte-identical.  The JSON is strict: an open-ended
 interval bound is ``null`` (``open_ended`` names the side), and any other
 non-finite number is an internal error.  Failures surface as a machine-readable
-``{"error": {"code", "message"}}`` object: a package error exits with status 2,
-any other exception with code ``InternalError``, status 3 and its traceback on
-stderr.
+``{"error": {"code", "message"}}`` object: a package error or an unwritable
+``--out`` exits with status 2, any other exception with code ``InternalError``,
+status 3 and its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -393,8 +393,11 @@ def run(config: RunConfig) -> int:
     else:
         payload = _render_text(report)
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ParseError(f"cannot write --out {config.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(payload)
     return 0

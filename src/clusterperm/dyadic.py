@@ -12,10 +12,11 @@ All functions here operate on stacked data.  Every family of row maps
 passes through :func:`~clusterperm.permgroup.as_group`, which returns the
 checked :class:`~clusterperm.permgroup.CyclicGroup` the validity argument
 needs; its members are streamed in chunks.  :func:`permutation_test` is the
-zero-effect test, and ``two_way_test`` is another name for it.  The
-multi-block tests of :mod:`~clusterperm.missing` and
-:mod:`~clusterperm.multiway` only describe their blocks of records:
-:func:`block_test` stacks them and builds their group.
+zero-effect test, and ``two_way_test`` is another name for it.
+:func:`dyadic_test` and the multi-block tests of :mod:`~clusterperm.missing`
+and :mod:`~clusterperm.multiway` only describe their blocks of records:
+:func:`block_test` stacks them, builds their group and notes the blocks with
+a side too short to move.  Only :func:`dyadic_ci` builds its group directly.
 
 :class:`PreparedTest` builds the annihilated treatments V_k V_k' D of all
 members from one orthonormal basis of col(X), through p x p cross products
@@ -43,6 +44,7 @@ from .exceptions import (
 from .model import DyadArray, PermutationFamily, StackedDesign
 from .permgroup import CyclicGroup, as_group, block_product_group, default_num_perms, two_way_group
 from .projector import PermutedAnnihilator, residual_projector
+from .rng import AXIS_COLS, AXIS_ROWS
 
 _DEGENERATE_REL = 1e-10
 
@@ -321,16 +323,7 @@ def permutation_test(
 two_way_test = permutation_test
 
 
-def short_blocks(blocks, num_perms: int) -> int:
-    """How many blocks have a moving axis shorter than K+1 (its indices stay fixed)."""
-    return sum(
-        any(size <= num_perms for size, axis in zip(np.shape(records), axes) if axis is not None)
-        for _, axes, records in blocks
-    )
-
-
-def block_test(x, d, y, blocks, num_perms: int, seed, tol: float | None = None,
-               notes: tuple[str, ...] = ()) -> TestReport:
+def block_test(x, d, y, blocks, num_perms: int, seed, tol: float | None = None) -> TestReport:
     """Test with cyclic families acting on disjoint blocks of stacked records.
 
     Each block is ``(key, axes, records)``: ``records`` holds positions of
@@ -338,12 +331,13 @@ def block_test(x, d, y, blocks, num_perms: int, seed, tol: float | None = None,
     gives per box axis its ``AXIS_*`` family stream, or ``None`` to keep it
     fixed.  The boxes are stacked row-major in order and permuted by
     :func:`~clusterperm.permgroup.block_product_group`; ``seed`` seeds it and
-    the report.  Rows in no block never enter the test.
+    the report.  Rows in no block never enter the test.  A moving axis with
+    at most K indices never moves; the report notes how many blocks have one.
     """
     if not blocks:
         raise NoEligibleCellsError("no block of records to permute: the cover has no "
                                    "fully observed block with both sides >= min_block")
-    specs, order = [], []
+    specs, order, short = [], [], 0
     for key, axes, records in blocks:
         records = np.asarray(records, dtype=np.intp)
         if records.ndim != len(axes):
@@ -352,10 +346,22 @@ def block_test(x, d, y, blocks, num_perms: int, seed, tol: float | None = None,
             )
         specs.append((key, tuple(zip(records.shape, axes))))
         order.append(records.reshape(-1))
+        short += any(size <= num_perms for size, axis in specs[-1][1] if axis is not None)
+    notes = (f"{short} of {len(specs)} blocks have a side shorter than "
+             f"K+1={num_perms + 1}; their indices stay fixed",) if short else ()
     order = np.concatenate(order)
     group = block_product_group(specs, num_perms, seed)
     return permutation_test(np.asarray(x)[order], np.asarray(d)[order], np.asarray(y)[order],
                             group, seed=seed, tol=tol, notes=notes)
+
+
+def _beta_vector(beta0, d: int) -> np.ndarray:
+    """``beta0`` as a finite vector of length d, or a typed error."""
+    beta_vec = np.atleast_1d(np.asarray(beta0, dtype=float))
+    if beta_vec.shape != (d,):
+        raise DimensionError(f"beta0 must have shape ({d},), got {beta_vec.shape}")
+    _require_finite(beta_vec, "beta0")
+    return beta_vec
 
 
 def shifted_test(
@@ -375,15 +381,8 @@ def shifted_test(
     """
     if prepared is None:
         prepared = PreparedTest(X, D, family, tol=tol)
-    D_mat = prepared.D
-    beta_vec = np.atleast_1d(np.asarray(beta0, dtype=float))
-    if beta_vec.shape != (D_mat.shape[1],):
-        raise DimensionError(
-            f"beta0 must have shape ({D_mat.shape[1]},), got {beta_vec.shape}"
-        )
-    _require_finite(beta_vec, "beta0")
-    y_shift = prepared._outcome(y) - D_mat @ beta_vec
-    return prepared.report(y_shift, seed=seed)
+    beta_vec = _beta_vector(beta0, prepared.D.shape[1])
+    return prepared.report(prepared._outcome(y) - prepared.D @ beta_vec, seed=seed)
 
 
 def _ols_center_and_unit(X: np.ndarray, D: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -531,14 +530,6 @@ def median_pvalue(pvals) -> float:
     return arr[(len(arr) - 1) // 2]
 
 
-def _stacked_dyadic(array: DyadArray, num_perms: int | None, seed: int):
-    """Stacked design and two-way group of a complete dyadic array."""
-    design = StackedDesign.from_array(array)
-    if num_perms is None:
-        num_perms = default_num_perms(array.n_rows, array.n_cols)
-    return design, two_way_group(array.n_rows, array.n_cols, num_perms, seed)
-
-
 def dyadic_test(
     array: DyadArray,
     num_perms: int | None = None,
@@ -548,13 +539,19 @@ def dyadic_test(
 ) -> TestReport:
     """Convenience front end: stack a complete dyadic array and test.
 
+    The grid is one :func:`block_test` block whose rows and columns move.
     ``beta0`` (scalar or length-d vector) switches to the shifted point
-    null; default is the zero-effect null.
+    null, testing y - D beta0; default is the zero-effect null.
     """
-    design, group = _stacked_dyadic(array, num_perms, seed)
-    if beta0 is None:
-        return permutation_test(design.x, design.d, design.y, group, seed=seed, tol=tol)
-    return shifted_test(design.x, design.d, design.y, group, beta0, seed=seed, tol=tol)
+    design = StackedDesign.from_array(array)
+    if num_perms is None:
+        num_perms = default_num_perms(array.n_rows, array.n_cols)
+    y = design.y
+    if beta0 is not None:
+        y = y - design.d @ _beta_vector(beta0, design.d.shape[1])
+    grid = np.arange(design.n).reshape(array.n_rows, array.n_cols)
+    return block_test(design.x, design.d, y, [(0, (AXIS_ROWS, AXIS_COLS), grid)],
+                      num_perms, seed, tol)
 
 
 def dyadic_ci(
@@ -566,6 +563,9 @@ def dyadic_ci(
     tol: float | None = None,
 ) -> ConfidenceInterval:
     """Convenience front end for interval inversion on a dyadic array."""
-    design, group = _stacked_dyadic(array, num_perms, seed)
+    design = StackedDesign.from_array(array)
+    if num_perms is None:
+        num_perms = default_num_perms(array.n_rows, array.n_cols)
+    group = two_way_group(array.n_rows, array.n_cols, num_perms, seed)
     return invert_ci(design.x, design.d, design.y, group, alpha=alpha,
                      grid=grid, seed=seed, tol=tol)

@@ -12,12 +12,11 @@ cell positions per cover block to :func:`~clusterperm.dyadic.block_test`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import TestReport, block_test, short_blocks
+from .dyadic import TestReport, block_test
 from .exceptions import (
     CapExceededError,
     DimensionError,
@@ -441,7 +440,8 @@ def blockwise_test(
     Rows and columns are permuted within each block by independent cyclic
     families sharing the member index; cells outside the cover stay fixed
     (they never enter the stacked data).  Blocks with a side shorter than
-    K+1 keep those indices fixed, which is valid but contributes little.
+    K+1 keep those indices fixed, which is valid but contributes little; the
+    report notes how many blocks do.
     An empty cover raises :class:`~clusterperm.exceptions.NoEligibleCellsError`.
     """
     mask = as_mask(mask)
@@ -456,15 +456,6 @@ def blockwise_test(
     grid = np.arange(array.n_rows * array.n_cols).reshape(array.n_rows, array.n_cols)
     blocks = [(q, (AXIS_ROWS, AXIS_COLS), grid[np.ix_(rows, cols)])
               for q, (rows, cols) in enumerate(cover.blocks)]
-    notes = ()
-    short = short_blocks(blocks, num_perms)
-    if short:
-        message = (
-            f"{short} of {len(cover)} blocks have a side shorter than "
-            f"K+1={num_perms + 1}; their indices stay fixed"
-        )
-        warnings.warn(message)
-        notes = (message,)
     cells = grid.size
     return block_test(array.x.reshape(cells, array.p), array.d.reshape(cells, array.d_dim),
-                      array.y.reshape(cells), blocks, num_perms, seed, tol, notes)
+                      array.y.reshape(cells), blocks, num_perms, seed, tol)

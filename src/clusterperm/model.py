@@ -185,10 +185,6 @@ class TwoWayPermutation:
                 raise DimensionError(f"{name} {fault}")
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def identity(cls, n_rows: int, n_cols: int) -> "TwoWayPermutation":
-        return cls(np.arange(n_rows), np.arange(n_cols))
-
     @property
     def n_rows(self) -> int:
         return self.pi.shape[0]

@@ -14,7 +14,9 @@ permutations may move:
 Every layout is one call to :func:`~clusterperm.dyadic.block_test`, which
 only needs its blocks of record positions: one per box, cell or cover block,
 with a cyclic family per moving axis and ``None`` for an axis that stays
-fixed (panel periods, irregular slots).
+fixed (panel periods, irregular slots).  ``block_test`` also writes every
+report's note on what stays fixed: how many boxes, cells or cover blocks have
+a moving side of at most K indices.  An axis given as ``None`` never counts.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import TestReport, block_test, median_pvalue, short_blocks
+from .dyadic import TestReport, block_test, median_pvalue
 from .exceptions import (
     DimensionError,
     NoEligibleCellsError,
@@ -198,7 +200,7 @@ def layout_test(
     Valid whenever observations of the same cell are exchangeable, even in
     the presence of arbitrary fixed cell effects.  Every cell of the grid
     must hold at least one record; cells shorter than K+1 keep their
-    records fixed.
+    records fixed, and the report notes how many do.
     """
     sizes = data.cell_sizes()
     if (sizes == 0).any():
@@ -208,19 +210,7 @@ def layout_test(
         )
     blocks = [(i * data.n_cols + j, (AXIS_CELLS,), positions)
               for (i, j), positions in _cells_in_order(data).items()]
-    frozen = short_blocks(blocks, num_perms)
-    notes = ()
-    if frozen == len(blocks):
-        notes = (
-            f"every cell is shorter than K+1={num_perms + 1}; all permutations "
-            "are the identity and the p-value is 1",
-        )
-    elif frozen:
-        notes = (
-            f"{frozen} of {len(blocks)} cells are shorter than K+1={num_perms + 1} "
-            "and keep their records fixed",
-        )
-    return block_test(data.x, data.d, data.y, blocks, num_perms, seed, tol, notes)
+    return block_test(data.x, data.d, data.y, blocks, num_perms, seed, tol)
 
 
 @dataclass(frozen=True)
@@ -347,10 +337,4 @@ def _trimmed_block_run(data: MultiIndexDataset, cells: dict, cover: BicliqueCove
     blocks = [(q, (AXIS_ROWS, AXIS_COLS, None),
                np.array([[trim(cells[i, j]) for j in cols] for i in rows]))
               for q, (rows, cols) in enumerate(cover.blocks)]
-    notes = ()
-    if short_blocks(blocks, num_perms):
-        notes = (
-            f"some blocks have a side shorter than K+1={num_perms + 1}; "
-            "their indices stay fixed",
-        )
-    return block_test(data.x, data.d, data.y, blocks, num_perms, rs, tol, notes)
+    return block_test(data.x, data.d, data.y, blocks, num_perms, rs, tol)

@@ -160,21 +160,16 @@ def as_group(family, n: int) -> CyclicGroup:
     return CyclicGroup(gen, perms.shape[0] - 1)
 
 
-def _blockwise_shift(n: int, num_perms: int, k: int) -> np.ndarray:
-    """The k-th canonical shift on 0-based [n].
+def _blockwise_shift(n: int, num_perms: int) -> np.ndarray:
+    """The canonical shift on 0-based [n], member 1 before relabeling.
 
     Indices past the last complete block of K+1 stay fixed.  Within a block,
-    an index with residue r (1-based, residue 0 read as K+1) moves forward by
-    k when r <= K+1-k and wraps back by K+1-k otherwise.
+    every index moves forward by one and the last wraps back to the first.
     """
     size = num_perms + 1
-    m = size * (n // size)
-    idx = np.arange(n)
-    out = idx.copy()
-    head = idx[:m]
-    r0 = head % size  # r0 = r - 1 for the 1-based residue r in {1..K+1}
-    forward = r0 <= num_perms - k
-    out[:m] = np.where(forward, head + k, head - (size - k))
+    out = np.arange(n)
+    head = out[: size * (n // size)]
+    head += np.where(head % size < num_perms, 1, -num_perms)
     return out
 
 
@@ -191,7 +186,7 @@ def _cyclic_generator(n: int, num_perms: int, seed) -> np.ndarray:
     relabel = rng.permutation(n)
     inverse = np.empty(n, dtype=np.intp)
     inverse[relabel] = np.arange(n)
-    return inverse[_blockwise_shift(n, num_perms, 1)[relabel]]
+    return inverse[_blockwise_shift(n, num_perms)[relabel]]
 
 
 def build_cyclic_family(n: int, num_perms: int, seed) -> np.ndarray:

@@ -20,7 +20,6 @@ from clusterperm.dyadic import (
     permutation_test,
     pvalue_from_stats,
     shifted_test,
-    short_blocks,
     two_way_test,
 )
 from clusterperm.exceptions import (
@@ -290,6 +289,11 @@ class TestGroupEqualsLegacyFamily:
         assert report.pval == legacy.pval
         assert report.a.tobytes() == legacy.a.tobytes()
         assert report.b.tobytes() == legacy.b.tobytes()
+        shifted = dyadic_test(array, num_perms=num_perms, seed=seed, beta0=0.3)
+        legacy = shifted_test(design.x, design.d, design.y, family, 0.3, seed=seed)
+        assert shifted.pval == legacy.pval
+        assert shifted.a.tobytes() == legacy.a.tobytes()
+        assert shifted.b.tobytes() == legacy.b.tobytes()
         alpha = 1.0 / (num_perms + 1)
         ci = dyadic_ci(array, alpha=alpha, num_perms=num_perms, seed=seed)
         legacy_ci = invert_ci(design.x, design.d, design.y, family, alpha=alpha)
@@ -359,13 +363,19 @@ class TestBlockTest:
         assert report.a.tobytes() == direct.a.tobytes()
         assert report.b.tobytes() == direct.b.tobytes()
 
-    def test_short_blocks_counts_moving_axes_only(self):
-        blocks = [(0, (AXIS_ROWS, AXIS_COLS), np.zeros((3, 6))),
-                  (1, (AXIS_CELLS, None), np.zeros((6, 3))),
-                  (2, (AXIS_CELLS,), np.zeros(6))]
-        assert short_blocks(blocks, 5) == 1
-        assert short_blocks(blocks, 2) == 0
-        assert short_blocks(blocks, 6) == 3
+    def test_short_side_note_counts_moving_axes_only(self):
+        # block 1's fixed side of 3 never counts; at K = 6 no axis moves
+        X, D, y = _design(n=7, seed=39)
+        blocks = [(0, (AXIS_ROWS, AXIS_COLS), np.arange(18).reshape(3, 6)),
+                  (1, (AXIS_CELLS, None), np.arange(18, 36).reshape(6, 3)),
+                  (2, (AXIS_CELLS,), np.arange(36, 42))]
+        assert block_test(X, D, y, blocks, 2, 39).notes == ()
+        for num_perms, short in ((5, 1), (6, 3)):
+            notes = block_test(X, D, y, blocks, num_perms, 39).notes
+            assert notes[0] == (f"{short} of 3 blocks have a side shorter than "
+                                f"K+1={num_perms + 1}; their indices stay fixed")
+            assert sum("blocks have a side" in note for note in notes) == 1
+            assert any("acts as the identity" in note for note in notes) == (short == 3)
 
     def test_empty_block_list_raises(self):
         X, D, y = _design(n=6, seed=37)
@@ -548,6 +558,17 @@ class TestFrontEnds:
         plain = dyadic_test(array, num_perms=7, seed=23)
         at_truth = dyadic_test(array, num_perms=7, seed=23, beta0=0.4)
         assert at_truth.pval >= plain.pval
+
+    @pytest.mark.parametrize("beta0", [None, 0.2])
+    def test_dyadic_test_notes_a_short_side(self, beta0):
+        # K = 19 moves the 30 columns but not the 5 rows
+        rng = np.random.default_rng(25)
+        array = DyadArray(rng.standard_normal((5, 30)), rng.standard_normal((5, 30)),
+                          np.ones((5, 30, 1)))
+        report = dyadic_test(array, num_perms=19, seed=25, beta0=beta0)
+        assert report.notes == ("1 of 1 blocks have a side shorter than K+1=20; "
+                                "their indices stay fixed",)
+        assert 0.0 < report.pval <= 1.0
 
     def test_dyadic_ci_front_end(self):
         array, _ = gen_dyadic_dataset(10, beta=0.3, seed=24)

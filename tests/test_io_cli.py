@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -688,19 +689,16 @@ class TestCliCommands:
         assert "line 2" in payload["error"]["message"]
 
     def test_non_group_family_exits_2(self, tmp_path, capsys, monkeypatch):
-        # K random two-way permutations do not close into a group, so the
-        # p-value would not be valid: the run must fail closed.
+        # K random row maps do not close into a group, so the p-value would
+        # not be valid: the run must fail closed.
         from clusterperm import dyadic
-        from clusterperm.model import PermutationFamily, TwoWayPermutation
 
-        def random_family(n_rows, n_cols, num_perms, seed):
+        def random_map(specs, num_perms, seed):
+            n = sum(int(np.prod([size for size, _ in axes])) for _, axes in specs)
             rng = np.random.default_rng(seed)
-            return PermutationFamily(
-                (TwoWayPermutation(np.arange(n_rows), np.arange(n_cols)),)
-                + tuple(TwoWayPermutation(rng.permutation(n_rows), rng.permutation(n_cols))
-                        for _ in range(num_perms)))
+            return np.vstack([np.arange(n)] + [rng.permutation(n) for _ in range(num_perms)])
 
-        monkeypatch.setattr(dyadic, "two_way_group", random_family)
+        monkeypatch.setattr(dyadic, "block_product_group", random_map)
         path, _ = _dyadic_csv(tmp_path, n=6, seed=9)
         payload = self._json_run(
             ["test", "--data", path, "--num-perms", "5", "--seed", "1"],
@@ -911,7 +909,16 @@ class TestCliCommands:
             payload = self._json_run(["test", "--data", path], capsys, expect_exit=3)
         assert payload == {"error": {"code": "InternalError", "message": "RuntimeError: boom"}}
 
-    def test_diagnostics_capture_warnings(self, tmp_path, capsys):
+    def test_diagnostics_capture_warnings(self, tmp_path, capsys, monkeypatch):
+        # The engine raises no Python warning (its notes are in the results),
+        # so one is injected to check that a warning lands in the diagnostics.
+        real = cli.blockwise_test
+
+        def warning_blockwise(*args, **kwargs):
+            warnings.warn("injected warning")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "blockwise_test", warning_blockwise)
         path, _ = _dyadic_csv(tmp_path, n=8, seed=14)
         lines = open(path).read().strip().split("\n")
         kept = [lines[0]] + [r for t, r in enumerate(lines[1:]) if t % 9 != 5]
@@ -920,4 +927,16 @@ class TestCliCommands:
             ["test-missing", "--data", sparse, "--num-perms", "9", "--seed", "14"],
             capsys,
         )
-        assert any("shorter" in w for w in report["diagnostics"]["warnings"])
+        assert report["diagnostics"]["warnings"] == ["injected warning"]
+        assert any("shorter" in note for note in report["results"]["notes"])
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        path = _box_csv(tmp_path, m=6, n=6, ell=2, seed=10)
+        out = tmp_path / "missing-dir" / "r.json"
+        code = main(["test-layout", "--data", path, "--num-perms", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.out)["error"]
+        assert error["code"] == "ParseError"
+        assert error["message"].startswith(f"cannot write --out {out}: ")
+        assert "Traceback" not in captured.err

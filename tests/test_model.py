@@ -104,7 +104,7 @@ class TestDyadArray:
 
 class TestTwoWayPermutation:
     def test_identity_stacked_is_arange(self):
-        perm = TwoWayPermutation.identity(3, 4)
+        perm = TwoWayPermutation(np.arange(3), np.arange(4))
         assert perm.is_identity()
         assert np.array_equal(perm.stacked(), np.arange(12))
 
@@ -145,7 +145,7 @@ class TestPermutationFamily:
             PermutationFamily((swap,))
 
     def test_stacked_shape(self):
-        identity = TwoWayPermutation.identity(2, 3)
+        identity = TwoWayPermutation(np.arange(2), np.arange(3))
         swap = TwoWayPermutation(pi=[1, 0], sigma=[1, 2, 0])
         family = PermutationFamily((identity, swap))
         stacked = family.stacked()
@@ -156,5 +156,6 @@ class TestPermutationFamily:
     def test_mixed_grids_rejected(self):
         with pytest.raises(DimensionError):
             PermutationFamily(
-                (TwoWayPermutation.identity(2, 3), TwoWayPermutation.identity(3, 2))
+                (TwoWayPermutation(np.arange(2), np.arange(3)),
+                 TwoWayPermutation(np.arange(3), np.arange(2)))
             )

@@ -182,6 +182,19 @@ class TestThreewayAndPanel:
         panel = panel_test(data, num_perms=3, seed=10)
         assert not np.allclose(three.b, panel.b)
 
+    def test_short_third_axis_noted(self):
+        # 8 x 8 x 2 at K = 3: the third axis moves in a three-way test but
+        # holds only 2 indices; a panel keeps periods fixed, which never count
+        data = _box_data(8, 8, 2, seed=30)
+        assert threeway_test(data, num_perms=3, seed=30).notes == (
+            "1 of 1 blocks have a side shorter than K+1=4; their indices stay fixed",)
+        assert panel_test(data, num_perms=3, seed=30).notes == ()
+
+    def test_full_box_has_no_note(self):
+        data = _box_data(8, 8, 4, seed=31)
+        assert threeway_test(data, num_perms=3, seed=31).notes == ()
+        assert panel_test(data, num_perms=3, seed=31).notes == ()
+
 
 class TestLayoutTest:
     def test_empty_cell_rejected(self):
@@ -215,7 +228,7 @@ class TestLayoutTest:
             x=np.ones((n_obs, 1)),
         )
         report = layout_test(data, num_perms=3, seed=13)
-        assert any("1 of 4 cells" in note for note in report.notes)
+        assert any("1 of 4 blocks" in note for note in report.notes)
 
     def test_within_cell_resolution(self):
         # cells of 8 records support K = 7 with full resolution

@@ -49,30 +49,41 @@ def _cycle_type(perm):
     return tuple(sorted(lengths))
 
 
+def _shift_power(n, num_perms, k):
+    """The k-th power of the canonical shift, written out directly: within
+    each complete block of K+1 an index moves forward by k, cyclically."""
+    size = num_perms + 1
+    idx = np.arange(n)
+    m = size * (n // size)
+    idx[:m] = idx[:m] - idx[:m] % size + (idx[:m] % size + k) % size
+    return idx
+
+
 class TestBlockwiseShift:
     def test_frozen_six_with_two_perms(self):
-        # n = 6, K = 2, k = 1: 1-based images (2, 3, 1, 5, 6, 4)
-        assert _blockwise_shift(6, 2, 1).tolist() == [1, 2, 0, 4, 5, 3]
+        # n = 6, K = 2: 1-based images (2, 3, 1, 5, 6, 4)
+        assert _blockwise_shift(6, 2).tolist() == [1, 2, 0, 4, 5, 3]
 
     def test_frozen_six_second_member(self):
-        # k = 2 is the square of k = 1: 1-based images (3, 1, 2, 6, 4, 5)
-        assert _blockwise_shift(6, 2, 2).tolist() == [2, 0, 1, 5, 3, 4]
+        # member 2 is the square of member 1: 1-based images (3, 1, 2, 6, 4, 5)
+        first = _blockwise_shift(6, 2)
+        assert first[first].tolist() == [2, 0, 1, 5, 3, 4]
 
     def test_tail_is_fixed(self):
         # n = 7 leaves one index beyond the last complete block of 3
-        assert _blockwise_shift(7, 2, 1).tolist() == [1, 2, 0, 4, 5, 3, 6]
+        assert _blockwise_shift(7, 2).tolist() == [1, 2, 0, 4, 5, 3, 6]
 
     def test_short_vector_is_identity(self):
         # no complete block when n < K + 1
-        assert _blockwise_shift(3, 4, 2).tolist() == [0, 1, 2]
+        assert _blockwise_shift(3, 4).tolist() == [0, 1, 2]
 
     def test_members_are_powers_of_the_first(self):
-        for n, num_perms in ((12, 3), (10, 4), (9, 2)):
-            first = _blockwise_shift(n, num_perms, 1)
+        for n, num_perms in ((12, 3), (10, 4), (9, 2), (7, 2), (3, 4)):
+            first = _blockwise_shift(n, num_perms)
             power = np.arange(n)
-            for k in range(1, num_perms + 1):
+            for k in range(1, num_perms + 2):
                 power = first[power]
-                assert np.array_equal(_blockwise_shift(n, num_perms, k), power)
+                assert np.array_equal(_shift_power(n, num_perms, k), power)
 
 
 class TestBuildCyclicFamily:
@@ -90,7 +101,7 @@ class TestBuildCyclicFamily:
         for seed in range(5):
             family = build_cyclic_family(12, 2, seed=seed)
             for k in (1, 2):
-                raw = _blockwise_shift(12, 2, k)
+                raw = _shift_power(12, 2, k)
                 assert _cycle_type(family[k]) == _cycle_type(raw)
 
     def test_family_is_cyclic_in_k(self):
@@ -170,7 +181,7 @@ def _reference_family(n, num_perms, seed):
     relabel = np.random.default_rng(seed).permutation(n)
     inverse = np.empty(n, dtype=np.intp)
     inverse[relabel] = np.arange(n)
-    return np.stack([inverse[_blockwise_shift(n, num_perms, k)[relabel]]
+    return np.stack([inverse[_shift_power(n, num_perms, k)[relabel]]
                      for k in range(num_perms + 1)])
 
 
