@@ -20,11 +20,13 @@ from .dyadic import (
     PreparedTest,
     TestReport,
     dyadic_ci,
+    dyadic_layout,
     dyadic_test,
     invert_ci,
     median_pvalue,
     permutation_test,
     shifted_test,
+    stack_blocks,
     two_way_test,
 )
 from .exceptions import (
@@ -60,7 +62,6 @@ from .model import (
     TwoWayPermutation,
     compose,
     row_index,
-    stack,
 )
 from .multiway import (
     IrregularResult,
@@ -79,7 +80,6 @@ from .permgroup import (
     composition_law_holds,
     default_num_perms,
     fixed_point_free,
-    two_way_group,
     verify_group,
 )
 from .projector import ResidualProjector, residual_projector
@@ -137,6 +137,7 @@ __all__ = [
     "composition_law_holds",
     "default_num_perms",
     "dyadic_ci",
+    "dyadic_layout",
     "dyadic_test",
     "fixed_point_free",
     "gen_dyadic_dataset",
@@ -159,10 +160,9 @@ __all__ = [
     "row_index",
     "residual_projector",
     "shifted_test",
-    "stack",
+    "stack_blocks",
     "suggest_cell_threshold",
     "threeway_test",
-    "two_way_group",
     "two_way_test",
     "verify_group",
 ]

@@ -8,15 +8,13 @@ which keeps the test level-correct at the cost of conservatism:
 
     pval = (1 + #{k : min_j a_j <= b_k}) / (K + 1).
 
-All functions here operate on stacked data.  Every family of row maps
-passes through :func:`~clusterperm.permgroup.as_group`, which returns the
-checked :class:`~clusterperm.permgroup.CyclicGroup` the validity argument
-needs; its members are streamed in chunks.  :func:`permutation_test` is the
-zero-effect test, and ``two_way_test`` is another name for it.
-:func:`dyadic_test` and the multi-block tests of :mod:`~clusterperm.missing`
-and :mod:`~clusterperm.multiway` only describe their blocks of records:
-:func:`block_test` stacks them, builds their group and notes the blocks with
-a side too short to move.  Only :func:`dyadic_ci` builds its group directly.
+Every family of row maps passes through :func:`~clusterperm.permgroup.as_group`,
+which returns the checked :class:`~clusterperm.permgroup.CyclicGroup` the
+validity argument needs; its members are streamed in chunks.
+:func:`permutation_test` is the zero-effect test (``two_way_test`` is another
+name for it).  Every front end only describes its blocks of records:
+:func:`stack_blocks` stacks them, builds their group and notes the blocks
+with a side too short to move, and :func:`dyadic_layout` is a grid's one block.
 
 :class:`PreparedTest` builds the annihilated treatments V_k V_k' D of all
 members from one orthonormal basis of col(X), through p x p cross products
@@ -42,7 +40,7 @@ from .exceptions import (
     ResolutionError,
 )
 from .model import DyadArray, PermutationFamily, StackedDesign
-from .permgroup import CyclicGroup, as_group, block_product_group, default_num_perms, two_way_group
+from .permgroup import CyclicGroup, as_group, block_product_group, default_num_perms
 from .projector import PermutedAnnihilator, residual_projector
 from .rng import AXIS_COLS, AXIS_ROWS
 
@@ -88,6 +86,7 @@ class ConfidenceInterval:
     alpha: float
     grid: dict
     open_ended: tuple[bool, bool]
+    notes: tuple[str, ...] = ()
 
     def covers(self, value: float) -> bool:
         return self.lower <= value <= self.upper
@@ -100,6 +99,7 @@ class ConfidenceInterval:
             "alpha": self.alpha,
             "open_ended": list(self.open_ended),
             "grid": dict(self.grid),
+            "notes": list(self.notes),
         }
 
 
@@ -135,6 +135,14 @@ def _require_finite(values: np.ndarray, name: str) -> None:
         )
 
 
+def _require_no_overflow(name: str, *values) -> None:
+    """Fail closed when squares or products of finite ``name`` data overflow;
+    the callers silence numpy's overflow warnings, which this error replaces."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise NonFiniteInputError(f"{name} is too large: its squared norms or "
+                                  "statistics overflow float64; rescale it")
+
+
 class PreparedTest:
     """Annihilated treatments and the group for a fixed (X, D, family).
 
@@ -163,11 +171,13 @@ class PreparedTest:
     projector outlives the build.
 
     ``degenerate`` holds iff max_k ||pd_k|| <= 1e-10 ||D||, whatever the
-    scale of D; each chunk's norms are taken as it is written.
+    scale of D; each chunk's norms are taken as it is written.  An overflow
+    of ||D||^2 or ||pd_k||^2 raises :class:`NonFiniteInputError` instead.
     """
 
     projectors: tuple = ()
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(
         self,
         X: np.ndarray,
@@ -210,9 +220,11 @@ class PreparedTest:
                 out[i] = residual_projector(X, X[perm], tol=tol).annihilate(D)
             self.svd_members += int(np.count_nonzero(flagged))
             flat = out.reshape(len(flagged), -1)
-            pd_scale = max(pd_scale, float(np.matmul(flat[:, None], flat[:, :, None]).max()))
+            pd_scale = np.maximum(pd_scale, np.matmul(flat[:, None], flat[:, :, None]).max())
         self.pd = pd
-        self.degenerate = bool(np.sqrt(pd_scale) <= _DEGENERATE_REL * np.linalg.norm(D))
+        d_norm = np.linalg.norm(D)
+        _require_no_overflow("treatment", d_norm, pd_scale)
+        self.degenerate = bool(np.sqrt(pd_scale) <= _DEGENERATE_REL * d_norm)
         # In a cyclic group every member is the identity iff member 1 is.
         self.all_identity = bool(np.array_equal(group.generator, np.arange(n)))
 
@@ -240,44 +252,36 @@ class PreparedTest:
             moved[members] = np.einsum("knd,kn->kd", self.pd[members], v_perm)
         return fixed, moved
 
+    @np.errstate(over="ignore", invalid="ignore")
     def statistics(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Observed and permuted statistics (a, b) for one outcome vector."""
         a_vec, b_vec = self._contract(self._outcome(y))
-        return np.linalg.norm(a_vec, axis=1), np.linalg.norm(b_vec, axis=1)
+        a, b = np.linalg.norm(a_vec, axis=1), np.linalg.norm(b_vec, axis=1)
+        _require_no_overflow("outcome", a, b)
+        return a, b
 
     def min_stat(self, values: np.ndarray) -> float:
         """min_k ||D' V_k V_k' values||, the minorized statistic."""
         stat = np.einsum("knd,n->kd", self.pd, self._outcome(values))
         return float(np.linalg.norm(stat, axis=1).min())
 
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """Why every p-value is 1, if it is: no member moves, or D is annihilated."""
+        return (("every group member acts as the identity (axes shorter than "
+                 "the group size stay fixed); the p-value is 1 by construction",)
+                if self.all_identity else ()) + (
+                ("treatment is annihilated by every projector; statistic is "
+                 "degenerate and the p-value is reported as 1",)
+                if self.degenerate else ())
+
     def report(self, y: np.ndarray, seed: int | None = None,
                notes: tuple[str, ...] = ()) -> TestReport:
         a, b = self.statistics(y)
-        notes = tuple(notes)
-        if self.all_identity:
-            notes = notes + (
-                "every group member acts as the identity (axes shorter than "
-                "the group size stay fixed); the p-value is 1 by construction",
-            )
-        if self.degenerate:
-            notes = notes + (
-                "treatment is annihilated by every projector; statistic is "
-                "degenerate and the p-value is reported as 1",
-            )
-        if self.degenerate or self.all_identity:
-            pval = 1.0
-        else:
-            pval = pvalue_from_stats(a, b)
-        return TestReport(
-            pval=pval,
-            a=a,
-            b=b,
-            num_perms=self.num_perms,
-            min_a=float(a.min()),
-            alpha_floor=self.alpha_floor,
-            seed=seed,
-            notes=notes,
-        )
+        pval = 1.0 if self.degenerate or self.all_identity else pvalue_from_stats(a, b)
+        return TestReport(pval=pval, a=a, b=b, num_perms=self.num_perms, min_a=float(a.min()),
+                          alpha_floor=self.alpha_floor, seed=seed,
+                          notes=tuple(notes) + self.notes)
 
 
 def pvalue_from_stats(a: np.ndarray, b: np.ndarray):
@@ -323,16 +327,17 @@ def permutation_test(
 two_way_test = permutation_test
 
 
-def block_test(x, d, y, blocks, num_perms: int, seed, tol: float | None = None) -> TestReport:
-    """Test with cyclic families acting on disjoint blocks of stacked records.
+def stack_blocks(x, d, y, blocks, num_perms: int, seed):
+    """Stack disjoint blocks of records and build the group that permutes them.
 
     Each block is ``(key, axes, records)``: ``records`` holds positions of
     rows of x, d and y in an array shaped like the block's box, and ``axes``
     gives per box axis its ``AXIS_*`` family stream, or ``None`` to keep it
     fixed.  The boxes are stacked row-major in order and permuted by
-    :func:`~clusterperm.permgroup.block_product_group`; ``seed`` seeds it and
-    the report.  Rows in no block never enter the test.  A moving axis with
-    at most K indices never moves; the report notes how many blocks have one.
+    :func:`~clusterperm.permgroup.block_product_group`, seeded by ``seed``.
+    Rows in no block never enter; records already in stacked order come back
+    as views.  Returns ``(x, d, y, group, notes)``: a moving axis with at most
+    K indices never moves, and ``notes`` says how many blocks have one.
     """
     if not blocks:
         raise NoEligibleCellsError("no block of records to permute: the cover has no "
@@ -350,9 +355,27 @@ def block_test(x, d, y, blocks, num_perms: int, seed, tol: float | None = None) 
     notes = (f"{short} of {len(specs)} blocks have a side shorter than "
              f"K+1={num_perms + 1}; their indices stay fixed",) if short else ()
     order = np.concatenate(order)
+    if np.array_equal(order, np.arange(order.size)):
+        order = slice(order.size)
     group = block_product_group(specs, num_perms, seed)
-    return permutation_test(np.asarray(x)[order], np.asarray(d)[order], np.asarray(y)[order],
-                            group, seed=seed, tol=tol, notes=notes)
+    return np.asarray(x)[order], np.asarray(d)[order], np.asarray(y)[order], group, notes
+
+
+def block_test(x, d, y, blocks, num_perms: int, seed, tol: float | None = None) -> TestReport:
+    """Zero-effect test on the layout of :func:`stack_blocks`, with its notes."""
+    *layout, notes = stack_blocks(x, d, y, blocks, num_perms, seed)
+    return permutation_test(*layout, seed=seed, tol=tol, notes=notes)
+
+
+def dyadic_layout(array: DyadArray, num_perms: int | None = None, seed=0):
+    """:func:`stack_blocks` for a complete grid: one block whose rows and
+    columns both move.  K defaults to :func:`default_num_perms` of the grid."""
+    design = StackedDesign.from_array(array)
+    if num_perms is None:
+        num_perms = default_num_perms(array.n_rows, array.n_cols)
+    grid = np.arange(design.n).reshape(array.n_rows, array.n_cols)
+    return stack_blocks(design.x, design.d, design.y, [(0, (AXIS_ROWS, AXIS_COLS), grid)],
+                        num_perms, seed)
 
 
 def _beta_vector(beta0, d: int) -> np.ndarray:
@@ -414,9 +437,12 @@ class _AffineStats:
     of point nulls costs two contractions plus scalar work.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, prepared: PreparedTest, y: np.ndarray):
         self.u, self.w = (col[:, 0] for col in prepared._contract(prepared._outcome(y)))
         self.v, self.z = (col[:, 0] for col in prepared._contract(prepared.D[:, 0]))
+        _require_no_overflow("outcome", self.u, self.w)
+        _require_no_overflow("treatment", self.v, self.z)
 
     def pvalues(self, points: np.ndarray) -> np.ndarray:
         a = np.abs(self.u[None, :] - points[:, None] * self.v[None, :])
@@ -433,6 +459,7 @@ def invert_ci(
     grid: GridSpec | None = None,
     seed: int | None = None,
     tol: float | None = None,
+    notes: tuple[str, ...] = (),
 ) -> ConfidenceInterval:
     """Confidence interval for a scalar treatment effect by test inversion.
 
@@ -441,6 +468,8 @@ def invert_ci(
     endpoints are rejected.  A side whose endpoint is still accepted after
     the final expansion is reported open-ended (infinite bound).  A
     degenerate treatment or a group of identities gives the whole line.
+    Any layout inverts this way (``invert_ci(*stack_blocks(...)[:4])``); the
+    interval carries ``notes`` and then :attr:`PreparedTest.notes`, as a test does.
     """
     if not 0.0 < alpha < 1.0:
         raise ResolutionError(f"alpha must lie in (0, 1), got {alpha}")
@@ -457,16 +486,17 @@ def invert_ci(
             "increase the number of permutations"
         )
     prepared = PreparedTest(X, D, group, tol=tol)
+    notes = tuple(notes) + prepared.notes
     y = prepared._outcome(y)
+    affine = _AffineStats(prepared, y)
     if prepared.degenerate or prepared.all_identity:
         # Every point null is accepted: the statistics vanish, or no member
         # moves the data so each b_k equals its a_k.
         desc = {"center": None, "half_width": None, "points": grid.points,
                 "expansions_used": 0, "n_accepted": 0,
                 "degenerate": prepared.degenerate, "all_identity": prepared.all_identity}
-        return ConfidenceInterval(-np.inf, np.inf, alpha, desc, (True, True))
+        return ConfidenceInterval(-np.inf, np.inf, alpha, desc, (True, True), notes)
 
-    affine = _AffineStats(prepared, y)
     if grid.center is None or grid.half_width is None:
         center, unit = _ols_center_and_unit(prepared.X, prepared.D, y)
     else:
@@ -519,7 +549,7 @@ def invert_ci(
         lower = upper = best
         desc["empty_at_resolution"] = True
         open_left = open_right = False
-    return ConfidenceInterval(lower, upper, alpha, desc, (open_left, open_right))
+    return ConfidenceInterval(lower, upper, alpha, desc, (open_left, open_right), notes)
 
 
 def median_pvalue(pvals) -> float:
@@ -537,21 +567,15 @@ def dyadic_test(
     beta0=None,
     tol: float | None = None,
 ) -> TestReport:
-    """Convenience front end: stack a complete dyadic array and test.
+    """Convenience front end: the test on :func:`dyadic_layout`.
 
-    The grid is one :func:`block_test` block whose rows and columns move.
     ``beta0`` (scalar or length-d vector) switches to the shifted point
     null, testing y - D beta0; default is the zero-effect null.
     """
-    design = StackedDesign.from_array(array)
-    if num_perms is None:
-        num_perms = default_num_perms(array.n_rows, array.n_cols)
-    y = design.y
+    x, d, y, group, notes = dyadic_layout(array, num_perms, seed)
     if beta0 is not None:
-        y = y - design.d @ _beta_vector(beta0, design.d.shape[1])
-    grid = np.arange(design.n).reshape(array.n_rows, array.n_cols)
-    return block_test(design.x, design.d, y, [(0, (AXIS_ROWS, AXIS_COLS), grid)],
-                      num_perms, seed, tol)
+        y = y - d @ _beta_vector(beta0, d.shape[1])
+    return permutation_test(x, d, y, group, seed=seed, tol=tol, notes=notes)
 
 
 def dyadic_ci(
@@ -562,10 +586,6 @@ def dyadic_ci(
     grid: GridSpec | None = None,
     tol: float | None = None,
 ) -> ConfidenceInterval:
-    """Convenience front end for interval inversion on a dyadic array."""
-    design = StackedDesign.from_array(array)
-    if num_perms is None:
-        num_perms = default_num_perms(array.n_rows, array.n_cols)
-    group = two_way_group(array.n_rows, array.n_cols, num_perms, seed)
-    return invert_ci(design.x, design.d, design.y, group, alpha=alpha,
-                     grid=grid, seed=seed, tol=tol)
+    """Convenience front end: interval inversion on :func:`dyadic_layout`."""
+    *layout, notes = dyadic_layout(array, num_perms, seed)
+    return invert_ci(*layout, alpha=alpha, grid=grid, seed=seed, tol=tol, notes=notes)

@@ -101,36 +101,6 @@ class DyadArray:
         return bool(self.observed.all())
 
 
-def stack(array: DyadArray, which: str = "outcome") -> np.ndarray:
-    """Stack one field of a fully observed array into row-major form.
-
-    Parameters
-    ----------
-    array : DyadArray
-        Must be fully observed; otherwise :class:`MissingDataError`.
-    which : {"outcome", "treatment", "covariates"}
-
-    Returns
-    -------
-    ndarray
-        Shape (N,) for the outcome, (N, d_dim) or (N, p) otherwise, with
-        N = n_rows * n_cols and cell (i, j) at position i * n_cols + j.
-    """
-    if not array.is_complete():
-        n_miss = int((~array.observed).sum())
-        raise MissingDataError(
-            f"stack requires a fully observed array; {n_miss} cells missing"
-        )
-    n = array.n_cells
-    if which == "outcome":
-        return array.y.reshape(n).copy()
-    if which == "treatment":
-        return array.d.reshape(n, array.d_dim).copy()
-    if which == "covariates":
-        return array.x.reshape(n, array.p).copy()
-    raise ValueError(f"unknown field {which!r}")
-
-
 @dataclass(frozen=True)
 class StackedDesign:
     """Stacked regression pieces of a fully observed dyadic array."""
@@ -143,10 +113,18 @@ class StackedDesign:
 
     @classmethod
     def from_array(cls, array: DyadArray) -> "StackedDesign":
+        """Row-major views of a fully observed array (else :class:`MissingDataError`):
+        cell (i, j) is stacked row i * n_cols + j."""
+        if not array.is_complete():
+            n_miss = int((~array.observed).sum())
+            raise MissingDataError(
+                f"stack requires a fully observed array; {n_miss} cells missing"
+            )
+        n = array.n_cells
         return cls(
-            y=stack(array, "outcome"),
-            d=stack(array, "treatment"),
-            x=stack(array, "covariates"),
+            y=array.y.reshape(n),
+            d=array.d.reshape(n, array.d_dim),
+            x=array.x.reshape(n, array.p),
             n_rows=array.n_rows,
             n_cols=array.n_cols,
         )

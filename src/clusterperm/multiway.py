@@ -11,16 +11,16 @@ permutations may move:
   blockwise panel; the whole pipeline repeats with derived seeds and the
   median p-value is reported.
 
-Every layout is one call to :func:`~clusterperm.dyadic.block_test`, which
-only needs its blocks of record positions: one per box, cell or cover block,
-with a cyclic family per moving axis and ``None`` for an axis that stays
-fixed (panel periods, irregular slots).  ``block_test`` also writes every
-report's note on what stays fixed: how many boxes, cells or cover blocks have
-a moving side of at most K indices.  An axis given as ``None`` never counts.
+Every layout is one call to :func:`~clusterperm.dyadic.block_test` with its
+blocks of record positions: one per box, cell or cover block, with a cyclic
+family per moving axis and ``None`` for an axis that stays fixed (panel
+periods, irregular slots).  Its note on what stays fixed counts the blocks
+with a moving side of at most K indices; a ``None`` axis never counts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,7 +234,14 @@ class IrregularResult:
             "seed": self.seed,
             "eligible_cells": self.eligible_cells,
             "run_pvals": [r.pval for r in self.runs],
+            "notes": list(self.notes),
         }
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """The runs' distinct notes, first seen first, with how many runs wrote each."""
+        counts = Counter(note for run in self.runs for note in run.notes)
+        return tuple(f"{note} ({r} of {len(self.runs)} repeats)" for note, r in counts.items())
 
 
 def suggest_cell_threshold(cell_sizes, candidates=None) -> int:

@@ -9,10 +9,10 @@ non-identity member moves every index.
 Every test acts with a product of such families: member k of the group
 applies member k of one family per moving axis of every block at once
 (:func:`block_product_group`), which is again a cyclic group of order K+1.
-The dyadic test's two-way group is the one-block, two-axis case
-(:func:`two_way_group`).  A cyclic group is held as its generator g,
-member k being g^k (:class:`CyclicGroup`), so it takes O(N) memory and its
-members are streamed, never stored; the (K+1, N) arrays of
+Its one caller, :func:`~clusterperm.dyadic.stack_blocks`, builds the group of
+every layout, the dyadic grid's one block included.  A cyclic group is held
+as its generator g, member k being g^k (:class:`CyclicGroup`), so it takes
+O(N) memory and its members are streamed, never stored; the (K+1, N) arrays of
 :func:`build_cyclic_family`, :meth:`CyclicGroup.stacked` and
 :func:`build_two_way_group` are adapters for the group-law checks.
 :func:`as_group` is the one place where a family given in any of these
@@ -219,7 +219,7 @@ def build_two_way_group(n_rows: int, n_cols: int, num_perms: int, seed: int) -> 
 
     Member k is (pi_k, sigma_k); member 0 is the identity.  The row and
     column families draw from independent sub-streams of ``seed``.  Its
-    stacked maps are those of :func:`two_way_group`.
+    stacked maps are those of the grid's one-block :func:`block_product_group`.
     """
     rows = build_cyclic_family(n_rows, num_perms, family_seed(seed, 0, AXIS_ROWS))
     cols = build_cyclic_family(n_cols, num_perms, family_seed(seed, 0, AXIS_COLS))
@@ -265,13 +265,6 @@ def block_product_group(blocks, num_perms: int, seed) -> CyclicGroup:
             view += (image * stride).reshape((1,) * a + (size,) + (1,) * (len(axes) - a - 1))
         offset += n_block
     return CyclicGroup(gen, num_perms)
-
-
-def two_way_group(n_rows: int, n_cols: int, num_perms: int, seed) -> CyclicGroup:
-    """The dyadic test's group: rows and columns of one grid both move."""
-    return block_product_group(
-        [(0, ((n_rows, AXIS_ROWS), (n_cols, AXIS_COLS)))], num_perms, seed
-    )
 
 
 def _member_maps(family) -> list[np.ndarray]:

@@ -22,12 +22,12 @@ from functools import partial
 
 import numpy as np
 
-from .dyadic import PreparedTest, dyadic_test
+from .dyadic import PreparedTest, dyadic_layout, dyadic_test
 from .exceptions import DimensionError, VarianceBudgetError
 from .missing import max_square_side
-from .model import DyadArray, StackedDesign
+from .model import DyadArray
 from .multiway import MultiIndexDataset, irregular_test
-from .permgroup import default_num_perms, two_way_group
+from .permgroup import default_num_perms
 from .rng import dgp_seed, generator, mask_seed, replicate_seed
 
 _BASE_DISTS = ("gaussian", "lognormal-transform", "cauchy")
@@ -266,10 +266,10 @@ def minorization_gap_suite(
         array, eps = gen_dyadic_dataset(
             n, beta=0.0, spec_err=spec_err, cov_transform=cov_transform, seed=rs
         )
-        design = StackedDesign.from_array(array)
-        prepared = PreparedTest(design.x, design.d, two_way_group(n, n, num_perms, rs))
-        feasible = prepared.report(design.y).pval
-        min_a = prepared.min_stat(design.y)
+        x, d, y, group, _ = dyadic_layout(array, num_perms, rs)
+        prepared = PreparedTest(x, d, group)
+        feasible = prepared.report(y).pval
+        min_a = prepared.min_stat(y)
         count = 0
         for _, moved in prepared.group.orbit(eps.reshape(-1)):
             count += sum(min_a <= prepared.min_stat(values) for values in moved)

@@ -3,8 +3,12 @@
 The acceptance module records one verdict line per criterion through
 ``record_verdict``; the terminal-summary hook replays them after the run,
 outside pytest's output capture, so the gate can be skimmed at the bottom
-of any test log.
+of any test log.  ``two_way_group`` is the dyadic grid's group for tests that
+build it without a :class:`~clusterperm.model.DyadArray`.
 """
+
+from clusterperm.permgroup import block_product_group
+from clusterperm.rng import AXIS_COLS, AXIS_ROWS
 
 _verdict_lines: list[str] = []
 
@@ -18,3 +22,10 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _verdict_lines:
             terminalreporter.write_line(line)
+
+
+def two_way_group(n_rows, n_cols, num_perms, seed):
+    """The group :func:`~clusterperm.dyadic.dyadic_layout` builds: rows and
+    columns of one n_rows x n_cols grid both move."""
+    return block_product_group([(0, ((n_rows, AXIS_ROWS), (n_cols, AXIS_COLS)))],
+                               num_perms, seed)

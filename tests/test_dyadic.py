@@ -20,6 +20,7 @@ from clusterperm.dyadic import (
     permutation_test,
     pvalue_from_stats,
     shifted_test,
+    stack_blocks,
     two_way_test,
 )
 from clusterperm.exceptions import (
@@ -31,9 +32,10 @@ from clusterperm.exceptions import (
     ResolutionError,
 )
 from clusterperm.model import DyadArray, PermutationFamily, StackedDesign, TwoWayPermutation
-from clusterperm.permgroup import block_product_group, build_two_way_group, two_way_group
+from clusterperm.permgroup import block_product_group, build_two_way_group
 from clusterperm.rng import AXIS_CELLS, AXIS_COLS, AXIS_ROWS
 from clusterperm.simulate import gen_dyadic_dataset
+from conftest import two_way_group
 
 
 def _design(n=6, p=2, d_dim=1, beta=0.0, seed=0):
@@ -297,7 +299,8 @@ class TestGroupEqualsLegacyFamily:
         alpha = 1.0 / (num_perms + 1)
         ci = dyadic_ci(array, alpha=alpha, num_perms=num_perms, seed=seed)
         legacy_ci = invert_ci(design.x, design.d, design.y, family, alpha=alpha)
-        assert ci.to_dict() == legacy_ci.to_dict()
+        assert ci.to_dict() | {"notes": None} == legacy_ci.to_dict() | {"notes": None}
+        assert ci.notes == report.notes
 
 
 class TestNonFiniteInput:
@@ -329,6 +332,41 @@ class TestNonFiniteInput:
         family = build_two_way_group(6, 6, 19, seed=34)
         with pytest.raises(NonFiniteInputError, match="outcome"):
             invert_ci(X, D, y, family)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflowing_treatment_is_named(self, scale):
+        # ||D||^2 overflows to inf, which once passed the degenerate check
+        # (inf <= 1e-10 inf): p = 1, a false note and the whole line
+        X, D, y = _design(n=20, seed=40)
+        group = two_way_group(20, 20, 19, seed=40)
+        with pytest.raises(NonFiniteInputError, match="treatment"):
+            permutation_test(X, D * scale, y, group)
+        with pytest.raises(NonFiniteInputError, match="treatment"):
+            invert_ci(X, D * scale, y, group)
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_overflowing_statistic_names_the_outcome(self, degenerate):
+        # every statistic is inf, so every b_k tied min a and p was 1; a
+        # degenerate treatment must not skip the check through the forced p = 1
+        X, D, y = _design(n=20, seed=41)
+        D = X[:, 1:] if degenerate else D
+        group = two_way_group(20, 20, 19, seed=41)
+        prepared = PreparedTest(X, D, group)
+        assert prepared.degenerate == degenerate
+        with pytest.raises(NonFiniteInputError, match="outcome"):
+            prepared.report(y * 1e300)
+        # the interval's |u - b0 v| takes no square: only an overflowing
+        # contraction stops it, and a degenerate D's stays finite
+        if not degenerate:
+            with pytest.raises(NonFiniteInputError, match="outcome"):
+                invert_ci(X, D, y * 1e307, group)
+
+    def test_large_finite_treatment_keeps_its_pvalue(self):
+        X, D, y = _design(n=20, seed=42)
+        group = two_way_group(20, 20, 19, seed=42)
+        plain = permutation_test(X, D, y, group)
+        scaled = permutation_test(X, D * 1e150, y, group)
+        assert scaled.pval == plain.pval and scaled.notes == ()
 
 
 class TestOutcomeShape:
@@ -386,6 +424,56 @@ class TestBlockTest:
         X, D, y = _design(n=6, seed=38)
         with pytest.raises(DimensionError, match="block 0"):
             block_test(X, D, y, [(0, (AXIS_ROWS, AXIS_COLS), np.arange(36))], 5, 38)
+
+
+class TestStackBlocks:
+    def test_identity_order_stacks_views(self):
+        # records already in stacked order, with rows after them in no block
+        X, D, y = _design(n=6, seed=43)
+        blocks = [(0, (AXIS_ROWS, AXIS_COLS), np.arange(24).reshape(4, 6)),
+                  (1, (AXIS_CELLS,), np.arange(24, 30))]
+        x_s, d_s, y_s, group, notes = stack_blocks(X, D, y, blocks, 3, 43)
+        for stacked, data in ((x_s, X), (d_s, D), (y_s, y)):
+            assert np.shares_memory(stacked, data)
+            assert np.array_equal(stacked, data[:30])
+        assert group.n == 30 and notes == ()
+        shuffled = [(0, (AXIS_ROWS, AXIS_COLS), np.arange(24)[::-1].reshape(4, 6))]
+        assert not np.shares_memory(stack_blocks(X, D, y, shuffled, 3, 43)[0], X)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_rows=st.integers(2, 12), n_cols=st.integers(2, 12), num_perms=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_shuffled_records_give_the_dyadic_report(self, n_rows, n_cols, num_perms, seed):
+        # records in any order, with the grid's positions mapped through the
+        # shuffle, are the same layout: the same report, byte for byte
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([np.ones((n_rows, n_cols, 1)),
+                            rng.standard_normal((n_rows, n_cols, 1))], axis=2)
+        array = DyadArray(rng.standard_normal((n_rows, n_cols)),
+                          rng.standard_normal((n_rows, n_cols)), x)
+        try:
+            report = dyadic_test(array, num_perms=num_perms, seed=seed)
+        except InsufficientDimensionError:
+            return
+        design = StackedDesign.from_array(array)
+        shuffle = rng.permutation(design.n)
+        position = np.argsort(shuffle).reshape(n_rows, n_cols)
+        shuffled = block_test(design.x[shuffle], design.d[shuffle], design.y[shuffle],
+                              [(0, (AXIS_ROWS, AXIS_COLS), position)], num_perms, seed)
+        assert shuffled.pval == report.pval and shuffled.notes == report.notes
+        assert shuffled.a.tobytes() == report.a.tobytes()
+        assert shuffled.b.tobytes() == report.b.tobytes()
+
+    def test_dyadic_ci_notes_the_short_side_as_the_test_does(self):
+        # K = 19 moves the 30 columns but not the 5 rows
+        rng = np.random.default_rng(26)
+        array = DyadArray(rng.standard_normal((5, 30)), rng.standard_normal((5, 30)),
+                          np.ones((5, 30, 1)))
+        ci = dyadic_ci(array, num_perms=19, seed=26)
+        assert ci.notes == ("1 of 1 blocks have a side shorter than K+1=20; "
+                            "their indices stay fixed",)
+        assert ci.to_dict()["notes"] == list(ci.notes)
+        assert dyadic_test(array, num_perms=19, seed=26).notes == ci.notes
 
 
 class TestShiftedTest:

@@ -131,23 +131,23 @@ CASES = {
     "ci": (
         ["ci", "--data", "grid.csv", "--num-perms", "19", "--seed", "5",
          "--grid-points", "61"],
-        "99a3d2e558f2d9e585127c03ab19a2b29ed20bd820200c712e2c65771faa79ae",
+        "8329454e6e7ec7f4576eb1da449ac8d29589680d84386b78a14ef6313177d0fc",
     ),
     "test-irregular": (
         ["test-irregular", "--data", "records.csv", "--num-perms", "5",
          "--repeats", "3", "--seed", "6"],
-        "8552f08ec80265c9c72acf6dcecbf90e3232d5fb6467d43bcd6d59afb5170b13",
+        "f3d061036bcb9ab489f9c95b58f04445c22354b90114da1fbb4635ff546e7f59",
     ),
     "test-irregular-greedy": (
         ["test-irregular", "--data", "records.csv", "--num-perms", "5",
          "--repeats", "3", "--seed", "6", "--biclique-solver", "greedy",
          "--restarts", "4"],
-        "f5eba6effd0bfd521196d8e7d2e8abae70f599ffc1dfe93d1a9592fee319f77e",
+        "27506b038c2b5e3ed0afe7400de828dd321df31fc865799774fe9d175e8021a4",
     ),
     "test-irregular-exact": (
         ["test-irregular", "--data", "small.csv", "--num-perms", "3",
          "--repeats", "4", "--seed", "9", "--biclique-solver", "exact"],
-        "16862f62c2c9a743ecfa2480140132b1c36dd26e31bcdc2c9f6c80cd50fca5ea",
+        "036e450008bda2b8eafa419848dd2a531804afd5b23416356e857486c1a8dc91",
     ),
     "biclique-records": (
         ["biclique", "--data", "records.csv", "--seed", "8"],
@@ -176,7 +176,7 @@ CASES = {
     "test-irregular-messy": (
         ["test-irregular", "--data", "messy-records.csv", "--num-perms", "5",
          "--repeats", "2", "--seed", "16"],
-        "48da5396bde4ef193e847970de1eff1dbbfe5c2eadc61c038997136196e430de",
+        "8a41c19b524594ca4100f6299a42f6fef040488f2fe280a8b2e8f9251ead3943",
     ),
     "simulate-table1": (
         ["simulate", "--panel", "table1", "--n", "10", "--reps", "4",

@@ -883,6 +883,24 @@ class TestCliCommands:
             )
             assert payload["error"]["code"] == "NonFiniteInputError"
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflowing_treatment_exits_2(self, tmp_path, capsys, scale):
+        # finite, but ||D||^2 overflows: p = 1 with a false "annihilated"
+        # note, and at 1e300 exit 3 on an inf statistic in the JSON
+        path, _ = _dyadic_csv(tmp_path, n=20, seed=17)
+        lines = open(path).read().strip().split("\n")
+        for row, line in enumerate(lines[1:], start=1):
+            fields = line.split(",")
+            fields[3] = repr(float(fields[3]) * scale)
+            lines[row] = ",".join(fields)
+        big = _write(tmp_path / "big.csv", "\n".join(lines) + "\n")
+        for sub in ("test", "ci"):
+            payload = self._json_run(
+                [sub, "--data", big, "--num-perms", "19"], capsys, expect_exit=2
+            )
+            assert payload["error"]["code"] == "NonFiniteInputError"
+            assert "treatment" in payload["error"]["message"]
+
     def test_cap_above_maximum_exits_2(self, tmp_path, capsys):
         path, _ = _dyadic_csv(tmp_path, n=6, seed=16)
         for sub in ("biclique", "test-missing"):

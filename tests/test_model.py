@@ -11,7 +11,6 @@ from clusterperm.model import (
     TwoWayPermutation,
     compose,
     row_index,
-    stack,
 )
 
 
@@ -41,7 +40,7 @@ class TestRowIndex:
     def test_zero_based_counterpart(self):
         # storage is 0-based: cell (i, j) sits at stacked row i * n_cols + j
         array = _grid_array(3, 4, seed=6)
-        stacked = stack(array, "outcome")
+        stacked = StackedDesign.from_array(array).y
         assert stacked[0] == array.y[0, 0]
         assert stacked[11] == array.y[2, 3]
 
@@ -58,13 +57,17 @@ class TestStacking:
         grid = np.array([[10 * i + j for j in (1, 2, 3)] for i in (1, 2, 3)], dtype=float)
         array = DyadArray(y=grid, d=np.ones((3, 3, 1)), x=np.ones((3, 3, 1)))
         expected = np.array([11, 12, 13, 21, 22, 23, 31, 32, 33], dtype=float)
-        assert np.array_equal(stack(array, "outcome"), expected)
+        assert np.array_equal(StackedDesign.from_array(array).y, expected)
 
     def test_round_trip_all_fields(self):
         array = _grid_array(4, 5, d_dim=2, p=3, seed=1)
-        assert np.array_equal(stack(array, "outcome").reshape(4, 5), array.y)
-        assert np.array_equal(stack(array, "treatment").reshape(4, 5, 2), array.d)
-        assert np.array_equal(stack(array, "covariates").reshape(4, 5, 3), array.x)
+        design = StackedDesign.from_array(array)
+        assert np.array_equal(design.y.reshape(4, 5), array.y)
+        assert np.array_equal(design.d.reshape(4, 5, 2), array.d)
+        assert np.array_equal(design.x.reshape(4, 5, 3), array.x)
+        # a complete array is stacked as views, never copied
+        for stacked, grid in ((design.y, array.y), (design.d, array.d), (design.x, array.x)):
+            assert np.shares_memory(stacked, grid)
 
     def test_incomplete_array_refuses_to_stack(self):
         observed = np.ones((3, 4), dtype=bool)
@@ -73,8 +76,9 @@ class TestStacking:
             y=np.zeros((3, 4)), d=np.zeros((3, 4, 1)), x=np.zeros((3, 4, 1)),
             observed=observed,
         )
-        with pytest.raises(MissingDataError):
-            stack(array, "outcome")
+        with pytest.raises(MissingDataError,
+                           match="stack requires a fully observed array; 1 cells missing"):
+            StackedDesign.from_array(array)
 
     def test_stacked_design(self):
         array = _grid_array(3, 3, seed=2)

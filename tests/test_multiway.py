@@ -1,5 +1,7 @@
 """Tests for three-index designs: boxes, panels, layouts, irregular cells."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,26 @@ class TestIrregularTest:
         payload = result.to_dict()
         assert payload["repeats"] == 3
         assert len(payload["run_pvals"]) == 3
+
+    def test_notes_of_the_runs_with_their_counts(self):
+        # every repeat is vacuous: K+1 = 20 exceeds both sides of the one block
+        data = gen_irregular_dataset(12, 12, 3, "two-way-weak", seed=3)
+        result = irregular_test(data, l0=3, num_perms=19, repeats=2, seed=3)
+        assert result.to_dict()["run_pvals"] == [1.0, 1.0]
+        assert result.to_dict()["notes"] == [
+            "1 of 1 blocks have a side shorter than K+1=20; their indices stay fixed "
+            "(2 of 2 repeats)",
+            "every group member acts as the identity (axes shorter than the group size "
+            "stay fixed); the p-value is 1 by construction (2 of 2 repeats)",
+        ]
+
+    def test_notes_count_the_repeats_that_wrote_them(self):
+        data = gen_irregular_dataset(6, 6, 3, "two-way-weak", seed=25)
+        result = irregular_test(data, l0=3, num_perms=3, repeats=1, seed=25)
+        runs = tuple(replace(result.runs[0], notes=notes)
+                     for notes in [("b",), ("a", "b"), (), ("a",)])
+        result = replace(result, runs=runs)
+        assert result.to_dict()["notes"] == ["b (2 of 4 repeats)", "a (2 of 4 repeats)"]
 
     def test_exact_cover_built_once(self, monkeypatch):
         data = gen_irregular_dataset(8, 8, 3, "row-heavy", seed=27)

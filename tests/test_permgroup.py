@@ -16,10 +16,10 @@ from clusterperm.permgroup import (
     composition_law_holds,
     default_num_perms,
     fixed_point_free,
-    two_way_group,
     verify_group,
 )
 from clusterperm.rng import AXIS_CELLS, AXIS_COLS, AXIS_ROWS, family_seed
+from conftest import two_way_group
 
 
 def _with_cycles(lengths):
