@@ -5,9 +5,9 @@ stable schema and no timestamps, so a repeated invocation with the same
 inputs and seed is byte-identical.  The JSON is strict: an open-ended
 interval bound is ``null`` (``open_ended`` names the side), and any other
 non-finite number is an internal error.  Failures surface as a machine-readable
-``{"error": {"code", "message"}}`` object: a package error or an unwritable
-``--out`` exits with status 2, any other exception with code ``InternalError``,
-status 3 and its traceback on stderr.
+``{"error": {"code", "message"}}`` object: a package error, a usage error
+(``ParseError``) or an unwritable ``--out`` exits with status 2, any other
+exception with code ``InternalError``, status 3 and its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import json
 import sys
 import traceback
 import warnings
-from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .dyadic import GridSpec, dyadic_ci, dyadic_test
@@ -44,80 +43,52 @@ SCHEMA_VERSION = 1
 
 _PANELS = ("table1", "table4", "table3")
 
-# K for the subcommands without a divisor-based default (blockwise, layout
-# and irregular).
-DEFAULT_NUM_PERMS = 19
+# Options that say where and how a report is written, or how many processes
+# make it; no result depends on them, so they stay out of its ``config``.
+_NOT_CONFIG = ("out", "format", "threads")
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; serializes losslessly into the report."""
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a :class:`ParseError`: exit 2 with the error object."""
 
-    subcommand: str
-    data_path: str | None = None
-    mask_path: str | None = None
-    treatment: list[str] | None = None
-    covariates: list[str] | None = None
-    num_perms: int | None = None
-    seed: int = 0
-    alpha: float = 0.05
-    threads: int = 1
-    out: str | None = None
-    format: str = "json"
-    rank_tol: float | None = None
-    beta0: float | None = None
-    grid_center: float | None = None
-    grid_half_width: float | None = None
-    grid_points: int = 201
-    max_expansions: int = 6
-    biclique_solver: str = "auto"
-    min_block: int = 2
-    cap: int = 16
-    restarts: int = 16
-    l0: str = "auto"
-    repeats: int = 100
-    panel: str | None = None
-    n: int | None = None
-    reps: int | None = None
-    notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        payload = asdict(self)
-        payload.pop("notes")
-        payload.pop("out")
-        return payload
-
-    def digest(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(f"{self.prog}: {message}")
 
 
 def _split_names(raw: str) -> list[str] | None:
     return [part.strip() for part in raw.split(",") if part.strip()] or None
 
 
-def _add_global_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
-    parser.add_argument("--num-perms", type=int, default=None, metavar="K",
-                        help="group size minus one (default: auto)")
-    parser.add_argument("--alpha", type=float, default=0.05, help="level in (0, 1) (default 0.05)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for simulation panels (default 1)")
-    parser.add_argument("--out", default=None, help="report path (default: stdout)")
-    parser.add_argument("--format", choices=("json", "text"), default="json",
-                        help="report format (default json)")
-    parser.add_argument("--rank-tol", type=float, default=None,
-                        help="relative singular-value cutoff in (0, 1) on [X | X_pi]; builds "
-                             "every member through the SVD projector")
+def _in_unit_interval(flag: str, error: type[ClusterPermError]):
+    """Parse a level or cutoff, raising ``error`` unless it lies in (0, 1)."""
+    def number(raw: str) -> float:
+        value = float(raw)
+        if not 0.0 < value < 1.0:
+            raise error(f"{flag} must lie in (0, 1), got {value}")
+        return value
+    return number
 
 
-def _add_data_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--data", dest="data_path", metavar="DATA", required=True,
-                        help="input CSV path")
-    parser.add_argument("--treatment", type=_split_names, default=None,
-                        help="comma-separated treatment columns (default: d, d1, ...)")
-    parser.add_argument("--covariates", type=_split_names, default=None,
-                        help="comma-separated covariate columns (default: x, x1, ...)")
+def _threads(raw: str) -> int:
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ParseError(f"--threads must be an integer >= 1, got {raw!r}")
+    return threads
+
+
+def _add_num_perms(parser: argparse.ArgumentParser, default: int | None):
+    parser.add_argument("--num-perms", type=int, default=default, metavar="K",
+                        help="group size minus one "
+                             f"(default {'auto' if default is None else default})")
+
+
+def _add_alpha(parser: argparse.ArgumentParser):
+    parser.add_argument("--alpha", type=_in_unit_interval("--alpha", ResolutionError),
+                        default=0.05, help="level in (0, 1) (default 0.05)")
 
 
 def _add_biclique_flags(parser: argparse.ArgumentParser):
@@ -133,7 +104,8 @@ def _add_biclique_flags(parser: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The one owner of the options: each subcommand takes only what it reads."""
+    parser = _Parser(
         prog="clusterperm",
         description="Finite-sample valid permutation tests for regressions "
                     "with multi-way clustered errors.",
@@ -141,15 +113,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"clusterperm {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("test", help="two-way permutation test on a complete dyadic grid")
-    _add_data_flags(p)
-    _add_global_flags(p)
+    def command(name: str, blurb: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=blurb)
+        p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
+        p.add_argument("--out", default=None, help="report path (default: stdout)")
+        p.add_argument("--format", choices=("json", "text"), default="json",
+                       help="report format (default json)")
+        return p
+
+    def test_command(name: str, blurb: str, num_perms: int | None = None):
+        p = command(name, blurb)
+        p.add_argument("--data", dest="data_path", metavar="DATA", required=True,
+                       help="input CSV path")
+        p.add_argument("--treatment", type=_split_names, default=None,
+                       help="comma-separated treatment columns (default: d, d1, ...)")
+        p.add_argument("--covariates", type=_split_names, default=None,
+                       help="comma-separated covariate columns (default: x, x1, ...)")
+        _add_num_perms(p, num_perms)
+        p.add_argument("--rank-tol", type=_in_unit_interval("--rank-tol", ParseError),
+                       default=None,
+                       help="relative singular-value cutoff in (0, 1) on [X | X_pi]; builds "
+                            "every member through the SVD projector")
+        return p
+
+    p = test_command("test", "two-way permutation test on a complete dyadic grid")
     p.add_argument("--beta0", type=float, default=None,
                    help="point null for the scalar effect (default: zero effect)")
 
-    p = sub.add_parser("ci", help="confidence interval by test inversion (scalar treatment)")
-    _add_data_flags(p)
-    _add_global_flags(p)
+    p = test_command("ci", "confidence interval by test inversion (scalar treatment)")
+    _add_alpha(p)
     p.add_argument("--grid-center", type=float, default=None,
                    help="grid center (default: least-squares estimate)")
     p.add_argument("--grid-half-width", type=float, default=None,
@@ -159,36 +151,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-expansions", type=int, default=6,
                    help="half-width doublings before a side is open-ended (default 6)")
 
-    p = sub.add_parser("test-missing",
-                       help="blockwise test on an incomplete grid via biclique blocks")
-    _add_data_flags(p)
-    _add_global_flags(p)
+    p = test_command("test-missing",
+                     "blockwise test on an incomplete grid via biclique blocks", 19)
     _add_biclique_flags(p)
     p.add_argument("--mask", dest="mask_path", metavar="MASK", default=None,
                    help="observation mask CSV of (i, j, m) triples "
                         "(default: cells present in --data)")
 
-    for name, blurb in (
-        ("test-threeway", "permute rows, columns, and the third index of a full box"),
-        ("test-panel", "permute rows and columns of a panel; periods stay fixed"),
-        ("test-layout", "permute records within cells only (fixed cell effects)"),
-    ):
-        p = sub.add_parser(name, help=blurb)
-        _add_data_flags(p)
-        _add_global_flags(p)
+    test_command("test-threeway", "permute rows, columns, and the third index of a full box")
+    test_command("test-panel", "permute rows and columns of a panel; periods stay fixed")
+    test_command("test-layout", "permute records within cells only (fixed cell effects)", 19)
 
-    p = sub.add_parser("test-irregular",
-                       help="threshold cells at L0, decompose, subsample, test")
-    _add_data_flags(p)
-    _add_global_flags(p)
+    p = test_command("test-irregular", "threshold cells at L0, decompose, subsample, test", 19)
     _add_biclique_flags(p)
     p.add_argument("--l0", default="auto",
                    help="per-cell observation threshold, integer or 'auto' (default auto)")
     p.add_argument("--repeats", type=int, default=100,
                    help="independent subsampling repeats (default 100)")
 
-    p = sub.add_parser("simulate", help="run a Monte Carlo panel")
-    _add_global_flags(p)
+    p = command("simulate", "run a Monte Carlo panel")
+    _add_num_perms(p, None)
+    _add_alpha(p)
+    p.add_argument("--threads", type=_threads, default=1,
+                   help="worker processes; no result depends on it (default 1)")
     p.add_argument("--panel", choices=_PANELS, required=True,
                    help="table1: null rejection rates on complete grids; "
                         "table4: power curve over effect sizes; "
@@ -196,12 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="grid extent (panel default if omitted)")
     p.add_argument("--reps", type=int, default=None,
                    help="replicates (panel default if omitted)")
-    p.add_argument("--l0", default="4", help="cell threshold for the irregular panel")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="subsampling repeats for the irregular panel")
+    p.add_argument("--l0", default=None, help="table3's cell threshold (default 4)")
+    p.add_argument("--repeats", type=int, default=None,
+                   help="table3's subsampling repeats (default 3)")
 
-    p = sub.add_parser("biclique", help="decompose an observation mask into blocks")
-    _add_global_flags(p)
+    p = command("biclique", "decompose an observation mask into blocks")
     _add_biclique_flags(p)
     p.add_argument("--data", dest="data_path", metavar="DATA", default=None,
                    help="input CSV; its present cells form the mask")
@@ -211,20 +195,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{key: value for key, value in vars(args).items()
-                        if key in RunConfig.__dataclass_fields__})
-
-
-def _load_dyadic(config: RunConfig) -> DyadArray:
-    data = ingest_csv(config.data_path, config.treatment, config.covariates)
+def _load_dyadic(args: argparse.Namespace) -> DyadArray:
+    data = ingest_csv(args.data_path, args.treatment, args.covariates)
     if not isinstance(data, DyadArray):
         raise ParseError("this subcommand expects dyadic data without an 'l' column")
     return data
 
 
-def _load_multi(config: RunConfig) -> MultiIndexDataset:
-    data = ingest_csv(config.data_path, config.treatment, config.covariates)
+def _load_multi(args: argparse.Namespace) -> MultiIndexDataset:
+    data = ingest_csv(args.data_path, args.treatment, args.covariates)
     if not isinstance(data, MultiIndexDataset):
         raise ParseError("this subcommand expects records with an 'l' column")
     return data
@@ -244,111 +223,99 @@ def _parse_l0(raw: str, auto_ok: bool) -> int | None:
     return l0
 
 
-def _resolve_l0(config: RunConfig, data: MultiIndexDataset) -> int:
-    l0 = _parse_l0(config.l0, auto_ok=True)
-    return suggest_cell_threshold(data.cell_sizes()) if l0 is None else l0
+def _cover(args: argparse.Namespace, mask):
+    return biclique_decompose(mask, solver=args.biclique_solver, min_block=args.min_block,
+                              cap=args.cap, restarts=args.restarts, seed=args.seed)
 
 
-def _cover(config: RunConfig, mask):
-    return biclique_decompose(mask, solver=config.biclique_solver, min_block=config.min_block,
-                              cap=config.cap, restarts=config.restarts, seed=config.seed)
-
-
-def _execute(config: RunConfig) -> dict:
-    # Every subcommand takes a level in (0, 1) and a rank cutoff in (0, 1):
-    # at a cutoff of 1 or more no covariate direction is projected out.
-    if not 0.0 < config.alpha < 1.0:
-        raise ResolutionError(f"--alpha must lie in (0, 1), got {config.alpha}")
-    if config.rank_tol is not None and not 0.0 < config.rank_tol < 1.0:
-        raise ParseError(f"--rank-tol must be a finite number in (0, 1), got {config.rank_tol}")
-    if config.threads < 1:
-        raise ParseError(f"--threads must be an integer >= 1, got {config.threads}")
-    cmd = config.subcommand
-    if cmd in ("test-missing", "test-irregular", "biclique"):
-        check_exact_cap(config.cap)
-    num_perms = config.num_perms
-    if num_perms is None and cmd in ("test-missing", "test-layout", "test-irregular"):
-        num_perms = DEFAULT_NUM_PERMS
+def _execute(args: argparse.Namespace) -> dict:
+    cmd = args.subcommand
+    if cmd == "simulate":
+        return _run_panel(args)
+    if "cap" in args:
+        check_exact_cap(args.cap)
     if cmd == "test":
-        array = _load_dyadic(config)
-        report = dyadic_test(array, num_perms=num_perms, seed=config.seed,
-                             beta0=config.beta0, tol=config.rank_tol)
+        report = dyadic_test(_load_dyadic(args), num_perms=args.num_perms, seed=args.seed,
+                             beta0=args.beta0, tol=args.rank_tol)
         return report.to_dict()
     if cmd == "ci":
-        array = _load_dyadic(config)
-        grid = GridSpec(center=config.grid_center, half_width=config.grid_half_width,
-                        points=config.grid_points, max_expansions=config.max_expansions)
-        ci = dyadic_ci(array, alpha=config.alpha, num_perms=num_perms,
-                       seed=config.seed, grid=grid, tol=config.rank_tol)
+        grid = GridSpec(center=args.grid_center, half_width=args.grid_half_width,
+                        points=args.grid_points, max_expansions=args.max_expansions)
+        ci = dyadic_ci(_load_dyadic(args), alpha=args.alpha, num_perms=args.num_perms,
+                       seed=args.seed, grid=grid, tol=args.rank_tol)
         return ci.to_dict()
     if cmd == "test-missing":
-        array = _load_dyadic(config)
-        mask = ingest_mask_csv(config.mask_path) if config.mask_path else array.observed
-        cover = _cover(config, mask)
-        report = blockwise_test(array, mask, cover, num_perms,
-                                seed=config.seed, tol=config.rank_tol)
+        array = _load_dyadic(args)
+        mask = ingest_mask_csv(args.mask_path) if args.mask_path else array.observed
+        cover = _cover(args, mask)
+        report = blockwise_test(array, mask, cover, args.num_perms,
+                                seed=args.seed, tol=args.rank_tol)
         payload = report.to_dict()
         payload["cover"] = cover.to_dict()
         return payload
     if cmd in ("test-threeway", "test-panel", "test-layout"):
         test = {"test-threeway": threeway_test, "test-panel": panel_test,
                 "test-layout": layout_test}[cmd]
-        return test(_load_multi(config), num_perms=num_perms, seed=config.seed,
-                    tol=config.rank_tol).to_dict()
+        return test(_load_multi(args), num_perms=args.num_perms, seed=args.seed,
+                    tol=args.rank_tol).to_dict()
     if cmd == "test-irregular":
-        data = _load_multi(config)
-        l0 = _resolve_l0(config, data)
+        data = _load_multi(args)
+        l0 = _parse_l0(args.l0, auto_ok=True)
         result = irregular_test(
-            data, l0=l0, num_perms=num_perms, repeats=config.repeats,
-            seed=config.seed, solver=config.biclique_solver,
-            min_block=config.min_block, cap=config.cap,
-            restarts=config.restarts, tol=config.rank_tol,
+            data, l0=suggest_cell_threshold(data.cell_sizes()) if l0 is None else l0,
+            num_perms=args.num_perms, repeats=args.repeats, seed=args.seed,
+            solver=args.biclique_solver, min_block=args.min_block, cap=args.cap,
+            restarts=args.restarts, tol=args.rank_tol,
         )
         return result.to_dict()
-    if cmd == "simulate":
-        return _run_panel(config)
-    if cmd == "biclique":
-        if config.mask_path:
-            mask = ingest_mask_csv(config.mask_path)
-        elif config.data_path:
-            data = ingest_csv(config.data_path, config.treatment, config.covariates)
-            mask = data.observed if isinstance(data, DyadArray) else data.cell_sizes() > 0
-        else:
-            raise ParseError("biclique needs --mask or --data")
-        cover = _cover(config, mask)
-        payload = cover.to_dict()
-        payload["sides"] = [[len(rows), len(cols)] for rows, cols in cover.blocks]
-        return payload
-    raise ParseError(f"unknown subcommand {cmd!r}")
+    # biclique
+    if args.mask_path:
+        mask = ingest_mask_csv(args.mask_path)
+    elif args.data_path:
+        data = ingest_csv(args.data_path)
+        mask = data.observed if isinstance(data, DyadArray) else data.cell_sizes() > 0
+    else:
+        raise ParseError("biclique needs --mask or --data")
+    cover = _cover(args, mask)
+    payload = cover.to_dict()
+    payload["sides"] = [[len(rows), len(cols)] for rows, cols in cover.blocks]
+    return payload
 
 
-def _run_panel(config: RunConfig) -> dict:
+def _run_panel(args: argparse.Namespace) -> dict:
     """Run one panel; a size the user left unset takes the panel's default."""
-    kwargs = {"alpha": config.alpha, "seed": config.seed, "threads": config.threads}
+    kwargs = {"alpha": args.alpha, "seed": args.seed, "threads": args.threads}
     for key in ("reps", "num_perms"):
-        if getattr(config, key) is not None:
-            kwargs[key] = getattr(config, key)
-    if config.panel == "table3":
-        if config.n is not None:
-            kwargs.update(n_rows=config.n, n_cols=config.n)
-        return run_irregular_size_panel(l0=_parse_l0(config.l0, auto_ok=False),
-                                        repeats=config.repeats, **kwargs)
-    if config.n is not None:
-        kwargs["n"] = config.n
-    if config.panel == "table1":
+        if getattr(args, key) is not None:
+            kwargs[key] = getattr(args, key)
+    if args.panel == "table3":
+        # Filled in here, so the report's config shows the values used.
+        args.l0 = "4" if args.l0 is None else args.l0
+        args.repeats = 3 if args.repeats is None else args.repeats
+        if args.n is not None:
+            kwargs.update(n_rows=args.n, n_cols=args.n)
+        return run_irregular_size_panel(l0=_parse_l0(args.l0, auto_ok=False),
+                                        repeats=args.repeats, **kwargs)
+    for key in ("l0", "repeats"):
+        if getattr(args, key) is not None:
+            raise ParseError(f"--{key} applies to --panel table3 only, not {args.panel}")
+    if args.n is not None:
+        kwargs["n"] = args.n
+    if args.panel == "table1":
         return run_null_size_panel(**kwargs)
-    if config.panel == "table4":
-        return run_power_panel(**kwargs)
-    raise ParseError(f"unknown panel {config.panel!r}")
+    return run_power_panel(**kwargs)
 
 
-def build_report(config: RunConfig, results: dict, diagnostics: dict) -> dict:
+def build_report(args: argparse.Namespace, results: dict, diagnostics: dict) -> dict:
+    """The report; its ``config`` is every parsed option that can change ``results``."""
+    config = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "clusterperm", "version": __version__},
-        "command": config.subcommand,
-        "config": config.to_dict(),
-        "config_digest": config.digest(),
+        "command": args.subcommand,
+        "config": config,
+        "config_digest": hashlib.sha256(canon.encode()).hexdigest()[:16],
         "results": results,
         "diagnostics": diagnostics,
     }
@@ -380,35 +347,32 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured invocation and write its report."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed invocation and write its report."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        results = _execute(config)
+        results = _execute(args)
     diagnostics = {"warnings": [str(w.message) for w in caught]}
-    report = build_report(config, results, diagnostics)
-    if config.format == "json":
+    report = build_report(args, results, diagnostics)
+    if args.format == "json":
         # Strict JSON: a NaN or infinite number fails the run (exit 3).
         payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         payload = _render_text(report)
-    if config.out:
+    if args.out:
         try:
-            with open(config.out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(payload)
         except OSError as exc:
-            raise ParseError(f"cannot write --out {config.out}: {exc.strerror or exc}") from exc
+            raise ParseError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(payload)
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = config_from_args(args)
     try:
-        return run(config)
+        return run(build_parser().parse_args(argv))
     except ClusterPermError as exc:
         return _report_error(exc.code, str(exc), 2)
     except Exception as exc:  # fail closed: a bug yields an error object, never a report

@@ -143,6 +143,14 @@ def _require_no_overflow(name: str, *values) -> None:
                                   "statistics overflow float64; rescale it")
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``v``, taken on the row scaled by a power
+    of two so that its squares neither overflow nor underflow; the scaling is
+    exact, so in range this equals ``np.linalg.norm(v, axis=1)`` bit for bit."""
+    _, exp = np.frexp(np.abs(v).max(axis=1))
+    return np.ldexp(np.linalg.norm(np.ldexp(v, -exp[:, None]), axis=1), exp)
+
+
 class PreparedTest:
     """Annihilated treatments and the group for a fixed (X, D, family).
 
@@ -255,15 +263,14 @@ class PreparedTest:
     @np.errstate(over="ignore", invalid="ignore")
     def statistics(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Observed and permuted statistics (a, b) for one outcome vector."""
-        a_vec, b_vec = self._contract(self._outcome(y))
-        a, b = np.linalg.norm(a_vec, axis=1), np.linalg.norm(b_vec, axis=1)
+        a, b = map(_row_norms, self._contract(self._outcome(y)))
         _require_no_overflow("outcome", a, b)
         return a, b
 
     def min_stat(self, values: np.ndarray) -> float:
         """min_k ||D' V_k V_k' values||, the minorized statistic."""
         stat = np.einsum("knd,n->kd", self.pd, self._outcome(values))
-        return float(np.linalg.norm(stat, axis=1).min())
+        return float(_row_norms(stat).min())
 
     @property
     def notes(self) -> tuple[str, ...]:
@@ -457,7 +464,6 @@ def invert_ci(
     family: PermutationFamily | CyclicGroup,
     alpha: float = 0.05,
     grid: GridSpec | None = None,
-    seed: int | None = None,
     tol: float | None = None,
     notes: tuple[str, ...] = (),
 ) -> ConfidenceInterval:
@@ -588,4 +594,4 @@ def dyadic_ci(
 ) -> ConfidenceInterval:
     """Convenience front end: interval inversion on :func:`dyadic_layout`."""
     *layout, notes = dyadic_layout(array, num_perms, seed)
-    return invert_ci(*layout, alpha=alpha, grid=grid, seed=seed, tol=tol, notes=notes)
+    return invert_ci(*layout, alpha=alpha, grid=grid, tol=tol, notes=notes)

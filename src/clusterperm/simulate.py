@@ -42,7 +42,6 @@ class RandomEffectsSpec:
     phi1: float
     phi2: float
     base_dist: str = "gaussian"
-    seed: int | None = None
 
     def __post_init__(self):
         if self.phi1 < 0 or self.phi2 < 0:
@@ -69,17 +68,11 @@ def gen_random_effects(
     n_rows: int,
     n_cols: int,
     spec: RandomEffectsSpec,
-    seed: int | None = None,
+    seed: int,
 ) -> np.ndarray:
-    """Draw one (n_rows, n_cols) grid from the additive construction.
-
-    ``spec.seed`` wins over the ``seed`` argument when both are given; the
-    lognormal-transform base exponentiates half the Gaussian grid.
-    """
-    resolved = spec.seed if spec.seed is not None else seed
-    if resolved is None:
-        raise ValueError("either spec.seed or seed must be provided")
-    rng = generator(resolved)
+    """Draw one (n_rows, n_cols) grid from the additive construction; the
+    lognormal-transform base exponentiates half the Gaussian grid."""
+    rng = generator(seed)
     if spec.base_dist == "cauchy":
         v1 = rng.standard_cauchy(n_rows)
         v2 = rng.standard_cauchy(n_cols)

@@ -347,19 +347,37 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("degenerate", [False, True])
     def test_overflowing_statistic_names_the_outcome(self, degenerate):
         # every statistic is inf, so every b_k tied min a and p was 1; a
-        # degenerate treatment must not skip the check through the forced p = 1
+        # degenerate treatment must not skip the check through the forced p = 1.
+        # The norms are scaled, so only an overflowing contraction makes one:
+        # a degenerate D's residue is ~1e-16 |D|, so D is scaled up to reach it.
         X, D, y = _design(n=20, seed=41)
-        D = X[:, 1:] if degenerate else D
+        D = X[:, 1:] * 1e100 if degenerate else D
         group = two_way_group(20, 20, 19, seed=41)
         prepared = PreparedTest(X, D, group)
         assert prepared.degenerate == degenerate
         with pytest.raises(NonFiniteInputError, match="outcome"):
-            prepared.report(y * 1e300)
+            prepared.report(y * 1e307)
         # the interval's |u - b0 v| takes no square: only an overflowing
         # contraction stops it, and a degenerate D's stays finite
         if not degenerate:
             with pytest.raises(NonFiniteInputError, match="outcome"):
                 invert_ci(X, D, y * 1e307, group)
+
+    @pytest.mark.parametrize("power", [664, -664])
+    def test_outcome_scale_leaves_the_test_alone(self, power):
+        # ||a_k||^2 used to overflow at 2^664 (an error) and underflow at
+        # 2^-664 (every a_k = 0, p = 1); a power-of-two scale is exact
+        rng = np.random.default_rng(1)
+        u, d = rng.standard_normal((2, 20, 20))
+        y = 1.0 + u + 2.0 * d + rng.standard_normal((20, 20))
+        x = np.stack([np.ones((20, 20)), u], axis=-1)
+        plain = dyadic_test(DyadArray(y, d, x), num_perms=19, seed=1)
+        scaled = dyadic_test(DyadArray(y * 2.0 ** power, d, x), num_perms=19, seed=1)
+        assert plain.pval == scaled.pval == 0.05 and scaled.notes == ()
+        assert np.array_equal(scaled.a, plain.a * 2.0 ** power)
+        assert np.array_equal(scaled.b, plain.b * 2.0 ** power)
+        ci = dyadic_ci(DyadArray(y * 2.0 ** power, d, x), num_perms=19, seed=1)
+        assert 0.0 < ci.lower < ci.upper < np.inf
 
     def test_large_finite_treatment_keeps_its_pvalue(self):
         X, D, y = _design(n=20, seed=42)

@@ -121,79 +121,79 @@ def _messy(path, seed, pad):
 CASES = {
     "test": (
         ["test", "--data", "grid.csv", "--num-perms", "19", "--seed", "3"],
-        "ff40ff98c38e1d062cd380ba29320f65b515953e67829a9fea0b97eb416406a8",
+        "5e393e47243e3baa1616a14a172154587b80d5de1beb8a902522aea12f6f837e",
     ),
     "test-beta0": (
         ["test", "--data", "grid.csv", "--num-perms", "19", "--seed", "4",
          "--beta0", "0.3"],
-        "7a8bd3aec03e727990fb283725871701b5f0490e1dc99c0f112529faeedf81f1",
+        "97cd2e270884f0bac429d953b82289141ff368eaac4d10bce02d6e88da95ffe3",
     ),
     "ci": (
         ["ci", "--data", "grid.csv", "--num-perms", "19", "--seed", "5",
          "--grid-points", "61"],
-        "8329454e6e7ec7f4576eb1da449ac8d29589680d84386b78a14ef6313177d0fc",
+        "0b6efb10870a8d57f376a8313b400a807a07a7386000d091c3f410f69ffb5cf4",
     ),
     "test-irregular": (
         ["test-irregular", "--data", "records.csv", "--num-perms", "5",
          "--repeats", "3", "--seed", "6"],
-        "f3d061036bcb9ab489f9c95b58f04445c22354b90114da1fbb4635ff546e7f59",
+        "91e3dd8b68821bea4bc6bfd8bc82e065da22b83df75608577623804c81247a8c",
     ),
     "test-irregular-greedy": (
         ["test-irregular", "--data", "records.csv", "--num-perms", "5",
          "--repeats", "3", "--seed", "6", "--biclique-solver", "greedy",
          "--restarts", "4"],
-        "27506b038c2b5e3ed0afe7400de828dd321df31fc865799774fe9d175e8021a4",
+        "f596fb0628188ca71fb8917b8a1d31ac56b508b4b92b3856442e415dc19c50ff",
     ),
     "test-irregular-exact": (
         ["test-irregular", "--data", "small.csv", "--num-perms", "3",
          "--repeats", "4", "--seed", "9", "--biclique-solver", "exact"],
-        "036e450008bda2b8eafa419848dd2a531804afd5b23416356e857486c1a8dc91",
+        "321e46a527f75173f2d4bb0e16e2e072eb0fda1775adeae8e1b8aaa763883a99",
     ),
     "biclique-records": (
         ["biclique", "--data", "records.csv", "--seed", "8"],
-        "6432d3a5d4a3a82ae89b03d3519ccb18c282e807f316c89545741e836b233622",
+        "31d5aaae18eafb624ba668d3ccdd0b6e7819b9a6b2daec7c2475ce4dd5f3048a",
     ),
     "test-threeway": (
         ["test-threeway", "--data", "box.csv", "--num-perms", "3", "--seed", "11"],
-        "02df38c6d684dd6e2c38f354a45dba5fc4a8af4af45ac79a16f86492815ef350",
+        "842fd96c697bf47826b1db6da38ee5599ef05e7b1391436fdad53e7fd15b37ca",
     ),
     "test-panel": (
         ["test-panel", "--data", "box.csv", "--num-perms", "3", "--seed", "12"],
-        "d6f487816a047a1ec68981768d2ce51ca79e4cacc7b8d3769b84c81c8b6f96d7",
+        "42f0f967eaf6072963a91e047c0f8aca869f7958071fe0247fdb9e2b7ad6d50b",
     ),
     "test-layout": (
         ["test-layout", "--data", "box.csv", "--num-perms", "3", "--seed", "13"],
-        "eb494d4e1081919e59feb6f232854ca18188b26ccbb12f071a6b574edb9fe9cd",
+        "d7222d4de61f0b5a6a5efae4c6c11e1b5cbd5c43d9c0845b06bc9c94400eb800",
     ),
     "test-missing": (
         ["test-missing", "--data", "holey.csv", "--num-perms", "4", "--seed", "14"],
-        "11cf6aa04538343ee7ab02a880f9ee676a77bd5371236bbcf20afc34cf8e3d54",
+        "1009abc1d87fc75e80f1d7149fc8df9a5390df2b614d1822e104cd25d6a6fd95",
     ),
     "test-messy-csv": (
         ["test-missing", "--data", "messy.csv", "--num-perms", "4", "--seed", "15"],
-        "f3727513af0e20c0ba4d1443c43ef86ed9ea50d8aa1a7a9a79188596423ffdd1",
+        "7325f8cdc0dc9ce2f06f83884495ab12739756b49e48a0083ae7f5cff3d79600",
     ),
     "test-irregular-messy": (
         ["test-irregular", "--data", "messy-records.csv", "--num-perms", "5",
          "--repeats", "2", "--seed", "16"],
-        "8a41c19b524594ca4100f6299a42f6fef040488f2fe280a8b2e8f9251ead3943",
+        "290a7cbaf8d24361177be6fe8c0f585dc9f2fcaa973b88f30f25bb67dfbaf24c",
     ),
     "simulate-table1": (
         ["simulate", "--panel", "table1", "--n", "10", "--reps", "4",
          "--num-perms", "9", "--seed", "7"],
-        "1eab395d063f57414b0c8c54141ca3232dd61761b0c09a7789d395fa8cffd913",
+        "7fcdfe0986f3766a1a997ccb21a06eccbd332d92223681dc60c54e5c38da760c",
     ),
     # table1 above runs below the 1/(K+1) floor, so its counts are 0 by
     # construction; these two reject some replicates.
     "simulate-table4": (
         ["simulate", "--panel", "table4", "--n", "10", "--reps", "4",
          "--num-perms", "9", "--alpha", "0.5", "--seed", "17"],
-        "bad473e24d3e69962ba527306e0c742c12d82ed2dc03e896bf55901a8493c8c3",
+        "cce6dfef2c29de11a9af9d07467c63300c25e4677680124d7bdc4fcbb3070075",
     ),
     "simulate-table3": (
         ["simulate", "--panel", "table3", "--n", "8", "--reps", "3",
          "--num-perms", "3", "--repeats", "2", "--alpha", "0.5", "--seed", "18"],
-        "feafe6950900bf77485578ff49095e12cac17095ef4a4fe9e4f36b8c111ede57",
+        "d6202d1155289cc1f3deaaf50e2b2280674c2b665d24117506fb3bece902b7c7",
     ),
 }
 

@@ -1,5 +1,6 @@
 """Tests for CSV ingestion and the command-line front end."""
 
+import argparse
 import csv
 import json
 import re
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterperm import cli
-from clusterperm.cli import RunConfig, build_parser, config_from_args, main
+from clusterperm.cli import build_parser, main
 from clusterperm.exceptions import DuplicateCellError, ParseError
 from clusterperm.io import ingest_csv, ingest_mask_csv
 from clusterperm.model import DyadArray
@@ -538,25 +539,140 @@ class TestReaderEquivalence:
             ingest_csv(_write(tmp_path / "d.csv", text))
 
 
-class TestRunConfig:
-    def test_digest_depends_on_seed(self):
-        a = RunConfig(subcommand="test", seed=1)
-        b = RunConfig(subcommand="test", seed=2)
-        assert a.digest() != b.digest()
-        assert a.digest() == RunConfig(subcommand="test", seed=1).digest()
+def _report(argv, capsys) -> dict:
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0, out
+    return json.loads(out)
 
-    def test_parser_round_trip(self):
-        parser = build_parser()
-        args = parser.parse_args([
+
+def _usage_error(argv, capsys) -> str:
+    """Run ``argv``, check it exits 2 with a JSON ParseError, return the message."""
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 2, out
+    error = json.loads(out)["error"]
+    assert error["code"] == "ParseError"
+    return error["message"]
+
+
+# Each subcommand's options: what it reads, and nothing more.  _DROPPED lists
+# the 18 (subcommand, flag) pairs that were accepted once and never read.
+_COMMON = {"--seed", "--out", "--format"}
+_TEST = _COMMON | {"--data", "--treatment", "--covariates", "--num-perms", "--rank-tol"}
+_BICLIQUE = {"--biclique-solver", "--min-block", "--cap", "--restarts"}
+_OPTIONS = {
+    "test": _TEST | {"--beta0"},
+    "ci": _TEST | {"--alpha", "--grid-center", "--grid-half-width", "--grid-points",
+                   "--max-expansions"},
+    "test-missing": _TEST | _BICLIQUE | {"--mask"},
+    "test-threeway": _TEST,
+    "test-panel": _TEST,
+    "test-layout": _TEST,
+    "test-irregular": _TEST | _BICLIQUE | {"--l0", "--repeats"},
+    "simulate": _COMMON | {"--num-perms", "--alpha", "--threads", "--panel", "--n", "--reps",
+                           "--l0", "--repeats"},
+    "biclique": _COMMON | _BICLIQUE | {"--data", "--mask"},
+}
+_DROPPED = ([(sub, "--alpha") for sub in ("test", "test-missing", "test-threeway", "test-panel",
+                                          "test-layout", "test-irregular", "biclique")]
+            + [(sub, "--threads") for sub in _OPTIONS if sub != "simulate"]
+            + [("simulate", "--rank-tol"), ("biclique", "--rank-tol"),
+               ("biclique", "--num-perms")])
+
+
+class TestRunConfig:
+    """The parser owns the options; a report's config is what can change its results."""
+
+    def test_digest_depends_on_seed(self, tmp_path, capsys):
+        path, _ = _dyadic_csv(tmp_path, n=6, seed=1)
+        argv = ["test", "--data", path, "--num-perms", "5"]
+        digests = [_report(argv + ["--seed", seed], capsys)["config_digest"]
+                   for seed in ("1", "2", "1")]
+        assert digests[0] != digests[1] and digests[0] == digests[2]
+        # the text rendering prints the same digest
+        assert main(argv + ["--seed", "1", "--format", "text"]) == 0
+        assert f"config={digests[0]}" in capsys.readouterr().out
+
+    def test_parser_round_trip(self, tmp_path, capsys):
+        args = build_parser().parse_args([
             "test", "--data", "x.csv", "--treatment", "d1,d2",
             "--seed", "7", "--num-perms", "9",
         ])
-        config = config_from_args(args)
-        assert config.subcommand == "test"
-        assert config.data_path == "x.csv"
-        assert config.treatment == ["d1", "d2"]
-        assert config.seed == 7
-        assert config.num_perms == 9
+        assert args.subcommand == "test"
+        assert args.data_path == "x.csv"
+        assert args.treatment == ["d1", "d2"]
+        assert args.seed == 7
+        assert args.num_perms == 9
+        path, _ = _dyadic_csv(tmp_path, n=6, seed=2)
+        config = _report(["test", "--data", path, "--seed", "7", "--num-perms", "5"],
+                         capsys)["config"]
+        assert config == {"subcommand": "test", "data_path": path, "treatment": None,
+                          "covariates": None, "seed": 7, "num_perms": 5, "rank_tol": None,
+                          "beta0": None}
+
+    def test_each_subcommand_takes_only_what_it_reads(self):
+        parser = build_parser()
+        subparsers = next(action for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        options = {name: {flag for action in sub._actions for flag in action.option_strings
+                          if action.dest != "help"}
+                   for name, sub in subparsers.choices.items()}
+        assert options == _OPTIONS
+        assert sum(map(len, _OPTIONS.values())) == 93
+
+    @pytest.mark.parametrize("sub, flag", _DROPPED)
+    def test_dropped_flag_is_a_usage_error(self, tmp_path, capsys, sub, flag):
+        argv = [sub, flag, "2"]
+        if sub == "simulate":
+            argv += ["--panel", "table1"]
+        elif sub != "biclique":
+            argv += ["--data", _dyadic_csv(tmp_path, n=6, seed=3)[0]]
+        assert flag in _usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["test", "--data", "g.csv", "--bogus", "1"], "--bogus"),
+        (["test", "--data", "g.csv", "--seed", "abc"], "--seed"),
+        (["test", "--seed", "1"], "--data"),
+        (["simulate", "--panel", "table9"], "--panel"),
+        (["frobnicate"], "frobnicate"),
+    ])
+    def test_usage_error_prints_the_error_object(self, capsys, argv, flag):
+        assert flag in _usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exited:
+            main([flag])
+        assert exited.value.code == 0
+        assert "clusterperm" in capsys.readouterr().out
+
+    def test_threads_and_format_leave_the_report_alone(self, tmp_path, capsys):
+        argv = ["simulate", "--panel", "table1", "--n", "10", "--reps", "4",
+                "--num-perms", "9", "--seed", "7"]
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}.json"
+            assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert main(argv + ["--format", "text"]) == 0
+        digest = json.loads(reports[0])["config_digest"]
+        assert f"config={digest}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("panel", ["table1", "table4"])
+    @pytest.mark.parametrize("flag", ["--l0", "--repeats"])
+    def test_irregular_panel_flags_rejected_elsewhere(self, capsys, panel, flag):
+        message = _usage_error(["simulate", "--panel", panel, flag, "9"], capsys)
+        assert flag in message and "table3" in message
+
+    def test_irregular_panel_fills_in_its_defaults(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_irregular_size_panel",
+                            lambda **kwargs: calls.append(kwargs) or {})
+        config = _report(["simulate", "--panel", "table3"], capsys)["config"]
+        assert calls[0]["l0"] == 4 and calls[0]["repeats"] == 3
+        assert config["l0"] == "4" and config["repeats"] == 3
 
 
 class TestCliCommands:
@@ -745,8 +861,8 @@ class TestCliCommands:
         assert payload["error"]["code"] == "NoEligibleCellsError"
 
     @pytest.mark.parametrize("argv, code", [
-        (["test", "--alpha", "nan"], "ResolutionError"),
-        (["test", "--alpha", "0"], "ResolutionError"),
+        (["ci", "--alpha", "nan"], "ResolutionError"),
+        (["ci", "--alpha", "0"], "ResolutionError"),
         (["simulate", "--panel", "table1", "--alpha", "nan"], "ResolutionError"),
         (["simulate", "--panel", "table1", "--alpha", "1.5"], "ResolutionError"),
         (["test", "--rank-tol", "nan"], "ParseError"),
@@ -755,7 +871,7 @@ class TestCliCommands:
         (["test", "--rank-tol", "1"], "ParseError"),
         (["test", "--rank-tol", "0"], "ParseError"),
         (["test-missing", "--rank-tol", "-1"], "ParseError"),
-        (["test", "--threads", "0"], "ParseError"),
+        (["simulate", "--panel", "table1", "--threads", "two"], "ParseError"),
         (["simulate", "--panel", "table1", "--threads", "0"], "ParseError"),
         (["simulate", "--panel", "table1", "--threads", "-5"], "ParseError"),
     ])
@@ -781,9 +897,8 @@ class TestCliCommands:
         ("test-missing", True), ("test-layout", True), ("test-irregular", True),
     ])
     def test_num_perms_fallback(self, tmp_path, capsys, sub, fixed):
-        # blockwise, layout and irregular runs fall back to K = 19; the
+        # blockwise, layout and irregular runs default to K = 19; the
         # others take their divisor-based default, 99 on these 6 x 6 grids
-        from clusterperm.cli import DEFAULT_NUM_PERMS
         from clusterperm.permgroup import default_num_perms
 
         if sub in ("test", "test-missing"):
@@ -793,7 +908,7 @@ class TestCliCommands:
         else:
             argv = ["--data", _box_csv(tmp_path, seed=13)]
         report = self._json_run([sub] + argv, capsys)
-        want = DEFAULT_NUM_PERMS if fixed else default_num_perms(6, 6)
+        want = 19 if fixed else default_num_perms(6, 6)
         assert report["results"]["num_perms"] == want
 
     def test_threeway_panel_layout_subcommands(self, tmp_path, capsys):

@@ -61,15 +61,11 @@ class TestGenRandomEffects:
         assert a.shape == (5, 7)
         assert np.array_equal(a, b)
 
-    def test_spec_seed_wins(self):
-        spec = RandomEffectsSpec(0.2, 0.3, seed=9)
-        a = gen_random_effects(4, 4, spec, seed=1)
-        b = gen_random_effects(4, 4, spec, seed=2)
-        assert np.array_equal(a, b)
-
     def test_seed_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="seed"):
             gen_random_effects(3, 3, RandomEffectsSpec(0.1, 0.1))
+        with pytest.raises(TypeError, match="seed"):
+            RandomEffectsSpec(0.1, 0.1, seed=9)
 
     def test_row_share_matches_construction(self):
         # correlation of two cells sharing a row equals phi1
