@@ -22,7 +22,7 @@ import warnings
 from . import __version__
 from .dyadic import GridSpec, dyadic_ci, dyadic_test
 from .exceptions import ClusterPermError, ParseError, ResolutionError
-from .io import ingest_csv, ingest_mask_csv
+from .io import ingest_cells, ingest_csv, ingest_mask_csv
 from .missing import MAX_EXACT_CAP, biclique_decompose, blockwise_test, check_exact_cap
 from .model import DyadArray
 from .multiway import (
@@ -272,8 +272,7 @@ def _execute(args: argparse.Namespace) -> dict:
     if args.mask_path:
         mask = ingest_mask_csv(args.mask_path)
     elif args.data_path:
-        data = ingest_csv(args.data_path)
-        mask = data.observed if isinstance(data, DyadArray) else data.cell_sizes() > 0
+        mask = ingest_cells(args.data_path)
     else:
         raise ParseError("biclique needs --mask or --data")
     cover = _cover(args, mask)

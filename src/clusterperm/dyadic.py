@@ -136,11 +136,11 @@ def _require_finite(values: np.ndarray, name: str) -> None:
 
 
 def _require_no_overflow(name: str, *values) -> None:
-    """Fail closed when squares or products of finite ``name`` data overflow;
-    the callers silence numpy's overflow warnings, which this error replaces."""
+    """Fail closed when contractions of finite ``name`` data overflow; the
+    callers silence numpy's overflow warnings, which this error replaces."""
     if not all(np.isfinite(v).all() for v in values):
-        raise NonFiniteInputError(f"{name} is too large: its squared norms or "
-                                  "statistics overflow float64; rescale it")
+        raise NonFiniteInputError(f"{name} is too large: its contractions with the "
+                                  "annihilated treatments overflow float64; rescale")
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -179,8 +179,9 @@ class PreparedTest:
     projector outlives the build.
 
     ``degenerate`` holds iff max_k ||pd_k|| <= 1e-10 ||D||, whatever the
-    scale of D; each chunk's norms are taken as it is written.  An overflow
-    of ||D||^2 or ||pd_k||^2 raises :class:`NonFiniteInputError` instead.
+    scale of D: both sides are taken on D and each chunk of pd, as it is
+    written, scaled by the same power of two, so finite D never overflows or
+    underflows the check.
     """
 
     projectors: tuple = ()
@@ -220,6 +221,10 @@ class PreparedTest:
         chunks = (PermutedAnnihilator(X, D).stream(group, pd) if tol is None
                   else ((slice(k, k + 1), [True]) for k in range(self.num_perms)))
         self.svd_members = 0
+        # max|D| = 2^shift up to a factor of 2, and the norms are compared in
+        # units of 2^shift: the scaling is exact, and no square of a scaled
+        # entry overflows or underflows.
+        shift = int(np.frexp(np.abs(D).max())[1])
         pd_scale = 0.0
         for members, flagged in chunks:
             out = pd[members]
@@ -227,11 +232,10 @@ class PreparedTest:
                 perm = group.member(members.start + i + 1)
                 out[i] = residual_projector(X, X[perm], tol=tol).annihilate(D)
             self.svd_members += int(np.count_nonzero(flagged))
-            flat = out.reshape(len(flagged), -1)
+            flat = np.ldexp(out.reshape(len(flagged), -1), -shift)
             pd_scale = np.maximum(pd_scale, np.matmul(flat[:, None], flat[:, :, None]).max())
         self.pd = pd
-        d_norm = np.linalg.norm(D)
-        _require_no_overflow("treatment", d_norm, pd_scale)
+        d_norm = np.linalg.norm(np.ldexp(D, -shift))
         self.degenerate = bool(np.sqrt(pd_scale) <= _DEGENERATE_REL * d_norm)
         # In a cyclic group every member is the identity iff member 1 is.
         self.all_identity = bool(np.array_equal(group.generator, np.arange(n)))
@@ -264,7 +268,8 @@ class PreparedTest:
     def statistics(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Observed and permuted statistics (a, b) for one outcome vector."""
         a, b = map(_row_norms, self._contract(self._outcome(y)))
-        _require_no_overflow("outcome", a, b)
+        # pd_k'y scales with both y and D, so either may be the one to rescale
+        _require_no_overflow("outcome or treatment", a, b)
         return a, b
 
     def min_stat(self, values: np.ndarray) -> float:
@@ -448,7 +453,7 @@ class _AffineStats:
     def __init__(self, prepared: PreparedTest, y: np.ndarray):
         self.u, self.w = (col[:, 0] for col in prepared._contract(prepared._outcome(y)))
         self.v, self.z = (col[:, 0] for col in prepared._contract(prepared.D[:, 0]))
-        _require_no_overflow("outcome", self.u, self.w)
+        _require_no_overflow("outcome or treatment", self.u, self.w)
         _require_no_overflow("treatment", self.v, self.z)
 
     def pvalues(self, points: np.ndarray) -> np.ndarray:

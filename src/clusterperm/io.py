@@ -224,13 +224,17 @@ def _first_repeat(key: np.ndarray) -> tuple[int, int] | None:
 
 
 def _reject_repeated_cell(index, key, line_nos) -> None:
+    """Raise at the second line of a repeated cell, or, with a third index
+    ``l``, of a repeated record."""
     repeat_at = _first_repeat(key)
-    if repeat_at is not None:
-        pos = repeat_at[0]
-        a, b = (int(axis[pos]) + 1 for axis in index)
-        raise DuplicateCellError(
-            f"cell (i={a}, j={b}) appears more than once", line=int(line_nos[pos])
-        )
+    if repeat_at is None:
+        return
+    pos, first = repeat_at
+    where = ", ".join(f"{name}={int(axis[pos]) + 1}" for name, axis in zip("ijl", index))
+    if len(index) == 3:
+        raise DuplicateCellError(f"record ({where}) already appeared on line "
+                                 f"{line_nos[first]}", line=int(line_nos[pos]))
+    raise DuplicateCellError(f"cell ({where}) appears more than once", line=int(line_nos[pos]))
 
 
 def _matrix(values: np.ndarray, fields: list[_Field]) -> np.ndarray:
@@ -240,15 +244,23 @@ def _matrix(values: np.ndarray, fields: list[_Field]) -> np.ndarray:
     return out
 
 
-def _ingest_fields(header, treatment, covariates) -> dict[str, list[_Field]]:
+def _index_fields(header, required=("i", "j")) -> dict[str, list[_Field]]:
+    """The index fields, ``i``, ``j`` and ``l`` if present, after checking
+    that no column name repeats and every ``required`` column is there."""
     seen = set()
     for name in header:
         if name in seen:
             raise ParseError(f"duplicate column name {name!r}")
         seen.add(name)
-    for required in ("i", "j", "y"):
-        if required not in header:
-            raise ParseError(f"missing required column {required!r}")
+    for name in required:
+        if name not in header:
+            raise ParseError(f"missing required column {name!r}")
+    index = ["i", "j", "l"] if "l" in header else ["i", "j"]
+    return {"index": [_Field(n, header.index(n), "index") for n in index]}
+
+
+def _ingest_fields(header, treatment, covariates) -> dict[str, list[_Field]]:
+    groups = _index_fields(header, required=("i", "j", "y"))
     if treatment is None:
         treatment = _column_order([n for n in header if _TREATMENT_PAT.match(n)])
     if covariates is None:
@@ -258,11 +270,9 @@ def _ingest_fields(header, treatment, covariates) -> dict[str, list[_Field]]:
             raise ParseError(f"requested column {name!r} not in header")
     if not treatment:
         raise ParseError("no treatment columns found (expected d, d1, ...)")
-    index = ["i", "j", "l"] if "l" in header else ["i", "j"]
-    roles = {"index": index, "y": ["y"], "d": treatment, "x": covariates}
-    return {role: [_Field(n, header.index(n), "index" if role == "index" else "value")
-                   for n in names]
-            for role, names in roles.items()}
+    roles = {"y": ["y"], "d": treatment, "x": covariates}
+    return groups | {role: [_Field(n, header.index(n), "value") for n in names]
+                     for role, names in roles.items()}
 
 
 def ingest_csv(path, treatment=None, covariates=None):
@@ -283,22 +293,14 @@ def ingest_csv(path, treatment=None, covariates=None):
     d = _matrix(values, groups["d"])
     x = _matrix(values, groups["x"])
 
+    _reject_repeated_cell(index, key, line_nos)
     if len(index) == 3:
-        repeat_at = _first_repeat(key)
-        if repeat_at is not None:
-            pos, first = repeat_at
-            a, b, c = (int(axis[pos]) + 1 for axis in index)
-            raise DuplicateCellError(
-                f"record (i={a}, j={b}, l={c}) already appeared on line {line_nos[first]}",
-                line=int(line_nos[pos]),
-            )
         if x.shape[1] == 0:
             x = np.ones((y.shape[0], 1))
         if d.shape[1] == 1:
             d = d[:, 0]
         return MultiIndexDataset(i=index[0], j=index[1], l=index[2], y=y, d=d, x=x)
 
-    _reject_repeated_cell(index, key, line_nos)
     y_grid = np.zeros(dims)
     d_grid = np.zeros((*dims, d.shape[1]))
     p = x.shape[1] if x.shape[1] else 1
@@ -309,6 +311,21 @@ def ingest_csv(path, treatment=None, covariates=None):
     x_grid.reshape(-1, p)[key] = x if x.shape[1] else 1.0
     observed.reshape(-1)[key] = True
     return DyadArray(y=y_grid, d=d_grid, x=x_grid, observed=observed)
+
+
+def ingest_cells(path) -> np.ndarray:
+    """Which (i, j) cells of a data CSV hold a row (with ``l``, a record).
+
+    Only the index columns are read, so a file without an outcome or a
+    treatment column is fine; a bad index or a repeated cell (record) raises
+    as :func:`ingest_csv` does.  The mask's extents are the largest indices.
+    """
+    groups, values, line_nos = _read_table(path, _index_fields)
+    index, dims, key = _cells(values, groups["index"])
+    _reject_repeated_cell(index, key, line_nos)
+    present = np.zeros(dims[:2], dtype=bool)
+    present[index[0], index[1]] = True
+    return present
 
 
 def _mask_fields(header) -> dict[str, list[_Field]]:

@@ -10,7 +10,9 @@ unit-variance base:
 
 Rejection-rate runs derive one sub-seed per replicate from the replicate
 index, so adding replicates or changing worker counts never changes what
-any single replicate sees.
+any single replicate sees.  A panel's replicate returns one p-value per row,
+so rows that differ only in their outcome share the replicate's draws,
+layout, group and build.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from functools import partial
 
 import numpy as np
 
-from .dyadic import PreparedTest, dyadic_layout, dyadic_test
+from .dyadic import PreparedTest, dyadic_layout
 from .exceptions import DimensionError, VarianceBudgetError
 from .missing import max_square_side
-from .model import DyadArray
+from .model import DyadArray, StackedDesign
 from .multiway import MultiIndexDataset, irregular_test
 from .permgroup import default_num_perms
 from .rng import dgp_seed, generator, mask_seed, replicate_seed
@@ -72,8 +74,17 @@ def gen_random_effects(
 ) -> np.ndarray:
     """Draw one (n_rows, n_cols) grid from the additive construction; the
     lognormal-transform base exponentiates half the Gaussian grid."""
+    return _random_effects(n_rows, n_cols, [spec], seed)[0]
+
+
+def _random_effects(n_rows: int, n_cols: int, specs, seed: int) -> list[np.ndarray]:
+    """:func:`gen_random_effects` for several specs of one base law from one
+    set of draws; each grid equals its one-spec call bit for bit."""
+    base_dist = specs[0].base_dist
+    if any(s.base_dist != base_dist for s in specs):
+        raise ValueError("specs that share draws must share one base_dist")
     rng = generator(seed)
-    if spec.base_dist == "cauchy":
+    if base_dist == "cauchy":
         v1 = rng.standard_cauchy(n_rows)
         v2 = rng.standard_cauchy(n_cols)
         v3 = rng.standard_cauchy((n_rows, n_cols))
@@ -81,10 +92,10 @@ def gen_random_effects(
         v1 = rng.standard_normal(n_rows)
         v2 = rng.standard_normal(n_cols)
         v3 = rng.standard_normal((n_rows, n_cols))
-    grid = spec.sigma1 * v1[:, None] + spec.sigma2 * v2[None, :] + v3
-    if spec.base_dist == "lognormal-transform":
-        return np.exp(0.5 * grid)
-    return grid
+    grids = [s.sigma1 * v1[:, None] + s.sigma2 * v2[None, :] + v3 for s in specs]
+    if base_dist == "lognormal-transform":
+        return [np.exp(0.5 * grid) for grid in grids]
+    return grids
 
 
 def gen_dyadic_dataset(
@@ -100,11 +111,23 @@ def gen_dyadic_dataset(
 
     Covariates are (1, z_i, z_j) with z ~ Uniform[0, 2]; the scalar
     treatment comes from the additive construction (``spec_cov``), either
-    raw ("normal") or exponentiated as exp(0.5 w) ("lognormal"); errors
-    come from ``spec_err``.  Returns the array and the true error grid.
+    raw ("normal") or exponentiated as exp(0.5 w) ("lognormal"), or is drawn
+    iid per cell as exp(0.5 w) with w ~ N(0, 5) ("iid-lognormal", the
+    marginal law of the shares-(0.4, 0.4) construction; ``spec_cov`` is then
+    unused); errors come from ``spec_err``.  Returns the array and the true
+    error grid.
     """
+    return _dyadic_cases(n, [spec_err or RandomEffectsSpec(0.05, 0.15)], [cov_transform],
+                         beta=beta, spec_cov=spec_cov, gamma=gamma, seed=seed)[0]
+
+
+def _dyadic_cases(n: int, specs_err, transforms, beta: float = 0.0,
+                  spec_cov: RandomEffectsSpec | None = None, gamma=(0.5, 1.0, 1.0),
+                  seed: int = 0) -> list[tuple[DyadArray, np.ndarray]]:
+    """:func:`gen_dyadic_dataset` for every (transform, error spec) pair,
+    transform-major.  The pairs share X, each transform's treatment and one
+    set of error draws, and each equals its one-case call bit for bit."""
     spec_cov = spec_cov or RandomEffectsSpec(0.4, 0.4)
-    spec_err = spec_err or RandomEffectsSpec(0.05, 0.15)
     gamma = np.asarray(gamma, dtype=float)
     z = generator(dgp_seed(seed, 0)).uniform(0.0, 2.0, n)
     x = np.empty((n, n, 3))
@@ -113,16 +136,23 @@ def gen_dyadic_dataset(
     x[:, :, 2] = z[None, :]
     if gamma.shape != (3,):
         raise DimensionError(f"gamma must have 3 entries, got {gamma.shape}")
-    w = gen_random_effects(n, n, spec_cov, seed=dgp_seed(seed, 1))
-    if cov_transform == "lognormal":
-        d = np.exp(0.5 * w)
-    elif cov_transform == "normal":
-        d = w
-    else:
-        raise ValueError(f"unknown cov_transform {cov_transform!r}")
-    eps = gen_random_effects(n, n, spec_err, seed=dgp_seed(seed, 2))
-    y = x @ gamma + d * float(beta) + eps
-    return DyadArray(y=y, d=d[:, :, None], x=x), eps
+    mean = x @ gamma
+    w = None
+    errors = _random_effects(n, n, specs_err, seed=dgp_seed(seed, 2))
+    cases = []
+    for transform in transforms:
+        if transform == "iid-lognormal":
+            w_iid = generator(dgp_seed(seed, 3)).standard_normal((n, n)) * np.sqrt(5.0)
+            d = np.exp(0.5 * w_iid)
+        elif transform in ("normal", "lognormal"):
+            if w is None:
+                w = gen_random_effects(n, n, spec_cov, seed=dgp_seed(seed, 1))
+            d = np.exp(0.5 * w) if transform == "lognormal" else w
+        else:
+            raise ValueError(f"unknown cov_transform {transform!r}")
+        cases += [(DyadArray(y=mean + d * float(beta) + eps, d=d[:, :, None], x=x), eps)
+                  for eps in errors]
+    return cases
 
 
 def gen_semisynthetic_errors(
@@ -194,6 +224,51 @@ def _digest(label: str, reps: int, alpha: float, seed: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _rejection_rates(rep, labels, reps: int, alpha: float, seed: int,
+                     threads: int) -> list[McSummary]:
+    """Rejection rate per label of ``rep`` over derived replicate seeds.
+
+    ``rep`` maps one integer seed to a sequence of p-values, one per label.
+    Replicates run in min(threads, reps, CPUs) worker processes when that is
+    more than one; each label's reduction is a count over its column, so
+    scheduling cannot matter.
+    """
+    if reps < 1:
+        raise DimensionError(f"reps must be positive, got {reps}")
+    if not labels:  # a panel with no rows draws nothing
+        return []
+    seeds = [replicate_seed(seed, r) for r in range(reps)]
+    workers = min(threads, reps, os.cpu_count() or 1)
+    if workers > 1:
+        # Imported here, so a serial run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunk = max(1, reps // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(rep, seeds, chunksize=chunk))
+    else:
+        outcomes = [rep(s) for s in seeds]
+    summaries = []
+    for label, pvals in zip(labels, zip(*outcomes, strict=True), strict=True):
+        rejections = sum(1 for p in pvals if p <= alpha)
+        rate = rejections / reps
+        summaries.append(McSummary(
+            label=label,
+            reps=reps,
+            alpha=alpha,
+            rejections=rejections,
+            rate=rate,
+            mc_se=float(np.sqrt(rate * (1.0 - rate) / reps)),
+            config_digest=_digest(label, reps, alpha, seed),
+        ))
+    return summaries
+
+
+def _one_pval(test_fn, rep_seed):
+    outcome = test_fn(rep_seed)
+    return (getattr(outcome, "pval", outcome),)
+
+
 def mc_rejection_rate(
     test_fn,
     reps: int,
@@ -205,35 +280,11 @@ def mc_rejection_rate(
     """Rejection rate of ``test_fn`` over derived replicate seeds.
 
     ``test_fn`` maps one integer seed to a p-value (or anything with a
-    ``pval`` attribute).  Replicates run in min(threads, reps, CPUs) worker
-    processes when that is more than one; the reduction is a count, so
-    scheduling cannot matter.
+    ``pval`` attribute); it runs as :func:`_rejection_rates` runs a panel's
+    replicates, serially or in worker processes.
     """
-    if reps < 1:
-        raise DimensionError(f"reps must be positive, got {reps}")
-    seeds = [replicate_seed(seed, r) for r in range(reps)]
-    workers = min(threads, reps, os.cpu_count() or 1)
-    if workers > 1:
-        # Imported here, so a serial run never loads multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, reps // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(test_fn, seeds, chunksize=chunk))
-    else:
-        outcomes = [test_fn(s) for s in seeds]
-    pvals = [getattr(out, "pval", out) for out in outcomes]
-    rejections = sum(1 for p in pvals if p <= alpha)
-    rate = rejections / reps
-    return McSummary(
-        label=label,
-        reps=reps,
-        alpha=alpha,
-        rejections=rejections,
-        rate=rate,
-        mc_se=float(np.sqrt(rate * (1.0 - rate) / reps)),
-        config_digest=_digest(label, reps, alpha, seed),
-    )
+    return _rejection_rates(partial(_one_pval, test_fn), [label], reps, alpha, seed,
+                            threads)[0]
 
 
 def minorization_gap_suite(
@@ -312,34 +363,46 @@ def biclique_growth_experiment(
 # Panel runners behind the CLI; the per-replicate callables live at module
 # level so worker processes can unpickle them.
 
-def _size_rep(n, cov_transform, phi2, num_perms, rep_seed):
-    array, _ = gen_dyadic_dataset(
-        n,
-        beta=0.0,
-        spec_err=RandomEffectsSpec(0.05, phi2),
-        cov_transform=cov_transform,
-        seed=rep_seed,
-    )
-    return dyadic_test(array, num_perms=num_perms, seed=rep_seed).pval
+def _size_rep(n, cov_transforms, phi2_values, num_perms, rep_seed):
+    """One table1 replicate: a p-value per (transform, phi2) row, transform-major.
+
+    The rows share the draws, the layout and the group, and the rows of one
+    transform share its :class:`PreparedTest`, which is dropped before the
+    next transform's build so that no two K x N states are held at once.
+    A complete grid's layout keeps :class:`StackedDesign`'s row order, so
+    each row's stacked design lines up with the group.
+    """
+    cases = _dyadic_cases(n, [RandomEffectsSpec(0.05, phi2) for phi2 in phi2_values],
+                          cov_transforms, seed=rep_seed)
+    *_, group, notes = dyadic_layout(cases[0][0], num_perms, rep_seed)
+    pvals = []
+    for start in range(0, len(cases), len(phi2_values)):
+        rows = [StackedDesign.from_array(array) for array, _ in
+                cases[start:start + len(phi2_values)]]
+        prepared = PreparedTest(rows[0].x, rows[0].d, group)
+        pvals += [prepared.report(row.y, seed=rep_seed, notes=notes).pval for row in rows]
+        del prepared
+    return pvals
 
 
-def _power_rep(n, beta, phi2, num_perms, rep_seed):
-    # The treatment is drawn iid per cell as exp(0.5 w) with w ~ N(0, 5),
-    # the marginal law of the shares-(0.4, 0.4) two-way construction.  The
-    # cross-cell dependence of that construction adds alignment noise that
+def _power_rep(n, betas, phi2, num_perms, rep_seed):
+    """One table4 replicate: a p-value per effect size, from one dataset,
+    group and :class:`PreparedTest`; only the outcome y0 + d beta changes."""
+    # The treatment is drawn iid per cell: the cross-cell dependence of the
+    # shares-(0.4, 0.4) two-way construction adds alignment noise that
     # roughly halves power at beta = 0.05 without affecting validity; the
     # iid draw is what the reference power figures correspond to.
     array, _ = gen_dyadic_dataset(
         n,
         beta=0.0,
         spec_err=RandomEffectsSpec(0.0, phi2),
-        cov_transform="lognormal",
+        cov_transform="iid-lognormal",
         seed=rep_seed,
     )
-    w = generator(dgp_seed(rep_seed, 3)).standard_normal((n, n)) * np.sqrt(5.0)
-    d = np.exp(0.5 * w)
-    array = DyadArray(y=array.y + d * float(beta), d=d[:, :, None], x=array.x)
-    return dyadic_test(array, num_perms=num_perms, seed=rep_seed).pval
+    x, d, y0, group, notes = dyadic_layout(array, num_perms, rep_seed)
+    prepared = PreparedTest(x, d, group)
+    return [prepared.report(y0 + d[:, 0] * float(beta), seed=rep_seed, notes=notes).pval
+            for beta in betas]
 
 
 def gen_irregular_dataset(
@@ -379,26 +442,25 @@ def gen_irregular_dataset(
     return MultiIndexDataset(i=i_idx, j=j_idx, l=slot, y=y, d=d, x=x)
 
 
-def _irregular_rep(n_rows, n_cols, l0, kind, num_perms, repeats, rep_seed):
-    data = gen_irregular_dataset(n_rows, n_cols, l0, kind, seed=rep_seed)
-    result = irregular_test(
-        data, l0=l0, num_perms=num_perms, repeats=repeats, seed=dgp_seed(rep_seed, 6)
-    )
-    return result.pval
+def _irregular_rep(n_rows, n_cols, l0, kinds, num_perms, repeats, rep_seed):
+    """One table3 replicate: a p-value per error kind, each on its own dataset."""
+    return [irregular_test(gen_irregular_dataset(n_rows, n_cols, l0, kind, seed=rep_seed),
+                           l0=l0, num_perms=num_perms, repeats=repeats,
+                           seed=dgp_seed(rep_seed, 6)).pval
+            for kind in kinds]
 
 
 def _panel(header: dict, rep, cases, reps: int, alpha: float, seed: int,
            threads: int) -> dict:
-    """Rejection rate of ``rep`` per case, as ``header`` plus one row per case.
+    """Rejection rate per case, as ``header`` plus one row per case.
 
-    Each case is ``(label, args, fields)``: ``partial(rep, *args)`` maps a
-    replicate seed to a p-value, and ``fields`` are added to the case's row.
+    ``rep`` maps a replicate seed to one p-value per case, so each replicate
+    is drawn and built once for all rows.  Each case is ``(label, fields)``,
+    and ``fields`` are added to the case's row.
     """
-    rows = []
-    for label, args, fields in cases:
-        summary = mc_rejection_rate(partial(rep, *args), reps=reps, alpha=alpha,
-                                    seed=seed, threads=threads, label=label)
-        rows.append({**summary.to_dict(), **fields})
+    summaries = _rejection_rates(rep, [label for label, _ in cases], reps, alpha, seed,
+                                 threads)
+    rows = [{**summary.to_dict(), **fields} for summary, (_, fields) in zip(summaries, cases)]
     return {**header, "rows": rows}
 
 
@@ -415,10 +477,11 @@ def run_null_size_panel(
     """Null rejection rates across covariate transforms and column shares."""
     if num_perms is None:
         num_perms = default_num_perms(n)
-    cases = [(f"size n={n} cov={transform} phi2={phi2}", (n, transform, phi2, num_perms),
+    cases = [(f"size n={n} cov={transform} phi2={phi2}",
               {"cov_transform": transform, "phi2": phi2})
              for transform in cov_transforms for phi2 in phi2_values]
-    return _panel({"panel": "null-size", "n": n, "num_perms": num_perms}, _size_rep, cases,
+    rep = partial(_size_rep, n, tuple(cov_transforms), tuple(phi2_values), num_perms)
+    return _panel({"panel": "null-size", "n": n, "num_perms": num_perms}, rep, cases,
                   reps, alpha, seed, threads)
 
 
@@ -435,9 +498,10 @@ def run_power_panel(
     """Power curve over effect sizes with lognormal treatment."""
     if num_perms is None:
         num_perms = default_num_perms(n)
-    cases = [(f"power n={n} beta={beta} phi2={phi2}", (n, beta, phi2, num_perms),
-              {"beta": beta, "phi2": phi2}) for beta in betas]
-    return _panel({"panel": "power", "n": n, "num_perms": num_perms}, _power_rep, cases,
+    cases = [(f"power n={n} beta={beta} phi2={phi2}", {"beta": beta, "phi2": phi2})
+             for beta in betas]
+    rep = partial(_power_rep, n, tuple(betas), phi2, num_perms)
+    return _panel({"panel": "power", "n": n, "num_perms": num_perms}, rep, cases,
                   reps, alpha, seed, threads)
 
 
@@ -454,9 +518,9 @@ def run_irregular_size_panel(
     kinds=ERROR_KINDS,
 ) -> dict:
     """Null rejection rates of the irregular pipeline per error kind."""
-    cases = [(f"irregular {n_rows}x{n_cols} l0={l0} errors={kind}",
-              (n_rows, n_cols, l0, kind, num_perms, repeats), {"errors": kind})
+    cases = [(f"irregular {n_rows}x{n_cols} l0={l0} errors={kind}", {"errors": kind})
              for kind in kinds]
     header = {"panel": "irregular-size", "n_rows": n_rows, "n_cols": n_cols, "l0": l0,
               "num_perms": num_perms, "repeats": repeats}
-    return _panel(header, _irregular_rep, cases, reps, alpha, seed, threads)
+    rep = partial(_irregular_rep, n_rows, n_cols, l0, tuple(kinds), num_perms, repeats)
+    return _panel(header, rep, cases, reps, alpha, seed, threads)

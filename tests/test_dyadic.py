@@ -336,11 +336,13 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("scale", [1e160, 1e300])
     def test_overflowing_treatment_is_named(self, scale):
         # ||D||^2 overflows to inf, which once passed the degenerate check
-        # (inf <= 1e-10 inf): p = 1, a false note and the whole line
+        # (inf <= 1e-10 inf): p = 1, a false note and the whole line.  The
+        # check now takes scaled norms, so the test keeps its p-value; the
+        # interval's contractions pd_k'D overflow, and name the treatment.
         X, D, y = _design(n=20, seed=40)
         group = two_way_group(20, 20, 19, seed=40)
-        with pytest.raises(NonFiniteInputError, match="treatment"):
-            permutation_test(X, D * scale, y, group)
+        report = permutation_test(X, D * scale, y, group)
+        assert report.pval == permutation_test(X, D, y, group).pval and report.notes == ()
         with pytest.raises(NonFiniteInputError, match="treatment"):
             invert_ci(X, D * scale, y, group)
 
@@ -378,6 +380,26 @@ class TestNonFiniteInput:
         assert np.array_equal(scaled.b, plain.b * 2.0 ** power)
         ci = dyadic_ci(DyadArray(y * 2.0 ** power, d, x), num_perms=19, seed=1)
         assert 0.0 < ci.lower < ci.upper < np.inf
+
+    @pytest.mark.parametrize("power", [-1000, -565, 600, 996, 1020])
+    def test_treatment_scale_leaves_the_test_alone(self, power):
+        # the degenerate check squared D's entries: they underflowed at 2^-565
+        # (p = 1, "annihilated") and overflowed at 2^600 (an error), though
+        # every statistic is a normal float; a power-of-two scale is exact
+        rng = np.random.default_rng(1)
+        u, d = rng.standard_normal((2, 20, 20))
+        y = (0.3 * d + rng.standard_normal((20, 1)) + rng.standard_normal((1, 20))
+             + rng.standard_normal((20, 20)))
+        x = np.stack([np.ones((20, 20)), u], axis=-1)
+        if power == 1020:  # D is finite, but pd_k'y overflows: not the outcome alone
+            with pytest.raises(NonFiniteInputError, match="outcome or treatment"):
+                dyadic_test(DyadArray(y, np.ldexp(d, power), x), num_perms=19, seed=1)
+            return
+        plain = dyadic_test(DyadArray(y, d, x), num_perms=19, seed=1)
+        scaled = dyadic_test(DyadArray(y, np.ldexp(d, power), x), num_perms=19, seed=1)
+        assert plain.pval == scaled.pval == 0.05 and scaled.notes == ()
+        assert np.array_equal(scaled.a, np.ldexp(plain.a, power))
+        assert np.array_equal(scaled.b, np.ldexp(plain.b, power))
 
     def test_large_finite_treatment_keeps_its_pvalue(self):
         X, D, y = _design(n=20, seed=42)

@@ -944,6 +944,26 @@ class TestCliCommands:
         assert report["results"]["blocks"][0]["rows"] == [1, 2, 4, 5]
         assert report["results"]["sides"][0] == [4, 4]
 
+    @pytest.mark.parametrize("header", ["i,j,y", "i,j,l,y"])
+    def test_biclique_reads_only_the_index_columns(self, tmp_path, capsys, header):
+        # --data once went through the full ingest, which needs a treatment column
+        cells = [(i, j) for i in range(1, 5) for j in range(1, 5) if (i, j) != (2, 3)]
+        records = [(i, j, l) for i, j in cells for l in (1, 2)[:1 + (i + j) % 2]]
+        rows = ([f"{i},{j},0.5" for i, j in cells] if header == "i,j,y"
+                else [f"{i},{j},{l},0.5" for i, j, l in records])
+        data = _write(tmp_path / "data.csv", "\n".join([header, *rows]) + "\n")
+        mask = _write(tmp_path / "mask.csv", "\n".join(
+            ["i,j,m"] + [f"{i},{j},{int((i, j) in cells)}"
+                         for i in range(1, 5) for j in range(1, 5)]) + "\n")
+        from_data = self._json_run(["biclique", "--data", data], capsys)["results"]
+        from_mask = self._json_run(["biclique", "--mask", mask], capsys)["results"]
+        assert from_data == from_mask and from_data["sides"] == [[4, 3]]
+        extra = ",1" if "l" in header else ""
+        bad = _write(tmp_path / "bad.csv", f"{header}\n1,1{extra},0.5\n1,x{extra},0.5\n")
+        payload = self._json_run(["biclique", "--data", bad], capsys, expect_exit=2)
+        assert payload["error"] == {"code": "ParseError",
+                                    "message": "line 3: column 'j' must be an integer, got 'x'"}
+
     def test_biclique_needs_input(self, capsys):
         payload = self._json_run(["biclique"], capsys, expect_exit=2)
         assert payload["error"]["code"] == "ParseError"
@@ -1001,7 +1021,9 @@ class TestCliCommands:
     @pytest.mark.parametrize("scale", [1e160, 1e300])
     def test_overflowing_treatment_exits_2(self, tmp_path, capsys, scale):
         # finite, but ||D||^2 overflows: p = 1 with a false "annihilated"
-        # note, and at 1e300 exit 3 on an inf statistic in the JSON
+        # note, and at 1e300 exit 3 on an inf statistic in the JSON.  The
+        # degenerate check takes scaled norms, so `test` keeps its p-value;
+        # `ci`'s contractions pd_k'D overflow, and name the treatment.
         path, _ = _dyadic_csv(tmp_path, n=20, seed=17)
         lines = open(path).read().strip().split("\n")
         for row, line in enumerate(lines[1:], start=1):
@@ -1009,12 +1031,14 @@ class TestCliCommands:
             fields[3] = repr(float(fields[3]) * scale)
             lines[row] = ",".join(fields)
         big = _write(tmp_path / "big.csv", "\n".join(lines) + "\n")
-        for sub in ("test", "ci"):
-            payload = self._json_run(
-                [sub, "--data", big, "--num-perms", "19"], capsys, expect_exit=2
-            )
-            assert payload["error"]["code"] == "NonFiniteInputError"
-            assert "treatment" in payload["error"]["message"]
+        plain, scaled = (self._json_run(["test", "--data", data, "--num-perms", "19"],
+                                        capsys)["results"] for data in (path, big))
+        assert scaled["pval"] == plain["pval"] and scaled["notes"] == []
+        payload = self._json_run(
+            ["ci", "--data", big, "--num-perms", "19"], capsys, expect_exit=2
+        )
+        assert payload["error"]["code"] == "NonFiniteInputError"
+        assert "treatment" in payload["error"]["message"]
 
     def test_cap_above_maximum_exits_2(self, tmp_path, capsys):
         path, _ = _dyadic_csv(tmp_path, n=6, seed=16)

@@ -90,8 +90,15 @@ def test_import_loads_no_scipy():
     assert loaded == []
 
 
+def test_cli_import_loads_no_process_pool():
+    # the Monte Carlo loop imports the pool only when --threads needs one
+    loaded = _python("import json, sys, clusterperm.cli\n"
+                     "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))")
+    assert {"concurrent", "multiprocessing", "scipy"}.isdisjoint(loaded)
+
+
 # Every subcommand at a tiny size, on the golden inputs; the --threads 2 run
-# covers the process pool, which mc_rejection_rate imports only when it runs one.
+# covers the process pool, which the Monte Carlo loop imports only when it runs one.
 _NUMPY_ONLY_RUNS = {
     "test": ["test", "--data", "grid.csv", "--num-perms", "19", "--seed", "3"],
     "test-rank-tol": ["test", "--data", "grid.csv", "--num-perms", "19", "--seed", "3",

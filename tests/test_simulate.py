@@ -1,12 +1,21 @@
 """Tests for data-generating processes and the Monte Carlo harness."""
 
+import hashlib
+from functools import partial
+
 import numpy as np
 import pytest
 
+from clusterperm.dyadic import PreparedTest, dyadic_test
 from clusterperm.exceptions import DimensionError, VarianceBudgetError
-from clusterperm.rng import replicate_seed
+from clusterperm.model import DyadArray
+from clusterperm.rng import dgp_seed, generator, replicate_seed
 from clusterperm.simulate import (
     RandomEffectsSpec,
+    _dyadic_cases,
+    _power_rep,
+    _random_effects,
+    _rejection_rates,
     _size_rep,
     biclique_growth_experiment,
     gen_dyadic_dataset,
@@ -127,6 +136,119 @@ class TestGenDyadicDataset:
         assert np.array_equal(eps_a, eps_b)
 
 
+class TestSharedDraws:
+    # Several cases drawn at once must equal, array for array, the one-case call.
+    @pytest.mark.parametrize("base", ["gaussian", "lognormal-transform", "cauchy"])
+    @pytest.mark.parametrize("seed", [0, 31, 2**40 + 7])
+    def test_random_effects_specs_share_one_draw(self, base, seed):
+        specs = [RandomEffectsSpec(a, b, base_dist=base) for a, b in
+                 [(0.05, 0.15), (0.05, 0.9), (0.0, 0.1), (0.4, 0.4)]]
+        grids = _random_effects(6, 9, specs, seed=seed)
+        assert len(grids) == len(specs)
+        for spec, grid in zip(specs, grids):
+            assert np.array_equal(grid, gen_random_effects(6, 9, spec, seed=seed))
+
+    def test_random_effects_specs_need_one_base(self):
+        specs = [RandomEffectsSpec(0.1, 0.1), RandomEffectsSpec(0.1, 0.1, base_dist="cauchy")]
+        with pytest.raises(ValueError, match="base_dist"):
+            _random_effects(3, 3, specs, seed=0)
+
+    @pytest.mark.parametrize("seed", [3, 47, 2**63 + 5])
+    @pytest.mark.parametrize("beta", [0.0, 0.35])
+    def test_dyadic_cases_equal_one_case_calls(self, seed, beta):
+        transforms = ("normal", "lognormal", "iid-lognormal")
+        specs = [RandomEffectsSpec(0.05, 0.15), RandomEffectsSpec(0.05, 0.9),
+                 RandomEffectsSpec(0.0, 0.1)]
+        cases = _dyadic_cases(7, specs, transforms, beta=beta, seed=seed)
+        pairs = [(t, spec) for t in transforms for spec in specs]
+        assert len(cases) == len(pairs)
+        for (transform, spec), (array, eps) in zip(pairs, cases):
+            one, one_eps = gen_dyadic_dataset(7, beta=beta, spec_err=spec,
+                                              cov_transform=transform, seed=seed)
+            for field in ("y", "d", "x", "observed"):
+                assert np.array_equal(getattr(array, field), getattr(one, field))
+            assert np.array_equal(eps, one_eps)
+
+    @pytest.mark.parametrize("kwargs, digest", [
+        (dict(n=7, beta=0.35, spec_err=RandomEffectsSpec(0.05, 0.9),
+              cov_transform="lognormal", seed=47), "d934164607ff79e3"),
+        (dict(n=6, seed=3), "e8bfeeb34785fdc6"),
+        (dict(n=5, beta=-1.5, spec_err=RandomEffectsSpec(0.2, 0.3, base_dist="cauchy"),
+              cov_transform="normal", seed=2**63 + 5), "49489223d7996a8c"),
+    ])
+    def test_one_case_call_keeps_its_arrays(self, kwargs, digest):
+        # recorded before several cases could share draws: y, d, x and the errors
+        array, eps = gen_dyadic_dataset(**kwargs)
+        data = b"".join(np.ascontiguousarray(v).tobytes()
+                        for v in (array.y, array.d, array.x, eps))
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+    def test_iid_treatment_is_drawn_per_cell(self):
+        # exp(0.5 w), w ~ N(0, 5) iid, from the DGP's fourth stream
+        array, _ = gen_dyadic_dataset(9, cov_transform="iid-lognormal", seed=12)
+        w = generator(dgp_seed(12, 3)).standard_normal((9, 9)) * np.sqrt(5.0)
+        assert np.array_equal(array.d[:, :, 0], np.exp(0.5 * w))
+
+
+def _standalone_size_pval(n, transform, phi2, num_perms, rep_seed):
+    array, _ = gen_dyadic_dataset(n, beta=0.0, spec_err=RandomEffectsSpec(0.05, phi2),
+                                  cov_transform=transform, seed=rep_seed)
+    return dyadic_test(array, num_perms=num_perms, seed=rep_seed).pval
+
+
+def _standalone_power_pval(n, beta, phi2, num_perms, rep_seed):
+    # one row's own dataset, with the iid treatment exp(0.5 w), w ~ N(0, 5)
+    array, _ = gen_dyadic_dataset(n, beta=0.0, spec_err=RandomEffectsSpec(0.0, phi2),
+                                  cov_transform="lognormal", seed=rep_seed)
+    w = generator(dgp_seed(rep_seed, 3)).standard_normal((n, n)) * np.sqrt(5.0)
+    d = np.exp(0.5 * w)
+    array = DyadArray(y=array.y + d * float(beta), d=d[:, :, None], x=array.x)
+    return dyadic_test(array, num_perms=num_perms, seed=rep_seed).pval
+
+
+class TestSharedReplicate:
+    # A replicate serves every row of its panel from one set of draws, one
+    # group and one build per treatment; each p-value must be the one the row
+    # gets on its own.
+    SEEDS = [replicate_seed(61, r) for r in range(24)]
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = []
+        init = PreparedTest.__init__
+
+        def counting(self, *args, **kwargs):
+            count.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PreparedTest, "__init__", counting)
+        return count
+
+    def test_size_rows_match_standalone_tests(self, builds):
+        transforms, phi2s = ("normal", "lognormal"), (0.15, 0.9)
+        for rep_seed in self.SEEDS:
+            builds.clear()
+            shared = _size_rep(10, transforms, phi2s, 9, rep_seed)
+            assert len(builds) == 2  # one build per covariate transform
+            alone = [_standalone_size_pval(10, t, phi2, 9, rep_seed)
+                     for t in transforms for phi2 in phi2s]
+            assert shared == alone
+
+    def test_power_rows_match_standalone_tests(self, builds):
+        betas = (0.01, 0.05, 0.10, 0.15)
+        for rep_seed in self.SEEDS:
+            builds.clear()
+            shared = _power_rep(10, betas, 0.1, 9, rep_seed)
+            assert len(builds) == 1  # one build for all effect sizes
+            assert shared == [_standalone_power_pval(10, beta, 0.1, 9, rep_seed)
+                              for beta in betas]
+
+    def test_rows_reject_at_varied_levels(self):
+        # the equalities above are not all p = 1: the p-values spread
+        pvals = {p for s in self.SEEDS[:8] for p in _power_rep(10, (0.0, 0.15), 0.1, 9, s)}
+        assert len(pvals) > 3
+
+
 class TestSemisyntheticErrors:
     def _grid_indices(self, m, n):
         return np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
@@ -223,16 +345,14 @@ class TestMcRejectionRate:
         assert summary.rate == 1.0
 
     def test_threads_do_not_change_result(self):
-        serial = mc_rejection_rate(
-            __import__("functools").partial(_size_rep, 6, "normal", 0.15, 5),
-            reps=6, alpha=0.5, seed=3, threads=1,
-        )
-        parallel = mc_rejection_rate(
-            __import__("functools").partial(_size_rep, 6, "normal", 0.15, 5),
-            reps=6, alpha=0.5, seed=3, threads=2,
-        )
-        assert serial.rate == parallel.rate
-        assert serial.config_digest == parallel.config_digest
+        # one replicate callable for all rows: the pool must give each row's
+        # rate and digest exactly as the serial loop does
+        rep = partial(_size_rep, 6, ("normal", "lognormal"), (0.15, 0.9), 5)
+        labels = ["a", "b", "c", "d"]
+        serial = _rejection_rates(rep, labels, reps=6, alpha=0.5, seed=3, threads=1)
+        parallel = _rejection_rates(rep, labels, reps=6, alpha=0.5, seed=3, threads=2)
+        assert serial == parallel
+        assert [s.label for s in serial] == labels
 
     def test_reps_validated(self):
         with pytest.raises(DimensionError):
@@ -321,6 +441,11 @@ class TestPanels:
         row = out["rows"][0]
         assert 0.0 <= row["rate"] <= 1.0
         assert row["reps"] == 3
+
+    @pytest.mark.parametrize("grid", [dict(phi2_values=()), dict(cov_transforms=())])
+    def test_null_size_panel_without_rows(self, grid):
+        out = run_null_size_panel(n=6, reps=3, seed=24, num_perms=5, **grid)
+        assert out["rows"] == []
 
     def test_power_panel_rows(self):
         out = run_power_panel(n=6, reps=2, seed=25, num_perms=5, betas=(0.0, 0.1))
