@@ -27,6 +27,7 @@ when the caller sets ``tol``, a relative cutoff on the singular values of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,12 +136,34 @@ def _require_finite(values: np.ndarray, name: str) -> None:
         )
 
 
-def _require_no_overflow(name: str, *values) -> None:
-    """Fail closed when contractions of finite ``name`` data overflow; the
-    callers silence numpy's overflow warnings, which this error replaces."""
-    if not all(np.isfinite(v).all() for v in values):
+# The smallest normal float64.
+_TINY = 2.0 ** -1022
+
+
+def _exponent(values: np.ndarray) -> int:
+    """e with max|values| in [2^(e-1), 2^e); 0 for all-zero values."""
+    return int(np.frexp(np.abs(values).max())[1])
+
+
+def _unscale(name: str, exp: int, scaled: np.ndarray) -> np.ndarray:
+    """Statistics taken on ``name`` data scaled by 2^-exp, scaled back by 2^exp.
+
+    Fails closed when one is not a normal float in the data's units: it
+    overflows, or it is nonzero on the scaled data but below the normal
+    range, scaled or not, so its digits are lost.  An exact 0 is kept.  The
+    callers silence numpy's overflow warnings, which these errors replace.
+    """
+    values = np.ldexp(scaled, exp)
+    if not np.isfinite(values).all():
         raise NonFiniteInputError(f"{name} is too large: its contractions with the "
                                   "annihilated treatments overflow float64; rescale")
+    # s and s 2^exp are both normal iff |s| >= TINY max(1, 2^-exp); only the
+    # zeros may fall short
+    short = np.count_nonzero(np.abs(scaled) < math.ldexp(_TINY, max(0, -exp)))
+    if short > scaled.size - np.count_nonzero(scaled):
+        raise NonFiniteInputError(f"{name} is too small: its contractions with the "
+                                  "annihilated treatments underflow float64; rescale")
+    return values
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -224,7 +247,7 @@ class PreparedTest:
         # max|D| = 2^shift up to a factor of 2, and the norms are compared in
         # units of 2^shift: the scaling is exact, and no square of a scaled
         # entry overflows or underflows.
-        shift = int(np.frexp(np.abs(D).max())[1])
+        shift = _exponent(D)
         pd_scale = 0.0
         for members, flagged in chunks:
             out = pd[members]
@@ -256,26 +279,42 @@ class PreparedTest:
         _require_finite(y, "outcome")
         return y
 
-    def _contract(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(pd_k' v, pd_k' v[g^k]) for members 1..K, each of shape (K, d)."""
-        fixed = np.einsum("knd,n->kd", self.pd, v)
-        moved = np.empty_like(fixed)
+    def _contract(self, v: np.ndarray) -> tuple[int, np.ndarray]:
+        """(e, C): C[0] holds pd_k'u and C[1] pd_k'u[g^k] for members 1..K,
+        shape (2, K, d), where u = v 2^-e is v scaled by the power of two
+        nearest max|v|.  The scaling is exact, so the contractions of v are
+        C 2^e; C's scale does not depend on v's, and :func:`_unscale` checks
+        that C 2^e is still a normal float."""
+        exp = _exponent(v)
+        v = np.ldexp(v, -exp)
+        out = np.empty((2, self.num_perms, self.D.shape[1]))
+        np.einsum("knd,n->kd", self.pd, v, out=out[0])
         for members, v_perm in self.group.orbit(v):
-            moved[members] = np.einsum("knd,kn->kd", self.pd[members], v_perm)
-        return fixed, moved
+            out[1, members] = np.einsum("knd,kn->kd", self.pd[members], v_perm)
+        return exp, out
 
     @np.errstate(over="ignore", invalid="ignore")
     def statistics(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Observed and permuted statistics (a, b) for one outcome vector."""
-        a, b = map(_row_norms, self._contract(self._outcome(y)))
+        """Observed and permuted statistics (a, b) for one outcome vector.
+
+        They are taken on y scaled by a power of two and scaled back, which is
+        exact; one that then overflows or underflows is a typed error, never
+        a p-value.
+        """
+        exp, contracted = self._contract(self._outcome(y))
+        norms = _row_norms(contracted.reshape(-1, contracted.shape[-1]))
         # pd_k'y scales with both y and D, so either may be the one to rescale
-        _require_no_overflow("outcome or treatment", a, b)
+        a, b = _unscale("outcome or treatment", exp, norms.reshape(2, -1))
         return a, b
 
+    @np.errstate(over="ignore", invalid="ignore")
     def min_stat(self, values: np.ndarray) -> float:
-        """min_k ||D' V_k V_k' values||, the minorized statistic."""
-        stat = np.einsum("knd,n->kd", self.pd, self._outcome(values))
-        return float(_row_norms(stat).min())
+        """min_k ||D' V_k V_k' values||, the minorized statistic, scaled and
+        checked as :meth:`statistics` does."""
+        values = self._outcome(values)
+        exp = _exponent(values)
+        stat = np.einsum("knd,n->kd", self.pd, np.ldexp(values, -exp))
+        return float(_unscale("outcome or treatment", exp, _row_norms(stat)).min())
 
     @property
     def notes(self) -> tuple[str, ...]:
@@ -451,10 +490,10 @@ class _AffineStats:
 
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, prepared: PreparedTest, y: np.ndarray):
-        self.u, self.w = (col[:, 0] for col in prepared._contract(prepared._outcome(y)))
-        self.v, self.z = (col[:, 0] for col in prepared._contract(prepared.D[:, 0]))
-        _require_no_overflow("outcome or treatment", self.u, self.w)
-        _require_no_overflow("treatment", self.v, self.z)
+        exp, contracted = prepared._contract(prepared._outcome(y))
+        self.u, self.w = _unscale("outcome or treatment", exp, contracted[..., 0])
+        exp, contracted = prepared._contract(prepared.D[:, 0])
+        self.v, self.z = _unscale("treatment", exp, contracted[..., 0])
 
     def pvalues(self, points: np.ndarray) -> np.ndarray:
         a = np.abs(self.u[None, :] - points[:, None] * self.v[None, :])

@@ -401,6 +401,36 @@ class TestNonFiniteInput:
         assert np.array_equal(scaled.a, np.ldexp(plain.a, power))
         assert np.array_equal(scaled.b, np.ldexp(plain.b, power))
 
+    @pytest.mark.parametrize("s, t", [(-100, -1000), (-1000, -100), (-600, -600)])
+    def test_underflowing_statistic_is_named(self, s, t):
+        # pd_k'y ~ 2^(s+t) underflowed to 0: every a_k and b_k tied at 0 and
+        # p was 1, with no note.  A degenerate D must not skip the check.
+        X, D, y = _design(n=20, seed=41)
+        group = two_way_group(20, 20, 19, seed=41)
+        for treatment in (D, X[:, 1:]):
+            with pytest.raises(NonFiniteInputError, match="outcome or treatment is too small"):
+                permutation_test(X, np.ldexp(treatment, t), np.ldexp(y, s), group)
+        with pytest.raises(NonFiniteInputError, match="outcome or treatment is too small"):
+            PreparedTest(X, np.ldexp(D, t), group).min_stat(np.ldexp(y, s))
+        with pytest.raises(NonFiniteInputError, match="outcome or treatment is too small"):
+            invert_ci(X, np.ldexp(D, t), np.ldexp(y, s), group)
+
+    def test_interval_names_an_underflowing_treatment(self):
+        # the interval also contracts D with itself: pd_k'D ~ 2^-1200
+        # underflows, while the test's pd_k'y ~ 2^-600 does not
+        X, D, y = _design(n=20, seed=41)
+        group = two_way_group(20, 20, 19, seed=41)
+        small = np.ldexp(D, -600)
+        assert permutation_test(X, small, y, group).pval == permutation_test(X, D, y, group).pval
+        with pytest.raises(NonFiniteInputError, match="^treatment is too small"):
+            invert_ci(X, small, y, group)
+
+    def test_zero_outcome_is_no_underflow(self):
+        # an exact zero is no lost digit: every statistic ties at 0, p = 1
+        X, D, _ = _design(n=20, seed=41)
+        report = permutation_test(X, D, np.zeros(len(D)), two_way_group(20, 20, 19, seed=41))
+        assert report.pval == 1.0 and not report.a.any() and not report.b.any()
+
     def test_large_finite_treatment_keeps_its_pvalue(self):
         X, D, y = _design(n=20, seed=42)
         group = two_way_group(20, 20, 19, seed=42)

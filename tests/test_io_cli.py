@@ -194,12 +194,13 @@ def _write(path, text):
     return str(path)
 
 
-def _dyadic_csv(tmp_path, n=6, seed=0, name="data.csv"):
+def _dyadic_csv(tmp_path, n=6, seed=0, name="data.csv", scale=1.0):
+    # ``scale`` multiplies the outcome and the treatment columns
     array, _ = gen_dyadic_dataset(n, seed=seed)
     lines = ["i,j,y,d,x1,x2,x3"]
     for i in range(n):
         for j in range(n):
-            cells = [array.y[i, j], array.d[i, j, 0],
+            cells = [array.y[i, j] * scale, array.d[i, j, 0] * scale,
                      array.x[i, j, 0], array.x[i, j, 1], array.x[i, j, 2]]
             lines.append(f"{i + 1},{j + 1}," + ",".join(repr(float(c)) for c in cells))
     return _write(tmp_path / name, "\n".join(lines) + "\n"), array
@@ -891,6 +892,15 @@ class TestCliCommands:
         )
         assert payload["error"]["code"] == "NonFiniteInputError"
         assert payload["error"]["message"].startswith("beta0 ")
+
+    @pytest.mark.parametrize("sub", ["test", "ci"])
+    def test_underflowing_statistics_exit_2(self, tmp_path, capsys, sub):
+        # y and D at 2^-600 each: pd_k'y underflows, which once gave p = 1
+        path, _ = _dyadic_csv(tmp_path, n=20, seed=12, scale=2.0 ** -600)
+        payload = self._json_run([sub, "--data", path, "--num-perms", "19"], capsys,
+                                 expect_exit=2)
+        assert payload["error"]["code"] == "NonFiniteInputError"
+        assert "too small" in payload["error"]["message"]
 
     @pytest.mark.parametrize("sub, fixed", [
         ("test", False), ("test-panel", False),

@@ -66,6 +66,19 @@ def _random_mask(n_rows, n_cols, rho, seed):
     return (rng.random((n_rows, n_cols)) < rho).astype(np.int8)
 
 
+class _RecordingGenerator:
+    """A Generator stand-in that keeps a copy of every row it draws."""
+
+    def __init__(self, generator):
+        self._generator = generator
+        self.bit_generator = generator.bit_generator
+        self.rows = []
+
+    def random(self, out):
+        self._generator.random(out=out)
+        self.rows.append(out.copy())
+
+
 # The row-by-row greedy search as it was before the search was vectorized,
 # kept verbatim (with its two helpers) as the reference the current solver
 # must match move for move.
@@ -78,9 +91,10 @@ def _candidate_key(score: int, rows: tuple, cols: tuple):
 
 
 def _reference_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int = 1,
-                      searches=None):
-    # ``searches`` is accepted so that biclique_decompose can call this in
-    # place of the solver; the reference searches every restart afresh.
+                      searches=None, streams=None):
+    # ``searches`` and ``streams`` are accepted so that biclique_decompose can
+    # call this in place of the solver; the reference searches every restart
+    # afresh and draws each restart from its own generator.
     mask = as_mask(mask)
     mask_bool = mask.astype(bool)
     degrees = mask_bool.sum(axis=1)
@@ -336,6 +350,26 @@ class TestMaxBicliqueGreedy:
             kwargs = dict(restarts=4, seed=i, min_side=int(rng.integers(1, 4)))
             assert max_biclique_greedy(mask, **kwargs) == _reference_greedy(mask, **kwargs)
 
+    @pytest.mark.parametrize("restarts", [1, 9, 40])
+    def test_direct_call_matches_reference(self, restarts):
+        # called without streams, the solver derives its restarts' states in
+        # one bulk pass; restart t, in every chunk, draws its noise row from
+        # generator(mask_seed(seed, 7, t)) whatever state the reused
+        # Generator was in
+        mask = _random_mask(24, 20, 0.55, 17)
+        kwargs = dict(restarts=restarts, seed=2**40 + 5, min_side=2)
+        found = max_biclique_greedy(mask, **kwargs)
+        assert found == _reference_greedy(mask, **kwargs)
+        seeds = [mask_seed(kwargs["seed"], 7, t) for t in range(restarts)]
+        states = [np.random.default_rng(s).bit_generator.state for s in seeds]
+        assert missing._restart_states([kwargs["seed"]], restarts) == [states]
+        recorder = _RecordingGenerator(np.random.default_rng(99))
+        assert max_biclique_greedy(mask, streams=(recorder, states), **kwargs) == found
+        active = int(mask.any(axis=1).sum())
+        assert len(recorder.rows) == restarts
+        for row, s in zip(recorder.rows, seeds):
+            assert np.array_equal(row, np.random.default_rng(s).random(active))
+
     def test_repeated_start_sets_match_reference(self):
         # a planted block makes every restart start from the same prefix
         mask = np.zeros((10, 10), dtype=np.int8)
@@ -530,6 +564,36 @@ class TestBicliqueDecompose:
         with mock.patch.object(missing, "max_biclique_greedy", _reference_greedy):
             reference = biclique_decompose(mask, **kwargs)
         assert cover == reference
+
+
+    @pytest.mark.parametrize("seed", [0, 2**32 + 1])
+    def test_cover_past_one_batch_matches_reference(self, seed):
+        # fifteen disjoint blocks of two rows, 2 to 16 columns wide, in
+        # shuffled order: one greedy round each, so the round streams run past
+        # the first batch and the one after it
+        rng = np.random.default_rng(23)
+        mask = np.zeros((30, 135), dtype=np.int8)
+        for q, col in enumerate(np.cumsum(np.arange(2, 17)) - np.arange(2, 17)):
+            mask[2 * q:2 * q + 2, col:col + q + 2] = 1
+        mask = mask[rng.permutation(30)][:, rng.permutation(135)]
+        calls = []
+        real = missing.max_biclique_greedy
+
+        def counting(*args, **kwargs):
+            # every round gets its own restarts' states
+            _, states = kwargs["streams"]
+            assert states == [np.random.default_rng(mask_seed(kwargs["seed"], 7, t)).bit_generator.state
+                              for t in range(kwargs["restarts"])]
+            calls.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        kwargs = dict(solver="greedy", min_block=2, restarts=5, seed=seed)
+        with mock.patch.object(missing, "max_biclique_greedy", counting):
+            cover = biclique_decompose(mask, **kwargs)
+        assert len(calls) > 2 * missing._ROUND_BATCH and len(cover) >= 15
+        assert calls == [mask_seed(seed, 9, q) for q in range(len(calls))]
+        with mock.patch.object(missing, "max_biclique_greedy", _reference_greedy):
+            assert biclique_decompose(mask, **kwargs) == cover
 
 
 class TestBlockwiseTest:

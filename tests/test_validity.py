@@ -19,18 +19,24 @@ The data come from a seeded generator, never from raw floats drawn by
 hypothesis: an outcome in col(X), such as a constant, puts every statistic
 at a rounding-level tie, where no ordering is meaningful.  Only the exact
 outcome 0 ties every statistic exactly.
+
+Scale: pd_k'y scales exactly with y and D by powers of two, so any exponent
+pair gives the reference p-value, or a typed error when a statistic leaves
+the normal floats; never a p-value from overflowed or underflowed statistics.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from clusterperm.dyadic import PreparedTest, dyadic_test
+from clusterperm.dyadic import PreparedTest, dyadic_layout, dyadic_test, permutation_test
+from clusterperm.exceptions import NonFiniteInputError
 from clusterperm.model import DyadArray
 from clusterperm.multiway import MultiIndexDataset, panel_test
 from clusterperm.permgroup import block_product_group
 from clusterperm.rng import AXIS_CELLS, AXIS_COLS, AXIS_ROWS
+from clusterperm.simulate import gen_dyadic_dataset
 
 _transforms = st.tuples(
     st.floats(0.05, 20.0),           # c
@@ -128,3 +134,28 @@ def test_orbit_bound(name, data, num_perms, seed, log_scale):
         # p <= m / (K+1) for at most m translates, for every level m / (K+1)
         for m in range(1, num_perms + 1):
             assert np.count_nonzero(ranks <= m) <= m, (m, ranks.tolist())
+
+
+_SCALE_LAYOUT = dyadic_layout(gen_dyadic_dataset(20, seed=3)[0], 19, seed=3)
+_SCALE_REFERENCE = permutation_test(*_SCALE_LAYOUT[:4], notes=_SCALE_LAYOUT[4])
+_TINY = 2.0 ** -1022
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=st.integers(-1000, 1000), t=st.integers(-1000, 1000))
+@example(s=-100, t=-1000)  # pd_k'y underflows to 0: p was 1, with no note
+@example(s=-50, t=-1000)   # subnormal statistics
+@example(s=0, t=1020)      # pd_k'y overflows
+@example(s=1000, t=1000)
+@example(s=-1000, t=1000)
+def test_exponent_draws_give_the_reference_or_a_typed_error(s, t):
+    x, d, y, group, notes = _SCALE_LAYOUT
+    try:
+        report = permutation_test(x, np.ldexp(d, t), np.ldexp(y, s), group, notes=notes)
+    except NonFiniteInputError as err:
+        assert "outcome or treatment is too" in str(err)
+        return
+    assert report.pval == _SCALE_REFERENCE.pval == 0.95
+    assert report.notes == _SCALE_REFERENCE.notes
+    stats = np.concatenate([report.a, report.b])
+    assert np.isfinite(stats).all() and (np.abs(stats) >= _TINY).all()
