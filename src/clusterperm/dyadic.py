@@ -603,7 +603,17 @@ def invert_ci(
 
 
 def median_pvalue(pvals) -> float:
-    """Lower median of a collection of p-values (conservative for even counts)."""
+    """Lower median of R p-values: the ceil(R/2)-th smallest.
+
+    For even R this is the smaller of the two middle values, so for R = 2 it
+    is the minimum; it is not conservative.  The repeats of one irregular
+    test share their data, so their p-values are dependent, each valid.
+    Rejecting when the lower median is at most alpha needs ceil(R/2) of the
+    R p-values at most alpha, which by Markov's inequality has probability
+    at most R alpha / ceil(R/2) <= 2 alpha: the worst-case size of a median
+    of dependent p-values is 2 alpha, and twice the median is a valid
+    p-value (Meinshausen, Meier & Buehlmann 2009; Vovk & Wang 2020).
+    """
     arr = sorted(float(p) for p in pvals)
     if not arr:
         raise DegenerateInputError("median of an empty p-value collection")

@@ -24,7 +24,7 @@ from .exceptions import (
     MissingDataError,
 )
 from .model import DyadArray
-from .rng import AXIS_COLS, AXIS_ROWS, generator_states, mask_seeds
+from .rng import AXIS_COLS, AXIS_ROWS, generator, mask_seed
 
 EXACT_CAP = 16
 
@@ -216,42 +216,24 @@ def _local_search(A: np.ndarray, start: tuple[int, ...], min_side: int):
 # however many restarts are asked for.
 _RESTART_CHUNK = 8
 
-# Rounds whose restart streams a decomposition derives in one pass.  The
-# benchmark's 30x30 masks take 5 to 7 greedy rounds (6 or fewer in 199 of 200
-# decompositions); one that runs past the rounds derived so far derives as
-# many again.
-_ROUND_BATCH = 6
-
-
-def _restart_states(seeds, restarts: int) -> list[list[dict]]:
-    """For each seed s, the bit-generator states of ``generator(mask_seed(s,
-    7, t))`` for t < ``restarts``: the noise streams of a greedy call seeded s,
-    derived in bulk."""
-    flat = generator_states(mask_seeds(seeds, 7, count=restarts).ravel())
-    return [flat[i:i + restarts] for i in range(0, len(flat), restarts)]
-
 
 def max_biclique_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int = 1, *,
                         searches: dict | None = None,
-                        streams: tuple[np.random.Generator, list[dict]] | None = None):
+                        rng: np.random.Generator | None = None):
     """Seeded greedy maximum-edge biclique heuristic.
 
-    Restart t orders the rows by degree, ties broken by its own noise row
-    drawn from ``generator(mask_seed(seed, 7, t))``, and starts from the
-    first best-scoring prefix of that order against its common-neighbor
-    column set.  Restarts are scored :data:`_RESTART_CHUNK` at a time with
-    one sort and one cumulative AND.  Each start set then goes through
-    :func:`_local_search`, in restart order, and the best block wins (ties
-    keep the first).  Deterministic given ``seed``.
+    Restart t orders the rows by degree, ties broken by a row of uniform
+    noise, and starts from the first best-scoring prefix of that order
+    against its common-neighbor column set.  Restarts are scored
+    :data:`_RESTART_CHUNK` at a time with one sort and one cumulative AND.
+    Each start set then goes through :func:`_local_search`, in restart order,
+    and the best block wins (ties keep the first).
 
-    ``streams`` is ``(rng, states)``: restart t sets the Generator ``rng``
-    to ``states[t]``, the bit-generator state that
-    ``generator(mask_seed(seed, 7, t))`` starts from, and draws the same row
-    from it, without building that generator's two ``SeedSequence`` objects
-    and its ``PCG64``.  :func:`biclique_decompose` passes one Generator for
-    all its rounds and states derived in bulk for a batch of rounds.  Without
-    ``streams`` the call makes its own Generator and derives its ``restarts``
-    states in one bulk pass (:func:`~clusterperm.rng.generator_states`).
+    The noise rows come from one Generator, in restart order, one uniform
+    per active row of ``mask`` and restart: ``rng`` when given, which the
+    call advances (:func:`biclique_decompose` passes one Generator to all
+    its rounds), else ``generator(mask_seed(seed, 7))``.  ``seed`` is read
+    only when ``rng`` is not given.
 
     The local search depends only on the mask, its start set and
     ``min_side``, so ``searches`` keeps every result: it maps
@@ -274,9 +256,8 @@ def max_biclique_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int =
         raise EmptyMaskError("mask has no observed cells")
     if searches is None:
         searches = {}
-    noise_rng, states = streams or (np.random.default_rng(0),
-                                    _restart_states([seed], restarts)[0])
-    bits = noise_rng.bit_generator
+    if rng is None:
+        rng = generator(mask_seed(seed, 7))
     found = searches.setdefault((mask_bool.tobytes(), mask_bool.shape, min_side), {})
     # Rows are addressed by position in ``active``; it is sorted, so position
     # order is row order.  ``B`` holds the active rows, ``A`` the same as floats.
@@ -287,11 +268,7 @@ def max_biclique_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int =
     best = None
 
     for lo in range(0, restarts, _RESTART_CHUNK):
-        chunk = range(lo, min(lo + _RESTART_CHUNK, restarts))
-        noise = np.empty((len(chunk), n))
-        for i, t in enumerate(chunk):
-            bits.state = states[t]
-            noise_rng.random(out=noise[i])
+        noise = rng.random((min(_RESTART_CHUNK, restarts - lo), n))
         orders = np.lexsort((noise, np.broadcast_to(-degrees[active], noise.shape)), axis=-1)
         # Column counts of every prefix of each order; they never increase,
         # so requiring a positive count cuts a prefix at its first empty one.
@@ -412,12 +389,10 @@ def biclique_decompose(
     A block needs ``min_block`` rows, and ``min_block`` columns, with at
     least ``min_block`` observed cells each; when the mask left has fewer,
     the loop stops and skips a solver call that could only return None, so
-    either solver's cover is unchanged.  Greedy round q calls
-    :func:`max_biclique_greedy` with seed ``mask_seed(seed, 9, q)``.  The
-    round seeds and every restart's noise state are derived in bulk, for
-    :data:`_ROUND_BATCH` rounds at a time, so a round builds no
-    ``SeedSequence``; each round draws what its own seed would.  Greedy rounds
-    also hand ``searches`` on, so calls that share one dict share their local
+    either solver's cover is unchanged.  The greedy rounds draw their
+    restarts' noise from one Generator, ``generator(mask_seed(seed, 9))``,
+    each round after the one before (see :func:`max_biclique_greedy`), and
+    hand ``searches`` on, so calls that share one dict share their local
     searches.  Raises :class:`DimensionError` when ``min_block`` or
     ``restarts`` is below 1, even when the exact solver makes ``restarts``
     moot.
@@ -434,11 +409,7 @@ def biclique_decompose(
         raise DimensionError(f"restarts must be at least 1, got {restarts}")
 
     blocks = []
-    round_no = 0
-    round_seeds: list[int] = []
-    round_states: list[list[dict]] = []
-    # every greedy round draws its restarts' noise from this one Generator
-    noise_rng = np.random.default_rng(0)
+    rng = None if use_exact else generator(mask_seed(seed, 9))
     # A block with both sides >= min_block needs min_block rows, and min_block
     # columns, holding at least min_block cells each.
     while ((work.sum(axis=1) >= min_block).sum() >= min_block
@@ -446,25 +417,14 @@ def biclique_decompose(
         if use_exact:
             found = max_biclique_exact(work, cap=cap, min_side=min_block)
         else:
-            if round_no == len(round_seeds):
-                fresh = mask_seeds([seed], 9, count=max(_ROUND_BATCH, 2 * round_no))[0, round_no:]
-                round_seeds += fresh.tolist()
-                round_states += _restart_states(fresh, restarts)
-            found = max_biclique_greedy(
-                work,
-                restarts=restarts,
-                seed=round_seeds[round_no],
-                min_side=min_block,
-                searches=searches,
-                streams=(noise_rng, round_states[round_no]),
-            )
+            found = max_biclique_greedy(work, restarts=restarts, min_side=min_block,
+                                        searches=searches, rng=rng)
         if found is None:
             break
         rows, cols = found
         blocks.append((rows, cols))
         work[list(rows), :] = False
         work[:, list(cols)] = False
-        round_no += 1
     return BicliqueCover(tuple(blocks), n_rows, n_cols)
 
 

@@ -179,14 +179,13 @@ def panel_test(
     return _box_test(data, None, num_perms, seed, tol)
 
 
-def _cells_in_order(data: MultiIndexDataset) -> dict:
-    """Record positions per occupied cell (i, j), cells lexicographic, records by l."""
+def _cells_in_order(data: MultiIndexDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Record positions grouped by cell, CSR-style: ``order`` lists the records
+    by cell (i, j), row-major, then by l, and cell c = i * n_cols + j holds
+    ``order[bounds[c]:bounds[c + 1]]``."""
     order = np.lexsort((np.arange(data.n_obs), data.l, data.j, data.i))
     cell = (data.i * data.n_cols + data.j)[order]
-    starts = np.flatnonzero(np.diff(cell)) + 1
-    heads = order[np.r_[0, starts]]
-    return dict(zip(zip(data.i[heads].tolist(), data.j[heads].tolist()),
-                    np.split(order, starts)))
+    return order, np.searchsorted(cell, np.arange(data.n_rows * data.n_cols + 1))
 
 
 def layout_test(
@@ -208,8 +207,8 @@ def layout_test(
         raise UnbalancedError(
             f"{empty} cells have no records; use the irregular or missing-data paths"
         )
-    blocks = [(i * data.n_cols + j, (AXIS_CELLS,), positions)
-              for (i, j), positions in _cells_in_order(data).items()]
+    order, bounds = _cells_in_order(data)
+    blocks = [(c, (AXIS_CELLS,), order[bounds[c]:bounds[c + 1]]) for c in range(sizes.size)]
     return block_test(data.x, data.d, data.y, blocks, num_perms, seed, tol)
 
 
@@ -283,15 +282,17 @@ def irregular_test(
 
     Pipeline per repeat: threshold the cell-size grid at L0, decompose the
     resulting mask into disjoint fully eligible blocks, subsample every
-    retained cell to exactly L0 records (slots keep original record order),
-    and permute block rows and columns with the L0 slots riding along.
+    retained cell to exactly L0 records (:func:`_trim_cover`; slots keep
+    original record order), and permute block rows and columns with the L0
+    slots riding along.
     The exact solver's cover does not depend on the seed, so it is built
     once and shared by every repeat.  The greedy solver's covers differ by
     repeat, but its local searches depend only on the mask left and the
     start set, so the repeats of one call share them through one
     ``searches`` dict (see :func:`~clusterperm.missing.max_biclique_greedy`);
-    the dict is dropped when the call returns.  Reports the lower-median
-    p-value across repeats.
+    the dict is dropped when the call returns.  Reports the lower median
+    of the repeats' p-values, whose worst-case size is 2 alpha (see
+    :func:`~clusterperm.dyadic.median_pvalue`).
     """
     if l0 < 1:
         raise DimensionError(f"l0 must be positive, got {l0}")
@@ -319,9 +320,9 @@ def irregular_test(
     for r in range(repeats):
         rs = run_seed(seed, r)
         cover = fixed_cover if fixed_cover is not None else decompose(rs)
-        reports.append(
-            _trimmed_block_run(data, cells, cover, l0, num_perms, rs, tol)
-        )
+        trimmed = _trim_cover(cells, data.n_cols, cover, l0, generator(trim_seed(rs)))
+        blocks = [(q, (AXIS_ROWS, AXIS_COLS, None), records) for q, records in enumerate(trimmed)]
+        reports.append(block_test(data.x, data.d, data.y, blocks, num_perms, rs, tol))
     return IrregularResult(
         pval=median_pvalue([report.pval for report in reports]),
         runs=tuple(reports),
@@ -333,15 +334,34 @@ def irregular_test(
     )
 
 
-def _trimmed_block_run(data: MultiIndexDataset, cells: dict, cover: BicliqueCover, l0: int,
-                       num_perms: int, rs: int, tol: float | None) -> TestReport:
-    """One repeat: keep l0 records, drawn at random, of every cell of the cover."""
-    rng = generator(trim_seed(rs))
+def _trim_cover(cells: tuple[np.ndarray, np.ndarray], n_cols: int, cover: BicliqueCover,
+                l0: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Keep l0 records, drawn at random, of every cell of the cover.
 
-    def trim(positions):
-        return positions[np.sort(rng.choice(positions.size, size=l0, replace=False))]
+    ``cells`` is :func:`_cells_in_order`'s layout.  One uniform key is drawn
+    per record of the cover's cells, block by block and, within a block,
+    cell by cell in row-major order; each cell keeps the records holding its
+    l0 smallest keys, in slot order, so every l0-subset of a cell is equally
+    likely.  The records go through one lexsort by cell and key, in memory
+    linear in the records of the cover.  Returns each block's record
+    positions, shaped (rows, cols, l0).
+    """
+    if not cover.blocks:
+        return []
+    order, bounds = cells
+    ids = np.concatenate([(np.array(rows)[:, None] * n_cols + cols).ravel()
+                          for rows, cols in cover.blocks])
+    lo = bounds[ids]
+    sizes = bounds[ids + 1] - lo
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(ids.size), sizes)
+    records = order[np.arange(owner.size) + np.repeat(lo - starts, sizes)]
+    # ``ranked`` lists each cell's records by key, cells in order, so its
+    # entry e is the (e - starts[owner[e]])-th smallest key of cell owner[e].
+    ranked = np.lexsort((rng.random(owner.size), owner))
+    kept = ranked[np.arange(owner.size) < starts[owner] + l0].reshape(ids.size, l0)
+    kept = records[np.sort(kept, axis=1)]
+    splits = np.cumsum([len(rows) * len(cols) for rows, cols in cover.blocks])[:-1]
+    return [block.reshape(len(rows), len(cols), l0)
+            for block, (rows, cols) in zip(np.split(kept, splits), cover.blocks)]
 
-    blocks = [(q, (AXIS_ROWS, AXIS_COLS, None),
-               np.array([[trim(cells[i, j]) for j in cols] for i in rows]))
-              for q, (rows, cols) in enumerate(cover.blocks)]
-    return block_test(data.x, data.d, data.y, blocks, num_perms, rs, tol)

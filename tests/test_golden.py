@@ -136,18 +136,18 @@ CASES = {
     "test-irregular": (
         ["test-irregular", "--data", "records.csv", "--num-perms", "5",
          "--repeats", "3", "--seed", "6"],
-        "91e3dd8b68821bea4bc6bfd8bc82e065da22b83df75608577623804c81247a8c",
+        "8c8ad79cd37e34017c44a6cc8a249a825285ef3b2ed37b9759386d79b04d98b9",
     ),
     "test-irregular-greedy": (
         ["test-irregular", "--data", "records.csv", "--num-perms", "5",
          "--repeats", "3", "--seed", "6", "--biclique-solver", "greedy",
          "--restarts", "4"],
-        "f596fb0628188ca71fb8917b8a1d31ac56b508b4b92b3856442e415dc19c50ff",
+        "28137dd39461102fff7465e9737b412f2162f20f023a5cf854a26f9ccf9c8dea",
     ),
     "test-irregular-exact": (
         ["test-irregular", "--data", "small.csv", "--num-perms", "3",
          "--repeats", "4", "--seed", "9", "--biclique-solver", "exact"],
-        "321e46a527f75173f2d4bb0e16e2e072eb0fda1775adeae8e1b8aaa763883a99",
+        "ebc174c0ef2a1d4252e7a11c5ec9591b6fc594fb13fac8cfbace1344a44f0142",
     ),
     "biclique-records": (
         ["biclique", "--data", "records.csv", "--seed", "8"],
@@ -193,7 +193,7 @@ CASES = {
     "simulate-table3": (
         ["simulate", "--panel", "table3", "--n", "8", "--reps", "3",
          "--num-perms", "3", "--repeats", "2", "--alpha", "0.5", "--seed", "18"],
-        "d6202d1155289cc1f3deaaf50e2b2280674c2b665d24117506fb3bece902b7c7",
+        "5db36eadd10227466fcab762f917e7a696194fb0bd4bc443bd5978164019777f",
     ),
 }
 

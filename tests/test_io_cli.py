@@ -1,7 +1,9 @@
 """Tests for CSV ingestion and the command-line front end."""
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import re
 import tempfile
@@ -1107,3 +1109,60 @@ class TestCliCommands:
         assert error["code"] == "ParseError"
         assert error["message"].startswith(f"cannot write --out {out}: ")
         assert "Traceback" not in captured.err
+
+
+# A bounded fuzz of the irregular pipeline's two subcommands on small
+# pathological record files: whatever the columns hold, a run exits 0 with a
+# strict JSON report or 2 with a typed error, never 3.
+
+_FUZZ_COLUMNS = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "constant": lambda rng, n: np.full(n, 3.5),
+    "zero": lambda rng, n: np.zeros(n),
+    "huge": lambda rng, n: 1e300 * rng.standard_normal(n),
+    "tiny": lambda rng, n: 1e-300 * rng.standard_normal(n),
+    "subnormal": lambda rng, n: 5e-324 * rng.integers(-9, 10, size=n),
+    "nan": lambda rng, n: np.where(rng.random(n) < 0.3, np.nan, rng.standard_normal(n)),
+    "inf": lambda rng, n: np.where(rng.random(n) < 0.3, -np.inf, rng.standard_normal(n)),
+}
+
+
+@st.composite
+def _fuzz_records(draw):
+    """A records CSV on a grid of up to 6x6 cells, some empty and some of one
+    record, whose y, d and x1 columns each take a pathological kind."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = rng.integers(0, 6, size=rng.integers(1, 7, size=2))
+    sizes[rng.random(sizes.shape) < 0.2] = 1
+    sizes[-1, -1] = max(sizes[-1, -1], 1)
+    i, j = np.divmod(np.repeat(np.arange(sizes.size), sizes.ravel()), sizes.shape[1])
+    l = np.concatenate([np.arange(c) for c in sizes.ravel()])
+    kinds = [draw(st.sampled_from(sorted(_FUZZ_COLUMNS))) for _ in range(3)]
+    values = np.column_stack([_FUZZ_COLUMNS[kind](rng, i.size) for kind in kinds])
+    lines = ["i,j,l,y,d,x1"] + [f"{a + 1},{b + 1},{c + 1}," + ",".join(repr(float(v)) for v in row)
+                                for a, b, c, row in zip(i, j, l, values)]
+    return "\n".join(lines) + "\n"
+
+
+class TestIrregularCliFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(text=_fuzz_records(), seed=st.integers(0, 2**31),
+           l0=st.sampled_from(["auto", "1", "2", "3"]),
+           solver=st.sampled_from(["auto", "exact", "greedy"]),
+           min_block=st.integers(1, 2))
+    def test_exits_0_with_strict_json_or_2(self, text, seed, l0, solver, min_block):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        flags = ["--seed", str(seed), "--biclique-solver", solver,
+                 "--min-block", str(min_block), "--restarts", "3"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write(Path(tmp) / "records.csv", text)
+            for argv in (["test-irregular", "--num-perms", "3", "--repeats", "2",
+                          "--l0", l0], ["biclique"]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv + ["--data", path] + flags)
+                payload = json.loads(out.getvalue(), parse_constant=reject)
+                assert code in (0, 2), out.getvalue()
+                assert ("error" in payload) == (code == 2)

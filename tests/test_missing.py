@@ -71,12 +71,12 @@ class _RecordingGenerator:
 
     def __init__(self, generator):
         self._generator = generator
-        self.bit_generator = generator.bit_generator
         self.rows = []
 
-    def random(self, out):
-        self._generator.random(out=out)
-        self.rows.append(out.copy())
+    def random(self, size):
+        out = self._generator.random(size)
+        self.rows.extend(out.copy())
+        return out
 
 
 # The row-by-row greedy search as it was before the search was vectorized,
@@ -91,10 +91,11 @@ def _candidate_key(score: int, rows: tuple, cols: tuple):
 
 
 def _reference_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int = 1,
-                      searches=None, streams=None):
-    # ``searches`` and ``streams`` are accepted so that biclique_decompose can
-    # call this in place of the solver; the reference searches every restart
-    # afresh and draws each restart from its own generator.
+                      searches=None, rng=None):
+    # ``searches`` is accepted so that biclique_decompose can call this in
+    # place of the solver; the reference searches every restart afresh.  Its
+    # restarts draw their noise rows one after another from one Generator:
+    # ``rng`` when given, else numpy's own default_rng(mask_seed(seed, 7)).
     mask = as_mask(mask)
     mask_bool = mask.astype(bool)
     degrees = mask_bool.sum(axis=1)
@@ -102,9 +103,11 @@ def _reference_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int = 1
     if active.size == 0:
         raise EmptyMaskError("mask has no observed cells")
     best = None
+    if rng is None:
+        rng = np.random.default_rng(mask_seed(seed, 7))
 
     for t in range(restarts):
-        rng_noise = np.random.default_rng(mask_seed(seed, 7, t)).random(active.size)
+        rng_noise = rng.random(active.size)
         order = active[np.lexsort((rng_noise, -degrees[active]))]
         common = np.ones(mask_bool.shape[1], dtype=bool)
         chosen: list[int] = []
@@ -352,23 +355,19 @@ class TestMaxBicliqueGreedy:
 
     @pytest.mark.parametrize("restarts", [1, 9, 40])
     def test_direct_call_matches_reference(self, restarts):
-        # called without streams, the solver derives its restarts' states in
-        # one bulk pass; restart t, in every chunk, draws its noise row from
-        # generator(mask_seed(seed, 7, t)) whatever state the reused
-        # Generator was in
+        # called without rng, the solver draws restart t's noise row, in every
+        # chunk, as row t of generator(mask_seed(seed, 7)); a Generator passed
+        # in gives its next rows, and the call advances it by exactly those
         mask = _random_mask(24, 20, 0.55, 17)
         kwargs = dict(restarts=restarts, seed=2**40 + 5, min_side=2)
         found = max_biclique_greedy(mask, **kwargs)
         assert found == _reference_greedy(mask, **kwargs)
-        seeds = [mask_seed(kwargs["seed"], 7, t) for t in range(restarts)]
-        states = [np.random.default_rng(s).bit_generator.state for s in seeds]
-        assert missing._restart_states([kwargs["seed"]], restarts) == [states]
-        recorder = _RecordingGenerator(np.random.default_rng(99))
-        assert max_biclique_greedy(mask, streams=(recorder, states), **kwargs) == found
         active = int(mask.any(axis=1).sum())
-        assert len(recorder.rows) == restarts
-        for row, s in zip(recorder.rows, seeds):
-            assert np.array_equal(row, np.random.default_rng(s).random(active))
+        recorder = _RecordingGenerator(np.random.default_rng(mask_seed(kwargs["seed"], 7)))
+        assert max_biclique_greedy(mask, rng=recorder, **{**kwargs, "seed": 99}) == found
+        expected = np.random.default_rng(mask_seed(kwargs["seed"], 7))
+        assert np.array_equal(recorder.rows, expected.random((restarts, active)))
+        assert np.array_equal(recorder.random(3), expected.random(3))
 
     def test_repeated_start_sets_match_reference(self):
         # a planted block makes every restart start from the same prefix
@@ -569,31 +568,43 @@ class TestBicliqueDecompose:
     @pytest.mark.parametrize("seed", [0, 2**32 + 1])
     def test_cover_past_one_batch_matches_reference(self, seed):
         # fifteen disjoint blocks of two rows, 2 to 16 columns wide, in
-        # shuffled order: one greedy round each, so the round streams run past
-        # the first batch and the one after it
+        # shuffled order: one greedy round each, and every round draws from
+        # the one Generator of the call, where the round before it stopped
         rng = np.random.default_rng(23)
         mask = np.zeros((30, 135), dtype=np.int8)
         for q, col in enumerate(np.cumsum(np.arange(2, 17)) - np.arange(2, 17)):
             mask[2 * q:2 * q + 2, col:col + q + 2] = 1
         mask = mask[rng.permutation(30)][:, rng.permutation(135)]
-        calls = []
+        streams, draws = [], []
         real = missing.max_biclique_greedy
 
         def counting(*args, **kwargs):
-            # every round gets its own restarts' states
-            _, states = kwargs["streams"]
-            assert states == [np.random.default_rng(mask_seed(kwargs["seed"], 7, t)).bit_generator.state
-                              for t in range(kwargs["restarts"])]
-            calls.append(kwargs["seed"])
+            streams.append(kwargs["rng"])
+            draws.append(kwargs["restarts"] * int(args[0].any(axis=1).sum()))
             return real(*args, **kwargs)
 
         kwargs = dict(solver="greedy", min_block=2, restarts=5, seed=seed)
         with mock.patch.object(missing, "max_biclique_greedy", counting):
             cover = biclique_decompose(mask, **kwargs)
-        assert len(calls) > 2 * missing._ROUND_BATCH and len(cover) >= 15
-        assert calls == [mask_seed(seed, 9, q) for q in range(len(calls))]
+        assert len(streams) >= 15 and len(cover) >= 15
+        assert all(stream is streams[0] for stream in streams)
+        expected = np.random.default_rng(mask_seed(seed, 9))
+        expected.random(sum(draws))
+        assert streams[0].random(4).tolist() == expected.random(4).tolist()
         with mock.patch.object(missing, "max_biclique_greedy", _reference_greedy):
             assert biclique_decompose(mask, **kwargs) == cover
+
+    def test_one_seed_one_cover(self):
+        # a cover depends on its seed alone: not on calls made before it, on
+        # the searches it shares, or on other seeds' calls in between
+        mask = _random_mask(30, 30, 0.6, 12)
+        kwargs = dict(solver="greedy", min_block=2, restarts=6)
+        searches = {}
+        first = biclique_decompose(mask, seed=4, searches=searches, **kwargs)
+        other = biclique_decompose(mask, seed=5, searches=searches, **kwargs)
+        again = biclique_decompose(mask, seed=4, searches=searches, **kwargs)
+        assert again == first == biclique_decompose(mask, seed=4, **kwargs)
+        assert other != first
 
 
 class TestBlockwiseTest:

@@ -1,9 +1,14 @@
 """Tests for three-index designs: boxes, panels, layouts, irregular cells."""
 
+import tracemalloc
 from dataclasses import replace
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterperm import missing, multiway
 from clusterperm.dyadic import two_way_test
@@ -13,6 +18,7 @@ from clusterperm.exceptions import (
     UnbalancedError,
 )
 from clusterperm.model import DyadArray, StackedDesign
+from clusterperm.missing import BicliqueCover, biclique_decompose
 from clusterperm.multiway import (
     MultiIndexDataset,
     irregular_test,
@@ -412,3 +418,98 @@ class TestIrregularTest:
             irregular_test(data, l0=0, num_perms=3, repeats=2)
         with pytest.raises(DimensionError):
             irregular_test(data, l0=3, num_perms=3, repeats=0)
+
+
+def _records(sizes, seed=0):
+    """Records filling each cell (i, j) with sizes[i, j] slots, in shuffled
+    order; y, d and x are standard normal draws."""
+    i, j = np.divmod(np.repeat(np.arange(sizes.size), sizes.ravel()), sizes.shape[1])
+    l = np.concatenate([np.arange(c) for c in sizes.ravel()])
+    rng = np.random.default_rng(seed)
+    shuffle = rng.permutation(i.size)
+    y, d, x = rng.standard_normal((3, i.size))
+    return MultiIndexDataset(i=i[shuffle], j=j[shuffle], l=l[shuffle], y=y, d=d, x=x)
+
+
+def _trim(data, cover, l0, rng):
+    return multiway._trim_cover(multiway._cells_in_order(data), data.n_cols, cover, l0, rng)
+
+
+@st.composite
+def _trim_cases(draw):
+    """Records on a random cell-size grid, an L0 and a cover of eligible cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows, n_cols = rng.integers(1, 9, size=2)
+    sizes = rng.integers(0, rng.integers(1, 9), size=(n_rows, n_cols))
+    sizes[-1, -1] = max(sizes[-1, -1], 1)
+    l0 = int(rng.integers(1, sizes.max() + 1))
+    mask = (sizes >= l0).astype(np.int8)
+    cover = biclique_decompose(mask, solver=draw(st.sampled_from(["exact", "greedy"])),
+                               min_block=draw(st.integers(1, 2)), restarts=3,
+                               seed=draw(st.integers(0, 2**31)))
+    return _records(sizes, seed=draw(st.integers(0, 2**31))), l0, cover
+
+
+class TestTrims:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_trim_cases(), seed=st.integers(0, 2**31))
+    def test_each_cell_keeps_l0_of_its_own_records_in_slot_order(self, case, seed):
+        data, l0, cover = case
+        trimmed = _trim(data, cover, l0, np.random.default_rng(seed))
+        assert len(trimmed) == len(cover)
+        for records, (rows, cols) in zip(trimmed, cover.blocks):
+            assert records.shape == (len(rows), len(cols), l0)
+            for a, b in np.ndindex(len(rows), len(cols)):
+                kept = records[a, b]
+                assert (data.i[kept] == rows[a]).all() and (data.j[kept] == cols[b]).all()
+                assert np.unique(kept).size == l0
+                assert (np.diff(data.l[kept]) > 0).all()
+
+    @pytest.mark.parametrize("solver", ["exact", "greedy"])
+    def test_outcome_moves_neither_cover_nor_trims(self, solver):
+        # the cover and the trims read i, j and l alone
+        data = gen_irregular_dataset(12, 12, 3, "row-heavy", seed=31, extra_slots=3)
+        other = replace(data, y=np.random.default_rng(32).standard_normal(data.n_obs))
+        seen = []
+        real = multiway.block_test
+
+        def recording(x, d, y, blocks, *args):
+            seen.append([(key, axes, records.tolist()) for key, axes, records in blocks])
+            return real(x, d, y, blocks, *args)
+
+        with mock.patch.object(multiway, "block_test", recording):
+            for dataset in (data, other):
+                irregular_test(dataset, l0=3, num_perms=3, repeats=3, seed=33, solver=solver)
+        assert len(seen) == 6 and seen[:3] == seen[3:]
+        assert len({str(blocks) for blocks in seen[:3]}) > 1
+
+    def test_subsets_are_uniform(self):
+        # one cell of three records, L0 = 2: each of the three subsets
+        # should come up about 1,000 times in 3,000 draws
+        data = MultiIndexDataset(i=[0, 0, 0], j=[0, 0, 0], l=[2, 0, 1], y=[0.0] * 3,
+                                 d=[0.0] * 3, x=[1.0] * 3)
+        cover = BicliqueCover((((0,), (0,)),), 1, 1)
+        rng = np.random.default_rng(34)
+        counts = dict.fromkeys(combinations([1, 2, 0], 2), 0)
+        for _ in range(3000):
+            counts[tuple(_trim(data, cover, 2, rng)[0].ravel().tolist())] += 1
+        assert sum(counts.values()) == 3000
+        assert all(abs(c - 1000) < 150 for c in counts.values()), counts
+
+    def test_memory_is_linear_in_the_records(self):
+        # one cell of 10**5 records on a 30x30 grid: padding every cell to the
+        # largest would take 900 x 10**5 slots, 720 MB of int64; the trims
+        # take about 40 bytes per record
+        sizes = np.full((30, 30), 2)
+        sizes[4, 7] = 10**5
+        data = _records(sizes, seed=35)
+        cells = multiway._cells_in_order(data)
+        cover = BicliqueCover(((tuple(range(30)), tuple(range(30))),), 30, 30)
+        tracemalloc.start()
+        try:
+            trimmed = multiway._trim_cover(cells, 30, cover, 2, np.random.default_rng(36))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trimmed[0].shape == (30, 30, 2)
+        assert peak < 128 * data.n_obs
