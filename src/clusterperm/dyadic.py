@@ -27,7 +27,6 @@ when the caller sets ``tol``, a relative cutoff on the singular values of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,29 +139,26 @@ def _require_finite(values: np.ndarray, name: str) -> None:
 _TINY = 2.0 ** -1022
 
 
-def _exponent(values: np.ndarray) -> int:
-    """e with max|values| in [2^(e-1), 2^e); 0 for all-zero values."""
-    return int(np.frexp(np.abs(values).max())[1])
-
-
-def _unscale(name: str, exp: int, scaled: np.ndarray) -> np.ndarray:
-    """Statistics taken on ``name`` data scaled by 2^-exp, scaled back by 2^exp.
+def _unscale(name: str, exps: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """Statistics ``scaled[j]`` of outcome j scaled by 2^-exps[j], scaled back.
 
     Fails closed when one is not a normal float in the data's units: it
     overflows, or it is nonzero on the scaled data but below the normal
     range, scaled or not, so its digits are lost.  An exact 0 is kept.  The
-    callers silence numpy's overflow warnings, which these errors replace.
+    error names the first such outcome, ``name.format(j)``.  The callers
+    silence numpy's overflow warnings, which these errors replace.
     """
-    values = np.ldexp(scaled, exp)
-    if not np.isfinite(values).all():
-        raise NonFiniteInputError(f"{name} is too large: its contractions with the "
-                                  "annihilated treatments overflow float64; rescale")
+    exps = exps.reshape((-1,) + (1,) * (scaled.ndim - 1))
+    values = np.ldexp(scaled, exps)
     # s and s 2^exp are both normal iff |s| >= TINY max(1, 2^-exp); only the
     # zeros may fall short
-    short = np.count_nonzero(np.abs(scaled) < math.ldexp(_TINY, max(0, -exp)))
-    if short > scaled.size - np.count_nonzero(scaled):
-        raise NonFiniteInputError(f"{name} is too small: its contractions with the "
-                                  "annihilated treatments underflow float64; rescale")
+    lost = (np.abs(scaled) < np.ldexp(_TINY, np.maximum(0, -exps))) != (scaled == 0)
+    for size, flow, bad in (("large", "overflow", ~np.isfinite(values)),
+                            ("small", "underflow", lost)):
+        if bad.any():
+            j = int(np.argmax(bad.reshape(len(exps), -1).any(axis=1)))
+            raise NonFiniteInputError(f"{name.format(j)} is too {size}: its contractions with "
+                                      f"the annihilated treatments {flow} float64; rescale")
     return values
 
 
@@ -196,8 +192,9 @@ class PreparedTest:
     - ``group``: the group, held as its generator (N values),
 
     and every pass over the members streams them from the generator in
-    chunks, so no other K x N array is made.  Shifted tests and interval
-    inversion reuse it and only the outcome changes across evaluations.
+    chunks, so no other K x N array is made.  Only the outcome changes across
+    evaluations: :meth:`statistics`, :meth:`min_stat` and :meth:`report`
+    take one outcome or a stack of them, contracted in one pass.
     ``projectors`` is kept as an empty tuple for callers that read it; no
     projector outlives the build.
 
@@ -247,7 +244,7 @@ class PreparedTest:
         # max|D| = 2^shift up to a factor of 2, and the norms are compared in
         # units of 2^shift: the scaling is exact, and no square of a scaled
         # entry overflows or underflows.
-        shift = _exponent(D)
+        shift = int(np.frexp(np.abs(D).max())[1])
         pd_scale = 0.0
         for members, flagged in chunks:
             out = pd[members]
@@ -271,50 +268,57 @@ class PreparedTest:
     def alpha_floor(self) -> float:
         return 1.0 / (self.num_perms + 1)
 
-    def _outcome(self, y) -> np.ndarray:
-        """``y`` as a finite float vector of shape (N,), or a typed error."""
+    def _outcome(self, y, stack: bool = True) -> np.ndarray:
+        """``y`` as finite floats of shape (N,), or (N, m) when ``stack``."""
         y = np.asarray(y, dtype=float)
-        if y.shape != (self.n,):
-            raise DimensionError(f"outcome must have shape ({self.n},), got {y.shape}")
+        if y.shape[:1] != (self.n,) or y.ndim > 1 + stack or not y.size:
+            shapes = f"({self.n},)" + (f" or ({self.n}, m)" if stack else "")
+            raise DimensionError(f"outcome must have shape {shapes}, got {y.shape}")
         _require_finite(y, "outcome")
         return y
 
-    def _contract(self, v: np.ndarray) -> tuple[int, np.ndarray]:
-        """(e, C): C[0] holds pd_k'u and C[1] pd_k'u[g^k] for members 1..K,
-        shape (2, K, d), where u = v 2^-e is v scaled by the power of two
-        nearest max|v|.  The scaling is exact, so the contractions of v are
-        C 2^e; C's scale does not depend on v's, and :func:`_unscale` checks
-        that C 2^e is still a normal float."""
-        exp = _exponent(v)
-        v = np.ldexp(v, -exp)
-        out = np.empty((2, self.num_perms, self.D.shape[1]))
-        np.einsum("knd,n->kd", self.pd, v, out=out[0])
-        for members, v_perm in self.group.orbit(v):
-            out[1, members] = np.einsum("knd,kn->kd", self.pd[members], v_perm)
-        return exp, out
+    def _contract(self, v: np.ndarray, moved: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """(e, C) for the columns v_j of v, shape (N,) or (N, m): C[j, 0] holds
+        pd_k'u_j and C[j, 1] pd_k'u_j[g^k] for members 1..K, shape (m, 2, K, d)
+        (C[j, 0] alone unless ``moved``), and u_j = v_j 2^-e_j with 2^e_j the
+        power of two nearest max|v_j|.  The u_j are a fresh outcome-major copy,
+        so gathers and contractions run along N and each C[j] equals v_j's 1-D
+        call's bit for bit.  :func:`_unscale` scales C back, exactly, and
+        checks it."""
+        v = v.reshape(self.n, -1)
+        exps = np.frexp(np.abs(v).max(axis=0))[1]
+        u = np.ldexp(v.T, -exps[:, None], out=np.empty(v.shape[::-1]))
+        out = np.empty((1 + moved, self.num_perms, self.D.shape[1], len(exps)))
+        np.einsum("knd,mn->kdm", self.pd, u, out=out[0])
+        if moved:
+            for members, u_perm in self.group.orbit(u, axis=-1):
+                out[1, members] = np.einsum("knd,kmn->kdm", self.pd[members], u_perm)
+        return exps, out.transpose(3, 0, 1, 2)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def statistics(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Observed and permuted statistics (a, b) for one outcome vector.
-
-        They are taken on y scaled by a power of two and scaled back, which is
-        exact; one that then overflows or underflows is a typed error, never
-        a p-value.
-        """
-        exp, contracted = self._contract(self._outcome(y))
+    def _statistics(self, y, moved: bool = True) -> np.ndarray:
+        """Observed and permuted statistics of y, shape (2, K) or (m, 2, K), the
+        observed alone unless ``moved``.  Taken on each outcome scaled by a power
+        of two, they overflow or underflow only as a typed error, never a p-value."""
+        y = self._outcome(y)
+        exps, contracted = self._contract(y, moved)
         norms = _row_norms(contracted.reshape(-1, contracted.shape[-1]))
         # pd_k'y scales with both y and D, so either may be the one to rescale
-        a, b = _unscale("outcome or treatment", exp, norms.reshape(2, -1))
-        return a, b
+        name = "outcome column {} or treatment" if y.ndim == 2 else "outcome or treatment"
+        stats = _unscale(name, exps, norms.reshape(contracted.shape[:-1]))
+        return stats if y.ndim == 2 else stats[0]
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def min_stat(self, values: np.ndarray) -> float:
-        """min_k ||D' V_k V_k' values||, the minorized statistic, scaled and
-        checked as :meth:`statistics` does."""
-        values = self._outcome(values)
-        exp = _exponent(values)
-        stat = np.einsum("knd,n->kd", self.pd, np.ldexp(values, -exp))
-        return float(_unscale("outcome or treatment", exp, _row_norms(stat)).min())
+    def statistics(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Observed and permuted statistics (a, b), each of shape (K,), or
+        (m, K) for a stack of m outcomes."""
+        stats = self._statistics(y)
+        return stats[..., 0, :], stats[..., 1, :]
+
+    def min_stat(self, values: np.ndarray) -> float | np.ndarray:
+        """min_k ||D' V_k V_k' values||, the minorized statistic, checked as
+        :meth:`statistics` is: a float, or an array for a stack."""
+        mins = self._statistics(values, moved=False)[..., 0, :].min(axis=-1)
+        return mins if mins.ndim else float(mins)
 
     @property
     def notes(self) -> tuple[str, ...]:
@@ -327,12 +331,16 @@ class PreparedTest:
                 if self.degenerate else ())
 
     def report(self, y: np.ndarray, seed: int | None = None,
-               notes: tuple[str, ...] = ()) -> TestReport:
+               notes: tuple[str, ...] = ()) -> TestReport | tuple[TestReport, ...]:
+        """The test of outcome ``y``, or a tuple of one per column of a stack."""
         a, b = self.statistics(y)
-        pval = 1.0 if self.degenerate or self.all_identity else pvalue_from_stats(a, b)
-        return TestReport(pval=pval, a=a, b=b, num_perms=self.num_perms, min_a=float(a.min()),
-                          alpha_floor=self.alpha_floor, seed=seed,
-                          notes=tuple(notes) + self.notes)
+        forced = self.degenerate or self.all_identity
+        reports = tuple(
+            TestReport(pval=1.0 if forced else pvalue_from_stats(a_j, b_j), a=a_j, b=b_j,
+                       num_perms=self.num_perms, min_a=float(a_j.min()),
+                       alpha_floor=self.alpha_floor, seed=seed, notes=tuple(notes) + self.notes)
+            for a_j, b_j in zip(np.atleast_2d(a), np.atleast_2d(b)))
+        return reports if a.ndim == 2 else reports[0]
 
 
 def pvalue_from_stats(a: np.ndarray, b: np.ndarray):
@@ -356,7 +364,7 @@ def permutation_test(
     seed: int | None = None,
     tol: float | None = None,
     notes: tuple[str, ...] = (),
-) -> TestReport:
+) -> TestReport | tuple[TestReport, ...]:
     """Randomization test of no treatment effect under a group of row maps.
 
     Parameters
@@ -365,8 +373,8 @@ def permutation_test(
         Stacked covariates (may have zero columns).
     D : ndarray, shape (N, d)
         Stacked treatment.
-    y : ndarray, shape (N,)
-        Stacked outcome.
+    y : ndarray, shape (N,) or (N, m)
+        Stacked outcome, or m outcomes as columns: a tuple of m reports.
     row_perms : CyclicGroup, PermutationFamily or ndarray of shape (K+1, N)
         Acts on the stacked rows.  A PermutationFamily or a full map must be
         the cyclic group its member 1 generates
@@ -412,7 +420,8 @@ def stack_blocks(x, d, y, blocks, num_perms: int, seed):
     return np.asarray(x)[order], np.asarray(d)[order], np.asarray(y)[order], group, notes
 
 
-def block_test(x, d, y, blocks, num_perms: int, seed, tol: float | None = None) -> TestReport:
+def block_test(x, d, y, blocks, num_perms: int, seed,
+               tol: float | None = None) -> TestReport | tuple[TestReport, ...]:
     """Zero-effect test on the layout of :func:`stack_blocks`, with its notes."""
     *layout, notes = stack_blocks(x, d, y, blocks, num_perms, seed)
     return permutation_test(*layout, seed=seed, tol=tol, notes=notes)
@@ -456,7 +465,7 @@ def shifted_test(
     if prepared is None:
         prepared = PreparedTest(X, D, family, tol=tol)
     beta_vec = _beta_vector(beta0, prepared.D.shape[1])
-    return prepared.report(prepared._outcome(y) - prepared.D @ beta_vec, seed=seed)
+    return prepared.report(prepared._outcome(y, stack=False) - prepared.D @ beta_vec, seed=seed)
 
 
 def _ols_center_and_unit(X: np.ndarray, D: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -485,15 +494,16 @@ class _AffineStats:
     """Member statistics as affine functions of the tested value b0 (d = 1).
 
     a_k(b0) = |u_k - b0 v_k| and b_k(b0) = |w_k - b0 z_k|, so a whole grid
-    of point nulls costs two contractions plus scalar work.
+    of point nulls costs two contractions plus scalar work.  y and D are
+    contracted apart: their stack would be one more 2 x N array at the peak.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, prepared: PreparedTest, y: np.ndarray):
-        exp, contracted = prepared._contract(prepared._outcome(y))
-        self.u, self.w = _unscale("outcome or treatment", exp, contracted[..., 0])
-        exp, contracted = prepared._contract(prepared.D[:, 0])
-        self.v, self.z = _unscale("treatment", exp, contracted[..., 0])
+        exps, contracted = prepared._contract(prepared._outcome(y, stack=False))
+        (self.u, self.w), = _unscale("outcome or treatment", exps, contracted[..., 0])
+        exps, contracted = prepared._contract(prepared.D[:, 0])
+        (self.v, self.z), = _unscale("treatment", exps, contracted[..., 0])
 
     def pvalues(self, points: np.ndarray) -> np.ndarray:
         a = np.abs(self.u[None, :] - points[:, None] * self.v[None, :])
@@ -537,7 +547,7 @@ def invert_ci(
         )
     prepared = PreparedTest(X, D, group, tol=tol)
     notes = tuple(notes) + prepared.notes
-    y = prepared._outcome(y)
+    y = prepared._outcome(y, stack=False)
     affine = _AffineStats(prepared, y)
     if prepared.degenerate or prepared.all_identity:
         # Every point null is accepted: the statistics vanish, or no member

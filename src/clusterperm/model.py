@@ -59,6 +59,9 @@ class DyadArray:
         x = np.asarray(self.x, dtype=float)
         if x.ndim == 2:
             x = x[:, :, None]
+        if d.ndim != 3 or x.ndim != 3:
+            raise DimensionError(f"d and x must be 2-D or 3-D, got shapes {np.shape(self.d)} "
+                                 f"and {np.shape(self.x)}")
         if d.shape[:2] != y.shape or x.shape[:2] != y.shape:
             raise DimensionError(
                 f"grid shapes disagree: y {y.shape}, d {d.shape[:2]}, x {x.shape[:2]}"

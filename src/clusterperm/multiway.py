@@ -42,6 +42,8 @@ class MultiIndexDataset:
 
     ``l`` distinguishes repeated observations of the same cell: the third
     axis of a box design, the period of a panel, or just a slot number.
+    ``y`` may be a stack of shape (records, m): m outcomes sharing the
+    design, for which each test returns a tuple of one result per column.
     """
 
     i: np.ndarray
@@ -62,9 +64,12 @@ class MultiIndexDataset:
             d = d[:, None]
         if x.ndim == 1:
             x = x[:, None]
+        if y.ndim not in (1, 2) or d.ndim != 2 or x.ndim != 2:
+            raise DimensionError(f"y must be 1-D or 2-D and d and x at most 2-D, got shapes "
+                                 f"{y.shape}, {d.shape} and {x.shape}")
+        if y.size < 1:
+            raise DimensionError("dataset has no records, or no outcome")
         n_obs = y.shape[0]
-        if n_obs < 1:
-            raise DimensionError("dataset has no records")
         for name, arr in (("i", i), ("j", j), ("l", l)):
             if arr.shape != (n_obs,):
                 raise DimensionError(f"column {name} must have shape ({n_obs},)")
@@ -277,7 +282,7 @@ def irregular_test(
     cap: int = 16,
     restarts: int = 16,
     tol: float | None = None,
-) -> IrregularResult:
+) -> IrregularResult | tuple[IrregularResult, ...]:
     """Repeated blockwise test for cells with at least L0 observations.
 
     Pipeline per repeat: threshold the cell-size grid at L0, decompose the
@@ -292,7 +297,9 @@ def irregular_test(
     ``searches`` dict (see :func:`~clusterperm.missing.max_biclique_greedy`);
     the dict is dropped when the call returns.  Reports the lower median
     of the repeats' p-values, whose worst-case size is 2 alpha (see
-    :func:`~clusterperm.dyadic.median_pvalue`).
+    :func:`~clusterperm.dyadic.median_pvalue`).  A stack of outcomes
+    (``data.y`` of shape (records, m)) shares every cover, trim and build,
+    and gives a tuple of one result per column.
     """
     if l0 < 1:
         raise DimensionError(f"l0 must be positive, got {l0}")
@@ -316,22 +323,20 @@ def irregular_test(
     # The exact cover ignores the seed: build it once for every repeat.
     fixed_cover = decompose(seed) if resolved == "exact" else None
     cells = _cells_in_order(data)
-    reports = []
+    y = data.y.reshape(data.n_obs, -1)
+    runs = []
     for r in range(repeats):
         rs = run_seed(seed, r)
         cover = fixed_cover if fixed_cover is not None else decompose(rs)
         trimmed = _trim_cover(cells, data.n_cols, cover, l0, generator(trim_seed(rs)))
         blocks = [(q, (AXIS_ROWS, AXIS_COLS, None), records) for q, records in enumerate(trimmed)]
-        reports.append(block_test(data.x, data.d, data.y, blocks, num_perms, rs, tol))
-    return IrregularResult(
-        pval=median_pvalue([report.pval for report in reports]),
-        runs=tuple(reports),
-        l0=l0,
-        num_perms=num_perms,
-        repeats=repeats,
-        seed=seed,
-        eligible_cells=eligible,
-    )
+        runs.append(block_test(data.x, data.d, y, blocks, num_perms, rs, tol))
+    results = tuple(
+        IrregularResult(pval=median_pvalue([report.pval for report in column]), runs=column,
+                        l0=l0, num_perms=num_perms, repeats=repeats, seed=seed,
+                        eligible_cells=eligible)
+        for column in zip(*runs))
+    return results if data.y.ndim == 2 else results[0]
 
 
 def _trim_cover(cells: tuple[np.ndarray, np.ndarray], n_cols: int, cover: BicliqueCover,

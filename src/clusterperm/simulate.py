@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -304,7 +304,6 @@ def minorization_gap_suite(
     """
     spec_err = spec_err or RandomEffectsSpec(0.05, 0.15)
     pairs = []
-    violations = 0
     for r in range(reps):
         rs = replicate_seed(seed, r)
         array, eps = gen_dyadic_dataset(
@@ -312,15 +311,12 @@ def minorization_gap_suite(
         )
         x, d, y, group, _ = dyadic_layout(array, num_perms, rs)
         prepared = PreparedTest(x, d, group)
-        feasible = prepared.report(y).pval
-        min_a = prepared.min_stat(y)
-        count = 0
-        for _, moved in prepared.group.orbit(eps.reshape(-1)):
-            count += sum(min_a <= prepared.min_stat(values) for values in moved)
-        infeasible = (1 + count) / (num_perms + 1)
-        if infeasible > feasible:
-            violations += 1
-        pairs.append((feasible, infeasible))
+        report = prepared.report(y)
+        # the K translates of the errors, one outcome per member
+        moved = eps.reshape(-1)[group.stacked()[1:]].T
+        count = np.count_nonzero(report.min_a <= prepared.min_stat(moved))
+        pairs.append((report.pval, (1 + count) / (num_perms + 1)))
+    violations = sum(infeasible > feasible for feasible, infeasible in pairs)
     return {"reps": reps, "violations": violations, "pairs": pairs}
 
 
@@ -379,9 +375,9 @@ def _size_rep(n, cov_transforms, phi2_values, num_perms, rep_seed):
     for start in range(0, len(cases), len(phi2_values)):
         rows = [StackedDesign.from_array(array) for array, _ in
                 cases[start:start + len(phi2_values)]]
-        prepared = PreparedTest(rows[0].x, rows[0].d, group)
-        pvals += [prepared.report(row.y, seed=rep_seed, notes=notes).pval for row in rows]
-        del prepared
+        reports = PreparedTest(rows[0].x, rows[0].d, group).report(
+            np.column_stack([row.y for row in rows]), seed=rep_seed, notes=notes)
+        pvals += [report.pval for report in reports]
     return pvals
 
 
@@ -400,9 +396,9 @@ def _power_rep(n, betas, phi2, num_perms, rep_seed):
         seed=rep_seed,
     )
     x, d, y0, group, notes = dyadic_layout(array, num_perms, rep_seed)
-    prepared = PreparedTest(x, d, group)
-    return [prepared.report(y0 + d[:, 0] * float(beta), seed=rep_seed, notes=notes).pval
-            for beta in betas]
+    outcomes = y0[:, None] + d[:, :1] * np.asarray(betas, dtype=float)
+    return [report.pval for report in
+            PreparedTest(x, d, group).report(outcomes, seed=rep_seed, notes=notes)]
 
 
 def gen_irregular_dataset(
@@ -443,11 +439,13 @@ def gen_irregular_dataset(
 
 
 def _irregular_rep(n_rows, n_cols, l0, kinds, num_perms, repeats, rep_seed):
-    """One table3 replicate: a p-value per error kind, each on its own dataset."""
-    return [irregular_test(gen_irregular_dataset(n_rows, n_cols, l0, kind, seed=rep_seed),
-                           l0=l0, num_perms=num_perms, repeats=repeats,
-                           seed=dgp_seed(rep_seed, 6)).pval
-            for kind in kinds]
+    """One table3 replicate: a p-value per error kind.  The kinds' datasets
+    differ only in their errors, so one irregular test runs them as a stack."""
+    datasets = [gen_irregular_dataset(n_rows, n_cols, l0, kind, seed=rep_seed)
+                for kind in kinds]
+    stacked = replace(datasets[0], y=np.column_stack([data.y for data in datasets]))
+    return [result.pval for result in irregular_test(
+        stacked, l0=l0, num_perms=num_perms, repeats=repeats, seed=dgp_seed(rep_seed, 6))]
 
 
 def _panel(header: dict, rep, cases, reps: int, alpha: float, seed: int,

@@ -267,6 +267,116 @@ class TestPreparedState:
         assert ci_peak - held < 2 * prepared.pd.nbytes
 
 
+    @pytest.mark.parametrize("num_perms", [19, 99])
+    def test_stacked_report_peaks_with_the_outcomes_not_the_members(self, num_perms):
+        # a 4-outcome report holds the scaled outcome-major copy, one member's
+        # gathered copy and the gather's index: O(m N), the same at K = 19 and
+        # K = 99, where pd is 1.5 and 7.9 MB
+        X, D, _ = _design(n=100, p=3, seed=30)
+        Y = np.random.default_rng(31).standard_normal((X.shape[0], 4))
+        prepared = PreparedTest(X, D, two_way_group(100, 100, num_perms, seed=30))
+        tracemalloc.start()
+        try:
+            held, _ = tracemalloc.get_traced_memory()
+            reports = prepared.report(Y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 4
+        assert peak - held < 4 * Y.nbytes
+
+
+def _stack_layout(kind: str, rng, d_dim: int):
+    """A random layout of ``kind`` through :func:`stack_blocks`: a grid's one
+    block, several cell blocks, or irregular cover blocks whose slots stay
+    fixed; at least 6 records for the 2 covariates.  Records are shuffled, so
+    the stacked rows are gathered copies."""
+    if kind == "grid":
+        shapes = [tuple(rng.integers(3, 9, size=2))]
+        axes = (AXIS_ROWS, AXIS_COLS)
+    elif kind == "block":
+        shapes = [(int(size),) for size in rng.integers(3, 12, size=rng.integers(2, 6))]
+        axes = (AXIS_CELLS,)
+    else:
+        shapes = [tuple(rng.integers(2, 5, size=2)) + (3,) for _ in range(rng.integers(1, 4))]
+        axes = (AXIS_ROWS, AXIS_COLS, None)
+    n = sum(int(np.prod(shape)) for shape in shapes) + 2
+    records = np.split(rng.permutation(n)[:n - 2], np.cumsum([np.prod(s) for s in shapes])[:-1])
+    blocks = [(q, axes, r.reshape(shape)) for q, (r, shape) in enumerate(zip(records, shapes))]
+    x = np.column_stack([np.ones(n), rng.standard_normal(n)])
+    *layout, _ = stack_blocks(x, rng.standard_normal((n, d_dim)), np.zeros(n), blocks,
+                              int(rng.integers(1, 8)), int(rng.integers(2**31)))
+    return layout
+
+
+class TestOutcomeStack:
+    # A stack of m outcomes goes through one contraction pass; each column's
+    # statistics, p-value and notes must be its own 1-D call's, bit for bit.
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["grid", "block", "irregular"]), m=st.integers(1, 12),
+           d_dim=st.integers(1, 2), fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_every_column_equals_its_own_call(self, kind, m, d_dim, fortran, seed):
+        rng = np.random.default_rng(seed)
+        x, d, _, group = _stack_layout(kind, rng, d_dim)
+        prepared = PreparedTest(x, d, group)
+        # columns of unlike scales, one of them possibly zero
+        Y = np.ldexp(rng.standard_normal((len(x), m)), rng.integers(-300, 300, size=m))
+        Y[:, rng.integers(m)] *= rng.integers(2)
+        Y = np.asfortranarray(Y) if fortran else Y
+        before = Y.copy()
+        a, b = prepared.statistics(Y)
+        mins = prepared.min_stat(Y)
+        reports = prepared.report(Y, seed=seed, notes=("shared",))
+        assert a.shape == b.shape == (m, group.num_perms) and len(reports) == m
+        for j in range(m):
+            a_j, b_j = prepared.statistics(Y[:, j])
+            assert a[j].tobytes() == a_j.tobytes() and b[j].tobytes() == b_j.tobytes()
+            assert mins[j] == prepared.min_stat(Y[:, j])
+            alone = prepared.report(Y[:, j], seed=seed, notes=("shared",))
+            assert reports[j].pval == alone.pval and reports[j].min_a == alone.min_a
+            assert reports[j].a.tobytes() == alone.a.tobytes()
+            assert reports[j].b.tobytes() == alone.b.tobytes()
+            assert reports[j].notes == alone.notes
+        assert Y.tobytes() == before.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["grid", "block", "irregular"]), m=st.integers(1, 12),
+           sign=st.sampled_from([1, -1]), data=st.data())
+    def test_one_overflowing_or_underflowing_column_is_named(self, kind, m, sign, data):
+        # D 2^(550 s) and one column 2^(550 s): only that column's
+        # contractions reach 2^(1100 s), out of float64's normal range
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x, d, _, group = _stack_layout(kind, rng, 1)
+        prepared = PreparedTest(x, np.ldexp(d, 550 * sign), group)
+        j = data.draw(st.integers(0, m - 1))
+        Y = rng.standard_normal((len(x), m))
+        Y[:, j] = np.ldexp(Y[:, j], 550 * sign)
+        before = Y.copy()
+        fault = "large" if sign > 0 else "small"
+        for call in (prepared.statistics, prepared.report, prepared.min_stat):
+            with pytest.raises(NonFiniteInputError,
+                               match=f"^outcome column {j} or treatment is too {fault}"):
+                call(Y)
+        assert Y.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("shape", [(36, 0), (35, 2), (36, 2, 1), ()])
+    def test_malformed_stack_raises(self, shape):
+        X, D, _ = _design(n=6, seed=35)
+        prepared = PreparedTest(X, D, two_way_group(6, 6, 5, seed=35))
+        for call in (prepared.statistics, prepared.min_stat, prepared.report):
+            with pytest.raises(DimensionError, match="outcome"):
+                call(np.ones(shape))
+
+    def test_interval_and_shifted_test_take_one_outcome(self):
+        X, D, y = _design(n=6, seed=35)
+        group = two_way_group(6, 6, 5, seed=35)
+        with pytest.raises(DimensionError, match=r"outcome must have shape \(36,\), got"):
+            shifted_test(X, D, np.column_stack([y, y]), group, 0.5)
+        with pytest.raises(DimensionError, match=r"outcome must have shape \(36,\), got"):
+            invert_ci(X, D, np.column_stack([y, y]), group, alpha=0.2)
+
+
 _SMALL = st.integers(2, 9)
 
 

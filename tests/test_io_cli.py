@@ -1128,13 +1128,16 @@ _FUZZ_COLUMNS = {
 
 
 @st.composite
-def _fuzz_records(draw):
+def _fuzz_records(draw, balanced=False):
     """A records CSV on a grid of up to 6x6 cells, some empty and some of one
-    record, whose y, d and x1 columns each take a pathological kind."""
+    record, whose y, d and x1 columns each take a pathological kind; or, when
+    ``balanced``, a full box of 1 to 3 records per cell."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = rng.integers(0, 6, size=rng.integers(1, 7, size=2))
     sizes[rng.random(sizes.shape) < 0.2] = 1
     sizes[-1, -1] = max(sizes[-1, -1], 1)
+    if balanced:
+        sizes[:] = rng.integers(1, 4)
     i, j = np.divmod(np.repeat(np.arange(sizes.size), sizes.ravel()), sizes.shape[1])
     l = np.concatenate([np.arange(c) for c in sizes.ravel()])
     kinds = [draw(st.sampled_from(sorted(_FUZZ_COLUMNS))) for _ in range(3)]
@@ -1144,6 +1147,38 @@ def _fuzz_records(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def _fuzz_grid(draw):
+    """A grid CSV on up to 6x6 cells, complete or with holes, whose y, d and
+    x1 columns each take a pathological kind."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    present = rng.random(rng.integers(1, 7, size=2)) < draw(st.sampled_from([1.0, 1.0, 0.7]))
+    present[-1, -1] = True
+    i, j = np.nonzero(present)
+    kinds = [draw(st.sampled_from(sorted(_FUZZ_COLUMNS))) for _ in range(3)]
+    values = np.column_stack([_FUZZ_COLUMNS[kind](rng, i.size) for kind in kinds])
+    lines = ["i,j,y,d,x1"] + [f"{a + 1},{b + 1}," + ",".join(repr(float(v)) for v in row)
+                              for a, b, row in zip(i, j, values)]
+    return "\n".join(lines) + "\n"
+
+
+def _assert_exit_0_strict_or_2(text: str, commands, flags) -> None:
+    """Run each command on ``text`` through ``main``: it exits 0 with a strict
+    JSON report, or 2 with a JSON error, never 3."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp) / "data.csv", text)
+        for argv in commands:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv + ["--data", path] + flags)
+            payload = json.loads(out.getvalue(), parse_constant=reject)
+            assert code in (0, 2), out.getvalue()
+            assert ("error" in payload) == (code == 2)
+
+
 class TestIrregularCliFuzz:
     @settings(max_examples=120, deadline=None)
     @given(text=_fuzz_records(), seed=st.integers(0, 2**31),
@@ -1151,18 +1186,30 @@ class TestIrregularCliFuzz:
            solver=st.sampled_from(["auto", "exact", "greedy"]),
            min_block=st.integers(1, 2))
     def test_exits_0_with_strict_json_or_2(self, text, seed, l0, solver, min_block):
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
         flags = ["--seed", str(seed), "--biclique-solver", solver,
                  "--min-block", str(min_block), "--restarts", "3"]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = _write(Path(tmp) / "records.csv", text)
-            for argv in (["test-irregular", "--num-perms", "3", "--repeats", "2",
-                          "--l0", l0], ["biclique"]):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    code = main(argv + ["--data", path] + flags)
-                payload = json.loads(out.getvalue(), parse_constant=reject)
-                assert code in (0, 2), out.getvalue()
-                assert ("error" in payload) == (code == 2)
+        _assert_exit_0_strict_or_2(text, (["test-irregular", "--num-perms", "3", "--repeats", "2",
+                                           "--l0", l0], ["biclique"]), flags)
+
+
+class TestDataCliFuzz:
+    # The other data subcommands, on the same pathological columns: grids for
+    # test, ci and test-missing, records for the box, panel and layout tests.
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=_fuzz_grid(), seed=st.integers(0, 2**31), num_perms=st.integers(1, 5),
+           min_block=st.integers(1, 2))
+    def test_grid_subcommands_exit_0_with_strict_json_or_2(self, text, seed, num_perms,
+                                                           min_block):
+        _assert_exit_0_strict_or_2(text, (["test"], ["test", "--beta0", "0.5"],
+                                          ["ci", "--alpha", "0.5"],
+                                          ["test-missing", "--min-block", str(min_block),
+                                           "--restarts", "3"]),
+                                   ["--seed", str(seed), "--num-perms", str(num_perms)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=st.booleans().flatmap(_fuzz_records), seed=st.integers(0, 2**31),
+           num_perms=st.integers(1, 5))
+    def test_record_subcommands_exit_0_with_strict_json_or_2(self, text, seed, num_perms):
+        _assert_exit_0_strict_or_2(text, (["test-threeway"], ["test-panel"], ["test-layout"]),
+                                   ["--seed", str(seed), "--num-perms", str(num_perms)])

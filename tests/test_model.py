@@ -12,6 +12,7 @@ from clusterperm.model import (
     compose,
     row_index,
 )
+from clusterperm.multiway import MultiIndexDataset
 
 
 def _grid_array(n_rows=3, n_cols=4, d_dim=1, p=2, seed=0):
@@ -104,6 +105,28 @@ class TestDyadArray:
         array = _grid_array()
         assert array.is_complete()
         assert array.n_cells == 12
+
+
+_RECORDS = dict(i=[0, 1], j=[0, 0], l=[0, 0], y=[1.0, 2.0], d=[1.0, 2.0], x=[1.0, 1.0])
+_GRID = dict(y=np.zeros((2, 2)), d=np.ones((2, 2, 1)), x=np.ones((2, 2, 1)))
+
+
+@pytest.mark.parametrize("build, field, value", [
+    (MultiIndexDataset, "y", np.ones((2, 1, 1))),
+    (MultiIndexDataset, "d", np.ones((2, 1, 1))),
+    (MultiIndexDataset, "x", np.ones((2, 1, 1))),
+    (MultiIndexDataset, "y", 1.0),
+    (MultiIndexDataset, "y", np.ones((2, 0))),
+    (DyadArray, "d", np.ones((2, 2, 1, 1))),
+    (DyadArray, "x", np.ones((2, 2, 1, 1))),
+    (DyadArray, "d", 1.0),
+])
+def test_malformed_arrays_fail_at_construction(build, field, value):
+    # these used to construct, or died later with IndexError or a reshape's
+    # ValueError; every one is a DimensionError naming the shapes
+    fields = _RECORDS if build is MultiIndexDataset else _GRID
+    with pytest.raises(DimensionError):
+        build(**{**fields, field: value})
 
 
 class TestTwoWayPermutation:

@@ -6,13 +6,17 @@ from functools import partial
 import numpy as np
 import pytest
 
-from clusterperm.dyadic import PreparedTest, dyadic_test
+from clusterperm import multiway
+from clusterperm.dyadic import PreparedTest, dyadic_layout, dyadic_test
 from clusterperm.exceptions import DimensionError, VarianceBudgetError
 from clusterperm.model import DyadArray
 from clusterperm.rng import dgp_seed, generator, replicate_seed
+from clusterperm.multiway import irregular_test
 from clusterperm.simulate import (
+    ERROR_KINDS,
     RandomEffectsSpec,
     _dyadic_cases,
+    _irregular_rep,
     _power_rep,
     _random_effects,
     _rejection_rates,
@@ -206,6 +210,19 @@ def _standalone_power_pval(n, beta, phi2, num_perms, rep_seed):
     return dyadic_test(array, num_perms=num_perms, seed=rep_seed).pval
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` to log each call; returns the log."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 class TestSharedReplicate:
     # A replicate serves every row of its panel from one set of draws, one
     # group and one build per treatment; each p-value must be the one the row
@@ -214,15 +231,11 @@ class TestSharedReplicate:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        count = []
-        init = PreparedTest.__init__
+        return _count_calls(monkeypatch, PreparedTest, "__init__")
 
-        def counting(self, *args, **kwargs):
-            count.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(PreparedTest, "__init__", counting)
-        return count
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        return _count_calls(monkeypatch, PreparedTest, "_contract")
 
     def test_size_rows_match_standalone_tests(self, builds):
         transforms, phi2s = ("normal", "lognormal"), (0.15, 0.9)
@@ -243,10 +256,46 @@ class TestSharedReplicate:
             assert shared == [_standalone_power_pval(10, beta, 0.1, 9, rep_seed)
                               for beta in betas]
 
+    def test_each_build_contracts_its_outcomes_in_one_pass(self, passes):
+        for rep_seed in self.SEEDS[:4]:
+            passes.clear()
+            _size_rep(10, ("normal", "lognormal"), (0.15, 0.9), 9, rep_seed)
+            assert len(passes) == 2  # one pass per covariate transform
+            passes.clear()
+            _power_rep(10, (0.01, 0.05, 0.10, 0.15), 0.1, 9, rep_seed)
+            assert len(passes) == 1
+
     def test_rows_reject_at_varied_levels(self):
         # the equalities above are not all p = 1: the p-values spread
         pvals = {p for s in self.SEEDS[:8] for p in _power_rep(10, (0.0, 0.15), 0.1, 9, s)}
         assert len(pvals) > 3
+
+
+class TestSharedIrregularReplicate:
+    # table3's error kinds share the design, mask, covers, trims and group, so
+    # one irregular test runs them as a stack; each kind's p-value must be the
+    # one its own dataset gets.  18 x 18 is above the exact solver's cap, so
+    # every repeat decomposes.
+    SEEDS = [replicate_seed(62, r) for r in range(24)]
+
+    def test_kinds_match_standalone_tests_with_one_pipeline_per_repeat(self, monkeypatch):
+        calls = [_count_calls(monkeypatch, multiway, "biclique_decompose"),
+                 _count_calls(monkeypatch, multiway, "_trim_cover"),
+                 _count_calls(monkeypatch, PreparedTest, "__init__")]
+        pvals = set()
+        for rep_seed in self.SEEDS:
+            for log in calls:
+                log.clear()
+            shared = _irregular_rep(18, 18, 3, ERROR_KINDS, 8, 3, rep_seed)
+            # one decomposition, trim and build per repeat, shared by the kinds
+            assert [len(log) for log in calls] == [3, 3, 3]
+            alone = [irregular_test(gen_irregular_dataset(18, 18, 3, kind, seed=rep_seed),
+                                    l0=3, num_perms=8, repeats=3,
+                                    seed=dgp_seed(rep_seed, 6)).pval
+                     for kind in ERROR_KINDS]
+            assert shared == alone
+            pvals.update(shared)
+        assert len(pvals) > 3  # the equalities are not all p = 1
 
 
 class TestSemisyntheticErrors:
@@ -401,6 +450,27 @@ class TestMinorizationDominance:
         assert len(out["pairs"]) == 12
         for feasible, infeasible in out["pairs"]:
             assert feasible >= infeasible
+
+    def test_one_min_stat_call_per_replicate_counts_every_translate(self, monkeypatch):
+        # the K translates of the errors go through min_stat as one stack;
+        # the oracle count is the one each translate gives on its own
+        shapes = []
+        min_stat = PreparedTest.min_stat
+        monkeypatch.setattr(PreparedTest, "min_stat",
+                            lambda self, values: shapes.append(np.shape(values))
+                            or min_stat(self, values))
+        out = minorization_gap_suite(n=8, num_perms=7, reps=12, seed=20)
+        assert shapes == [(64, 7)] * 12
+        monkeypatch.undo()
+        for r, (_, infeasible) in enumerate(out["pairs"]):
+            rs = replicate_seed(20, r)
+            array, eps = gen_dyadic_dataset(8, spec_err=RandomEffectsSpec(0.05, 0.15), seed=rs)
+            x, d, y, group, _ = dyadic_layout(array, 7, rs)
+            prepared = PreparedTest(x, d, group)
+            min_a = prepared.min_stat(y)
+            moved = eps.reshape(-1)[group.stacked()]
+            count = sum(min_a <= prepared.min_stat(moved[k]) for k in range(1, 8))
+            assert infeasible == (1 + count) / 8
 
 
 class TestBicliqueGrowthExperiment:
