@@ -142,13 +142,12 @@ _TINY = 2.0 ** -1022
 def _unscale(name: str, exps: np.ndarray, scaled: np.ndarray) -> np.ndarray:
     """Statistics ``scaled[j]`` of outcome j scaled by 2^-exps[j], scaled back.
 
-    Fails closed when one is not a normal float in the data's units: it
-    overflows, or it is nonzero on the scaled data but below the normal
-    range, scaled or not, so its digits are lost.  An exact 0 is kept.  The
-    error names the first such outcome, ``name.format(j)``.  The callers
-    silence numpy's overflow warnings, which these errors replace.
+    Fails closed, naming the first outcome ``name.format(j)`` with one that is
+    not a normal float in the data's units: it overflows, or it is nonzero on
+    the scaled data but below the normal range, scaled or not, so its digits
+    are lost.  An exact 0 is kept.  Callers silence numpy's overflow warnings.
     """
-    exps = exps.reshape((-1,) + (1,) * (scaled.ndim - 1))
+    exps = exps[:, None, None]
     values = np.ldexp(scaled, exps)
     # s and s 2^exp are both normal iff |s| >= TINY max(1, 2^-exp); only the
     # zeros may fall short
@@ -156,7 +155,7 @@ def _unscale(name: str, exps: np.ndarray, scaled: np.ndarray) -> np.ndarray:
     for size, flow, bad in (("large", "overflow", ~np.isfinite(values)),
                             ("small", "underflow", lost)):
         if bad.any():
-            j = int(np.argmax(bad.reshape(len(exps), -1).any(axis=1)))
+            j = np.nonzero(bad)[0][0]
             raise NonFiniteInputError(f"{name.format(j)} is too {size}: its contractions with "
                                       f"the annihilated treatments {flow} float64; rescale")
     return values
@@ -193,8 +192,7 @@ class PreparedTest:
 
     and every pass over the members streams them from the generator in
     chunks, so no other K x N array is made.  Only the outcome changes across
-    evaluations: :meth:`statistics`, :meth:`min_stat` and :meth:`report`
-    take one outcome or a stack of them, contracted in one pass.
+    evaluations, and a stack of outcomes is contracted in one pass.
     ``projectors`` is kept as an empty tuple for callers that read it; no
     projector outlives the build.
 
@@ -278,35 +276,33 @@ class PreparedTest:
         return y
 
     def _contract(self, v: np.ndarray, moved: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """(e, C) for the columns v_j of v, shape (N,) or (N, m): C[j, 0] holds
-        pd_k'u_j and C[j, 1] pd_k'u_j[g^k] for members 1..K, shape (m, 2, K, d)
-        (C[j, 0] alone unless ``moved``), and u_j = v_j 2^-e_j with 2^e_j the
-        power of two nearest max|v_j|.  The u_j are a fresh outcome-major copy,
-        so gathers and contractions run along N and each C[j] equals v_j's 1-D
-        call's bit for bit.  :func:`_unscale` scales C back, exactly, and
-        checks it."""
-        v = v.reshape(self.n, -1)
+        """(e, C) for the columns v_j of v, shape (N, m): C[j, 0] holds pd_k'u_j
+        and, if ``moved``, C[j, 1] pd_k'u_j[g^k] for members 1..K, where u_j =
+        v_j 2^-e_j with 2^e_j the power of two nearest max|v_j|.  The u_j are a
+        fresh outcome-major copy, so gathers and contractions run along N and
+        each C[j] equals a one-column call's bit for bit.  :func:`_unscale`
+        scales C back, exactly, and checks it."""
         exps = np.frexp(np.abs(v).max(axis=0))[1]
         u = np.ldexp(v.T, -exps[:, None], out=np.empty(v.shape[::-1]))
         out = np.empty((1 + moved, self.num_perms, self.D.shape[1], len(exps)))
         np.einsum("knd,mn->kdm", self.pd, u, out=out[0])
         if moved:
-            for members, u_perm in self.group.orbit(u, axis=-1):
+            for members, u_perm in self.group.orbit(u):
                 out[1, members] = np.einsum("knd,kmn->kdm", self.pd[members], u_perm)
         return exps, out.transpose(3, 0, 1, 2)
 
     @np.errstate(over="ignore", invalid="ignore")
     def _statistics(self, y, moved: bool = True) -> np.ndarray:
-        """Observed and permuted statistics of y, shape (2, K) or (m, 2, K), the
+        """Observed and permuted statistics of y, shape y.shape[1:] + (2, K), the
         observed alone unless ``moved``.  Taken on each outcome scaled by a power
         of two, they overflow or underflow only as a typed error, never a p-value."""
         y = self._outcome(y)
-        exps, contracted = self._contract(y, moved)
+        exps, contracted = self._contract(y.reshape(self.n, -1), moved)
         norms = _row_norms(contracted.reshape(-1, contracted.shape[-1]))
         # pd_k'y scales with both y and D, so either may be the one to rescale
         name = "outcome column {} or treatment" if y.ndim == 2 else "outcome or treatment"
         stats = _unscale(name, exps, norms.reshape(contracted.shape[:-1]))
-        return stats if y.ndim == 2 else stats[0]
+        return stats.reshape(y.shape[1:] + stats.shape[1:])
 
     def statistics(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Observed and permuted statistics (a, b), each of shape (K,), or
@@ -317,8 +313,7 @@ class PreparedTest:
     def min_stat(self, values: np.ndarray) -> float | np.ndarray:
         """min_k ||D' V_k V_k' values||, the minorized statistic, checked as
         :meth:`statistics` is: a float, or an array for a stack."""
-        mins = self._statistics(values, moved=False)[..., 0, :].min(axis=-1)
-        return mins if mins.ndim else float(mins)
+        return self._statistics(values, moved=False)[..., 0, :].min(axis=-1)
 
     @property
     def notes(self) -> tuple[str, ...]:
@@ -500,9 +495,9 @@ class _AffineStats:
 
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, prepared: PreparedTest, y: np.ndarray):
-        exps, contracted = prepared._contract(prepared._outcome(y, stack=False))
+        exps, contracted = prepared._contract(y[:, None])
         (self.u, self.w), = _unscale("outcome or treatment", exps, contracted[..., 0])
-        exps, contracted = prepared._contract(prepared.D[:, 0])
+        exps, contracted = prepared._contract(prepared.D)
         (self.v, self.z), = _unscale("treatment", exps, contracted[..., 0])
 
     def pvalues(self, points: np.ndarray) -> np.ndarray:

@@ -42,8 +42,6 @@ class MultiIndexDataset:
 
     ``l`` distinguishes repeated observations of the same cell: the third
     axis of a box design, the period of a panel, or just a slot number.
-    ``y`` may be a stack of shape (records, m): m outcomes sharing the
-    design, for which each test returns a tuple of one result per column.
     """
 
     i: np.ndarray
@@ -297,9 +295,8 @@ def irregular_test(
     ``searches`` dict (see :func:`~clusterperm.missing.max_biclique_greedy`);
     the dict is dropped when the call returns.  Reports the lower median
     of the repeats' p-values, whose worst-case size is 2 alpha (see
-    :func:`~clusterperm.dyadic.median_pvalue`).  A stack of outcomes
-    (``data.y`` of shape (records, m)) shares every cover, trim and build,
-    and gives a tuple of one result per column.
+    :func:`~clusterperm.dyadic.median_pvalue`).  A stack of outcomes, ``data.y``
+    of shape (records, m), shares every cover, trim and build: one result each.
     """
     if l0 < 1:
         raise DimensionError(f"l0 must be positive, got {l0}")
@@ -323,14 +320,14 @@ def irregular_test(
     # The exact cover ignores the seed: build it once for every repeat.
     fixed_cover = decompose(seed) if resolved == "exact" else None
     cells = _cells_in_order(data)
-    y = data.y.reshape(data.n_obs, -1)
     runs = []
     for r in range(repeats):
         rs = run_seed(seed, r)
         cover = fixed_cover if fixed_cover is not None else decompose(rs)
         trimmed = _trim_cover(cells, data.n_cols, cover, l0, generator(trim_seed(rs)))
         blocks = [(q, (AXIS_ROWS, AXIS_COLS, None), records) for q, records in enumerate(trimmed)]
-        runs.append(block_test(data.x, data.d, y, blocks, num_perms, rs, tol))
+        report = block_test(data.x, data.d, data.y, blocks, num_perms, rs, tol)
+        runs.append(report if data.y.ndim == 2 else (report,))
     results = tuple(
         IrregularResult(pval=median_pvalue([report.pval for report in column]), runs=column,
                         l0=l0, num_perms=num_perms, repeats=repeats, seed=seed,

@@ -84,23 +84,23 @@ class CyclicGroup:
         return [slice(lo, min(lo + step, self.num_perms))
                 for lo in range(0, self.num_perms, step)]
 
-    def orbit(self, values=None, axis: int = 0):
+    def orbit(self, values=None):
         """Stream ``values`` moved by members 1..K, in order.
 
         Yields ``(members, block)``: ``members`` is a slice of the positions
-        0..K-1 of members 1..K, and ``block[i]`` is ``values`` gathered by
-        g^k along ``axis`` for the member k at position ``members.start + i``.
-        ``values`` defaults to ``arange(n)``, which streams the member maps
-        themselves.  Each block is a fresh array of about 2^14 values, or one
-        member, built by one gather per member.
+        0..K-1 of members 1..K, and ``block[i]`` is ``values[..., g^k]`` for the
+        member k at position ``members.start + i``.  ``values`` is indexed
+        along its last axis and defaults to ``arange(n)``, which streams the
+        member maps themselves.  Each block is a fresh array of about 2^14
+        values, or one member, built by one gather per member.
         """
         cur = np.arange(self.n) if values is None else np.asarray(values)
-        if cur.ndim < 1 or cur.shape[axis] != self.n:
-            raise DimensionError(f"values must have {self.n} rows, got shape {cur.shape}")
+        if cur.ndim < 1 or cur.shape[-1] != self.n:
+            raise DimensionError(f"values must have last axis {self.n}, got shape {cur.shape}")
         for members in self.chunks(cur.size):
             block = np.empty((members.stop - members.start,) + cur.shape, dtype=cur.dtype)
             for row in block:
-                cur = np.take(cur, self.generator, axis=axis, out=row, mode="clip")
+                cur = np.take(cur, self.generator, axis=-1, out=row, mode="clip")
             yield members, block
 
     def stacked(self) -> np.ndarray:

@@ -221,11 +221,13 @@ def _box_csv(tmp_path, m=6, n=6, ell=2, seed=0, name="box.csv"):
     return _write(tmp_path / name, "\n".join(lines) + "\n")
 
 
-def _irregular_csv(tmp_path, seed=2, name="irr.csv"):
+def _irregular_csv(tmp_path, seed=2, name="irr.csv", scale=1.0):
+    # ``scale`` multiplies the outcome and the treatment columns
     data = gen_irregular_dataset(6, 6, 3, "two-way-weak", seed=seed)
     lines = ["i,j,l,y,d,x1,x2,x3"]
     for t in range(data.n_obs):
-        cells = [data.y[t], data.d[t, 0], data.x[t, 0], data.x[t, 1], data.x[t, 2]]
+        cells = [data.y[t] * scale, data.d[t, 0] * scale, data.x[t, 0], data.x[t, 1],
+                 data.x[t, 2]]
         lines.append(
             f"{data.i[t] + 1},{data.j[t] + 1},{data.l[t] + 1},"
             + ",".join(repr(float(c)) for c in cells)
@@ -903,6 +905,17 @@ class TestCliCommands:
                                  expect_exit=2)
         assert payload["error"]["code"] == "NonFiniteInputError"
         assert "too small" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("power, size", [(550, "large"), (-550, "small")])
+    def test_irregular_out_of_range_statistics_name_the_outcome(self, tmp_path, capsys,
+                                                                 power, size):
+        # one outcome column: the error names it as a single outcome's test
+        # does, not as a column of a stack
+        path = _irregular_csv(tmp_path, seed=19, scale=2.0 ** power)
+        payload = self._json_run(["test-irregular", "--data", path, "--num-perms", "3",
+                                  "--repeats", "2", "--seed", "19"], capsys, expect_exit=2)
+        assert payload["error"]["code"] == "NonFiniteInputError"
+        assert payload["error"]["message"].startswith(f"outcome or treatment is too {size}")
 
     @pytest.mark.parametrize("sub, fixed", [
         ("test", False), ("test-panel", False),

@@ -278,11 +278,11 @@ class TestCyclicGroup:
     def test_orbit_moves_values_by_each_member(self, n, num_perms, width, seed):
         group = CyclicGroup(_reference_family(n, num_perms, seed)[1], num_perms)
         maps = group.stacked()
-        values = np.random.default_rng(seed).standard_normal((n, width) if width else n)
+        values = np.random.default_rng(seed).standard_normal((width, n) if width else n)
         seen = 0
         for members, block in group.orbit(values):
             assert members.start == seen
-            assert np.array_equal(block, values[maps[1:][members]])
+            assert np.array_equal(block, np.moveaxis(values[..., maps[1:][members]], -2, 0))
             seen = members.stop
         assert seen == num_perms
 
