@@ -12,9 +12,9 @@ applies member k of one family per moving axis of every block at once
 Its one caller, :func:`~clusterperm.dyadic.stack_blocks`, builds the group of
 every layout, the dyadic grid's one block included.  A cyclic group is held
 as its generator g, member k being g^k (:class:`CyclicGroup`), so it takes
-O(N) memory and its members are streamed, never stored; the (K+1, N) arrays of
-:func:`build_cyclic_family`, :meth:`CyclicGroup.stacked` and
-:func:`build_two_way_group` are adapters for the group-law checks.
+O(N) memory and its members are streamed by one walk, never stored; the
+(K+1, N) arrays of :func:`build_cyclic_family`, :meth:`CyclicGroup.stacked`
+and :func:`build_two_way_group` are adapters for the group-law checks.
 :func:`as_group` is the one place where a family given in any of these
 forms becomes a checked group.
 """
@@ -29,9 +29,30 @@ from .exceptions import DimensionError, GroupError
 from .model import PermutationFamily, TwoWayPermutation, member_fault
 from .rng import AXIS_COLS, AXIS_ROWS, family_seed, generator
 
-# Members are streamed and checked in chunks of about this many values
-# (128 KB of float64), so a pass over the group holds no K x N temporary.
+# Members are walked in chunks of about this many values over n rows (128 KB
+# of float64 for one value a row), so a pass holds no K x N temporary.
 _CHUNK_VALUES = 1 << 14
+
+
+def _chunks(n: int, num_perms: int) -> list[slice]:
+    step = max(1, _CHUNK_VALUES // max(n, 1))
+    return [slice(lo, min(lo + step, num_perms)) for lo in range(0, num_perms, step)]
+
+
+def _walk(index: np.ndarray, num_perms: int, values: np.ndarray):
+    """:meth:`CyclicGroup.orbit` of members 1..num_perms of g = ``index``, a
+    writeable intp array (numpy copies a read-only index on every take).  A
+    chunk of m members is taken in a ring of max(m, 2) slots, since a take
+    onto its own input copies; each block is a view into it."""
+    chunks = _chunks(index.size, num_perms)
+    ring = np.empty((max(chunks[0].stop if chunks else 0, 2),) + values.shape, values.dtype)
+    ring[-1] = values
+    for members in chunks:
+        lo = members.start % len(ring)
+        hi = lo + members.stop - members.start
+        for i in range(lo, hi):
+            ring[i - 1].take(index, axis=-1, out=ring[i], mode="clip")
+        yield members, ring[lo:hi]
 
 
 class CyclicGroup:
@@ -43,7 +64,7 @@ class CyclicGroup:
     the members a group: member r after member s is member (r+s) mod (K+1).
     The check forms g^(K+1) by repeated squaring, about 2 log2(K+1) gathers
     of length n.  The group keeps a read-only copy of g, so the check cannot
-    be undone by a later write.
+    be undone by a later write, and a private writeable one to walk with.
     """
 
     def __init__(self, generator, num_perms: int):
@@ -53,6 +74,7 @@ class CyclicGroup:
         fault = member_fault(gen, gen.size)
         if fault:
             raise DimensionError(f"member 1 {fault}")
+        self._index = gen.copy()
         gen.flags.writeable = False
         self.generator = gen
         self.num_perms = int(num_perms)
@@ -77,31 +99,25 @@ class CyclicGroup:
                 square = square[square]
         return out
 
-    def chunks(self, width: int):
+    def chunks(self) -> list[slice]:
         """Equal slices (the last may be short) of the positions 0..K-1 of
-        members 1..K, each about 2^14 values at ``width`` values a member."""
-        step = max(1, _CHUNK_VALUES // max(width, 1))
-        return [slice(lo, min(lo + step, self.num_perms))
-                for lo in range(0, self.num_perms, step)]
+        members 1..K, each about 2^14 / n members: the blocks of :meth:`orbit`."""
+        return _chunks(self.n, self.num_perms)
 
     def orbit(self, values=None):
         """Stream ``values`` moved by members 1..K, in order.
 
-        Yields ``(members, block)``: ``members`` is a slice of the positions
-        0..K-1 of members 1..K, and ``block[i]`` is ``values[..., g^k]`` for the
-        member k at position ``members.start + i``.  ``values`` is indexed
-        along its last axis and defaults to ``arange(n)``, which streams the
-        member maps themselves.  Each block is a fresh array of about 2^14
-        values, or one member, built by one gather per member.
+        Yields ``(members, block)``: ``members`` is one of :meth:`chunks`, and
+        ``block[i]`` is ``values[..., g^k]`` for the member k at position
+        ``members.start + i``.  ``values`` is indexed along its last axis and
+        defaults to ``arange(n)``, which streams the member maps themselves.
+        Each member is one gather of the member before.  A block is a view
+        that the next step overwrites: a consumer that keeps it copies it.
         """
         cur = np.arange(self.n) if values is None else np.asarray(values)
         if cur.ndim < 1 or cur.shape[-1] != self.n:
             raise DimensionError(f"values must have last axis {self.n}, got shape {cur.shape}")
-        for members in self.chunks(cur.size):
-            block = np.empty((members.stop - members.start,) + cur.shape, dtype=cur.dtype)
-            for row in block:
-                cur = np.take(cur, self.generator, axis=-1, out=row, mode="clip")
-            yield members, block
+        return _walk(self._index, self.num_perms, cur)
 
     def stacked(self) -> np.ndarray:
         """All members as a (K+1, n) array, row 0 the identity (an adapter)."""
@@ -121,8 +137,8 @@ def as_group(family, n: int) -> CyclicGroup:
     member 1 generates: member 0 is the identity, member 1 a bijection of the
     rows, member k is member 1 applied to member k-1, and member 1 applied to
     member K is the identity again (checked by :class:`CyclicGroup`).  Every
-    member is then a bijection.  One chunked pass, O(K * n); the first member
-    that breaks the law is diagnosed so the error names the fault.
+    member is then a bijection.  One walk of member 1, O(K * n); the first
+    member that breaks the law is diagnosed so the error names the fault.
     """
     if isinstance(family, CyclicGroup):
         if family.n != n:
@@ -137,19 +153,16 @@ def as_group(family, n: int) -> CyclicGroup:
         raise DimensionError("need the identity plus at least one permutation")
     if not np.array_equal(perms[0], np.arange(n)):
         raise DimensionError("member 0 must be the identity")
-    gen = perms[1]
+    gen = np.array(perms[1])
     fault = member_fault(gen, n)
     if fault:
         raise DimensionError(f"member 1 {fault}")
-    step = max(1, _CHUNK_VALUES // max(n, 1))
-    for lo in range(2, perms.shape[0], step):
-        block = perms[lo:lo + step]
-        # Rows before the first broken one are valid, so its expected row
-        # is exact; 'clip' only keeps later, unused rows from raising.
-        expected = np.take(gen, perms[lo - 1:lo - 1 + block.shape[0]], mode="clip")
-        broken = (block != expected).any(axis=1)
+    # Rows before the first broken one are powers of g, so that row is the
+    # first that is not member 1 applied to the row before it.
+    for members, block in _walk(gen, perms.shape[0] - 2, gen):
+        broken = (perms[2:][members] != block).any(axis=1)
         if broken.any():
-            k = lo + int(np.argmax(broken))
+            k = 2 + members.start + int(np.argmax(broken))
             fault = member_fault(perms[k], n)
             if fault:
                 raise DimensionError(f"member {k} {fault}")
@@ -329,7 +342,8 @@ def fixed_point_free(family) -> bool:
 def default_num_perms(n_rows: int, n_cols: int | None = None) -> int:
     """Default K: largest K <= 99 with K >= 19 and (K+1) dividing each extent.
 
-    Falls back to 99 (tail indices stay fixed) when no such divisor exists.
+    Else K+1 is the smallest extent of at least 20, capped at 100, so that
+    axis moves (tail indices stay fixed), or K = 99 if no extent reaches 20.
     """
     if n_rows < 1 or (n_cols is not None and n_cols < 1):
         raise DimensionError("extents must be positive")
@@ -337,4 +351,4 @@ def default_num_perms(n_rows: int, n_cols: int | None = None) -> int:
     for size in range(100, 19, -1):
         if all(ext % size == 0 for ext in extents):
             return size - 1
-    return 99
+    return min([100] + [ext for ext in extents if ext >= 20]) - 1

@@ -167,11 +167,10 @@ class PermutedAnnihilator:
     """Projects D off col([X | X[g^k]]) for the members g^k of a cyclic group.
 
     The basis Q of col(X) and D - Q Q'D are computed once, at construction.
-    A pass over the group (:meth:`stream`) streams the gathered basis
-    Q_k' = Q'[:, g^k], the generator applied to the previous member's rows,
-    so no row map is made.  A chunk of m members is held member-major, N
-    contiguous, in two arrays allocated once per pass: the gathered bases
-    (max(m, 2) x p x N) and rows [H_k' ; D'] (m x (p+d) x N).  The batched
+    A pass over the group (:meth:`stream`) takes the gathered bases
+    Q_k' = Q'[:, g^k] from the group's orbit of Q', so no row map is made.  A
+    chunk of m members is held member-major, N contiguous: the orbit's bases
+    and rows [H_k' ; D'] (m x (p+d) x N), allocated once per pass.  The batched
     products C_k' = Q_k'Q, H_k' = Q_k' - C_k'Q', [G_k ; D'H_k] = [H_k' ; D'] H_k
     and pd_k = base - H_k v_k write into them and into the output, so a
     member costs one p x N gather, four gemms and a p x p ``eigh``, with no
@@ -203,26 +202,12 @@ class PermutedAnnihilator:
         band [1e-13, 1e-6].  Their rows of ``out`` are not to be trusted;
         rebuild them through :func:`residual_projector`.
         """
-        q, base, gen = self.q, self.base, group.generator
-        chunks = group.chunks(self.D.shape[0])
-        r, d = q.shape[1], self.D.shape[1]
-        m = chunks[0].stop
-        # The gathers of a chunk read the previous member's basis, the first
-        # one the last of the chunk before.  With one member per chunk the
-        # members alternate between two slots: numpy copies a take onto its
-        # own input.
-        slots = max(m, 2)
-        qt = q.T
-        basis = np.empty((slots,) + qt.shape)
-        basis[-1] = qt
-        work = np.empty((m, r + d, qt.shape[1]))
+        qt, base = self.q.T, self.base
+        r, d = qt.shape[0], self.D.shape[1]
+        work = np.empty((group.chunks()[0].stop, r + d, qt.shape[1]))
         work[:, r:] = self.D.T
-        for c, members in enumerate(chunks):
-            size = members.stop - members.start
-            lo = c * m % slots
-            for i in range(lo, lo + size):
-                basis[i - 1].take(gen, axis=1, out=basis[i], mode="clip")
-            qk, w = basis[lo:lo + size], work[:size]
+        for members, qk in group.orbit(qt):
+            w = work[:len(qk)]
             h = w[:, :r]
             np.matmul(np.matmul(qk, qt.T), qt, out=h)
             np.subtract(qk, h, out=h)

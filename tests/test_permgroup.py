@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterperm import permgroup
 from clusterperm.exceptions import DimensionError, GroupError
 from clusterperm.model import TwoWayPermutation
 from clusterperm.permgroup import (
     CyclicGroup,
     _blockwise_shift,
+    as_group,
     block_product_group,
     build_cyclic_family,
     build_two_way_group,
@@ -328,6 +330,21 @@ class TestCyclicGroup:
         with pytest.raises(DimensionError, match="maps outside"):
             CyclicGroup(gen, num_perms)
 
+    @pytest.mark.parametrize("per_chunk", [1, 2, None])
+    def test_kept_blocks_must_be_copied(self, monkeypatch, per_chunk):
+        # A block is a view into the walk's ring, which the next steps
+        # overwrite; stacked() copies each block and so equals member(k).
+        group = CyclicGroup(_with_cycles([6, 3, 2, 1]), 5)
+        if per_chunk:
+            monkeypatch.setattr(permgroup, "_CHUNK_VALUES", per_chunk * group.n)
+        kept = [block for _, block in group.orbit()]
+        if per_chunk == 1:
+            # Two slots: member 5 landed where member 1 was.
+            assert np.shares_memory(kept[0], kept[2])
+            assert np.array_equal(kept[0][0], group.member(5))
+            assert not np.array_equal(kept[0][0], group.member(1))
+        assert np.array_equal(group.stacked(), [group.member(k) for k in range(6)])
+
     def test_validation(self):
         with pytest.raises(DimensionError):
             next(CyclicGroup(np.arange(4), 2).orbit(np.ones(5)))
@@ -352,10 +369,96 @@ class TestDefaultNumPerms:
         assert default_num_perms(23) == 22
 
     def test_fallback(self):
-        # no size in [20, 100] divides 19, nor both of 21 and 22
+        # No size in [20, 100] divides 19, nor both of 21 and 22: without an
+        # extent of 20 or more K stays 99, else K+1 is the smallest such
+        # extent, so that axis moves.
         assert default_num_perms(19) == 99
-        assert default_num_perms(21, 22) == 99
+        assert default_num_perms(21, 22) == 20
+        assert default_num_perms(20, 30) == 19
+        assert default_num_perms(24, 36) == 23
+        assert default_num_perms(7, 150) == 99
+        assert default_num_perms(101) == 99
+
+    # Extents with many divisors in [20, 100] make common divisors likely.
+    @settings(max_examples=500, deadline=None)
+    @given(extents=st.lists(st.integers(1, 150) | st.sampled_from(
+        [20, 24, 25, 30, 40, 48, 50, 60, 72, 75, 80, 96, 100, 120, 144, 150]),
+        min_size=1, max_size=3))
+    def test_default_moves_an_axis(self, extents):
+        # One or two extents take one call; a third axis takes the smaller
+        # of the first two's K and its own, as multiway._box_test does.
+        calls = [extents[:2]] + [extents[2:]] * (len(extents) == 3)
+        ks = [default_num_perms(*call) for call in calls]
+        for call, k in zip(calls, ks):
+            divisors = [s for s in range(100, 19, -1) if all(e % s == 0 for e in call)]
+            if divisors:
+                assert k == divisors[0] - 1
+        # An axis of e indices moves under K iff e >= K+1.
+        if max(extents) >= 20:
+            assert max(extents) >= min(ks) + 1
 
     def test_validation(self):
         with pytest.raises(DimensionError):
             default_num_perms(0)
+
+
+def _powers(gen, count):
+    """The first ``count`` powers of ``gen`` as a row map, row 0 the identity."""
+    perms = [np.arange(gen.size)]
+    for _ in range(count - 1):
+        perms.append(gen[perms[-1]])
+    return np.stack(perms)
+
+
+def _break(perms, row, how):
+    perms = perms.copy()
+    if how == "repeat":
+        perms[row, 0] = perms[row, 1]
+    elif how == "outside":
+        perms[row, 0] = perms.shape[1]
+    else:
+        perms[row, [0, 1]] = perms[row, [1, 0]]
+    return perms
+
+
+class TestAsGroup:
+    """A row map becomes a group only as the powers of its member 1."""
+
+    _GEN = _with_cycles([6, 3, 2, 1])
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, None])
+    @pytest.mark.parametrize("row, how, count, error, message", [
+        (1, "repeat", 6, DimensionError, "member 1 is not a bijection"),
+        (3, "repeat", 6, DimensionError, "member 3 is not a bijection"),
+        (3, "outside", 6, DimensionError, "member 3 maps outside the row range"),
+        (3, "swap", 6, GroupError,
+         "row maps are not a cyclic group: member 3 is not member 1 applied to member 2"),
+        (None, None, 5, GroupError,
+         "row maps are not a cyclic group: member 1 applied K+1=5 times is not the identity"),
+        # A broken row is named before the closure that also fails.
+        (3, "swap", 5, GroupError,
+         "row maps are not a cyclic group: member 3 is not member 1 applied to member 2"),
+        (4, "swap", 5, GroupError,
+         "row maps are not a cyclic group: member 4 is not member 1 applied to member 3"),
+    ])
+    def test_broken_maps_name_their_fault(self, monkeypatch, per_chunk, row, how, count,
+                                          error, message):
+        perms = _powers(self._GEN, count)
+        if row is not None:
+            perms = _break(perms, row, how)
+        if per_chunk:
+            monkeypatch.setattr(permgroup, "_CHUNK_VALUES", per_chunk * self._GEN.size)
+        with pytest.raises(error) as raised:
+            as_group(perms, self._GEN.size)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, None])
+    def test_powers_become_their_group(self, monkeypatch, per_chunk):
+        if per_chunk:
+            monkeypatch.setattr(permgroup, "_CHUNK_VALUES", per_chunk * self._GEN.size)
+        perms = _powers(self._GEN, 12)
+        group = as_group(perms, self._GEN.size)
+        assert group.num_perms == 11 and np.array_equal(group.stacked(), perms)
+        # The caller's map is not the group's: a later write undoes no check.
+        perms[1] = np.arange(self._GEN.size)
+        assert np.array_equal(group.generator, self._GEN)

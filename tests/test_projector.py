@@ -304,14 +304,16 @@ class TestCrossProductRoute:
             worst = max(worst, np.linalg.norm(pd - exact) / np.linalg.norm(D))
         assert worst <= 2e-10
 
-    @pytest.mark.parametrize("per_chunk", [1, 2, 4])
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3, 4, 5])
     def test_chunked_build_matches_one_chunk(self, monkeypatch, per_chunk):
-        # K = 5 members in chunks of 1, 2 or 4: the workspace is reused, the
+        # K = 5 members in chunks of 1 to 5: the workspace is reused, the
         # gathered basis carries across chunk boundaries and the last chunk
-        # is short.  Member 3 leaves x nearly in place (a squared sine of
+        # may be short.  Member 3 leaves x nearly in place (a squared sine of
         # ~1e-9, inside the band), so it alone takes the SVD route, with
-        # its row map built on demand.
+        # its row map built on demand.  The contractions of a stack of three
+        # outcomes walk the group in the same chunks.
         X, D, y, perms = _band_case(seed=43)
+        stack = np.column_stack([y, np.random.default_rng(44).standard_normal((y.size, 2))])
         one_chunk = PreparedTest(X, D, perms)
         maps = []
 
@@ -322,9 +324,12 @@ class TestCrossProductRoute:
         monkeypatch.setattr(permgroup, "_CHUNK_VALUES", per_chunk * perms.shape[1])
         monkeypatch.setattr(dyadic, "residual_projector", recording)
         chunked = PreparedTest(X, D, perms)
-        sizes = [c.stop - c.start for c in chunked.group.chunks(perms.shape[1])]
+        sizes = [c.stop - c.start for c in chunked.group.chunks()]
+        stacked_stats = chunked.statistics(stack)
         monkeypatch.undo()
-        assert sizes == {1: [1] * 5, 2: [2, 2, 1], 4: [4, 1]}[per_chunk]
+        assert sizes == {1: [1] * 5, 2: [2, 2, 1], 3: [3, 2], 4: [4, 1], 5: [5]}[per_chunk]
+        for got, want in zip(stacked_stats, one_chunk.statistics(stack)):
+            assert got.shape == (3, 5) and np.array_equal(got, want)
         assert one_chunk.svd_members == chunked.svd_members == 1
         assert len(maps) == 1 and np.array_equal(maps[0], X[perms[3]])
         assert np.array_equal(chunked.pd, one_chunk.pd)
