@@ -154,17 +154,18 @@ def max_square_side(mask, cap: int = EXACT_CAP) -> int:
     return int(sides.max())
 
 
-def _candidate_key(score: int, rows: tuple, cols: tuple):
-    return (-score, -len(rows), rows, cols)
+def _candidate_key(block: tuple[tuple, tuple]):
+    rows, cols = block
+    return (-len(rows) * len(cols), -len(rows), rows, cols)
 
 
-def _local_search(A: np.ndarray, start: tuple[int, ...], min_side: int):
+def _local_search(A: np.ndarray, start: np.ndarray, min_side: int):
     """Single-row moves from the row set ``start`` to a local optimum.
 
     ``A`` holds the candidate rows as 0/1 floats: every count below is a small
-    integer, exact in float64, and the products run in BLAS.  ``start`` and
-    the returned rows are positions in ``A``; the columns are those common to
-    the returned rows.
+    integer, exact in float64, and the products run in BLAS.  ``start`` is a
+    bool row over the rows of ``A``, and the returned rows are positions in
+    ``A``; the columns are those common to the returned rows.
 
     ``cnt`` counts the chosen rows covering each column, so the columns common
     to S are ``cnt == |S|`` and those common to S - {r} are
@@ -173,10 +174,9 @@ def _local_search(A: np.ndarray, start: tuple[int, ...], min_side: int):
     sorted S (out) and then all rows (in).  At most 200 moves are made.
     """
     n = A.shape[0]
-    chosen = np.zeros(n, dtype=bool)
-    chosen[list(start)] = True
+    chosen = start.copy()
     cnt = A[chosen].sum(axis=0)
-    size = len(start)
+    size = int(chosen.sum())
     for _ in range(200):
         common = cnt == size
         score = size * int(common.sum())
@@ -211,38 +211,89 @@ def _local_search(A: np.ndarray, start: tuple[int, ...], min_side: int):
     return np.flatnonzero(chosen), np.flatnonzero(cnt == size)
 
 
-# Restarts are scored this many at a time, so the chunk's bool prefix tensor
-# (restarts x rows x columns) is no larger than one float64 copy of the mask
-# however many restarts are asked for.
+# Restarts are scored in chunks of rows, one row per restart of a stream.  A
+# row takes its prefixes as 64-bit words of columns, and about 64 bytes per
+# active row for its noise, order, counts and scores.  A chunk takes at most
+# max(8 cells, 2^20) bytes, cells being the active rows times the columns,
+# however many restarts and streams are asked for: on a large mask no more
+# than the bool prefixes of eight restarts, on a small one about 1 MiB.
 _RESTART_CHUNK = 8
+_CHUNK_BYTES = 1 << 20
+
+
+def _greedy_blocks(mask_bool: np.ndarray, streams, restarts: int, min_side: int,
+                   found: dict) -> list:
+    """The greedy block of ``mask_bool`` for each Generator of ``streams``.
+
+    Each stream draws its ``restarts`` noise rows, one uniform per active row
+    of the mask, in restart order.  Restart t orders the rows by degree, ties
+    broken by its noise row, and starts from the first best-scoring prefix of
+    that order against its common-neighbor column set.  The restarts of every
+    stream are scored together, a chunk at a time, with one sort and one
+    cumulative AND.  The start sets, packed to bits, are de-duplicated, and
+    :func:`_local_search` runs once per start set not yet in ``found``, which
+    maps packed start sets to blocks on this mask and ``min_side``.  A
+    stream's block is the best (:func:`_candidate_key`) of its restarts'
+    blocks, or None when no prefix meets ``min_side``.
+    """
+    degrees = mask_bool.sum(axis=1)
+    active = np.flatnonzero(degrees)
+    # Rows are addressed by position in ``active``; it is sorted, so position
+    # order is row order.  ``B`` holds the active rows, ``A`` the same as floats.
+    # ``words`` holds them packed, 64 columns to a word.
+    B = mask_bool[active]
+    A = B.astype(np.float64)
+    words = np.packbits(np.pad(B, ((0, 0), (0, -B.shape[1] % 64))), axis=1).view(np.uint64)
+    n = active.size
+    sizes = np.arange(1, n + 1)
+    owner = np.repeat(np.arange(len(streams)), restarts)
+    picks = np.full(owner.size, -1)
+    blocks = []
+    step = max(1, max(_RESTART_CHUNK * B.size, _CHUNK_BYTES) // (words.nbytes + 64 * n))
+    for lo in range(0, owner.size, step):
+        part = np.unique(owner[lo:lo + step], return_counts=True)
+        noise = np.concatenate([streams[s].random((c, n)) for s, c in zip(*part)])
+        orders = np.lexsort((noise, np.broadcast_to(-degrees[active], noise.shape)), axis=-1)
+        # Column counts of every prefix of each order; they never increase,
+        # so requiring a positive count cuts a prefix at its first empty one.
+        prefix = words[orders]
+        np.bitwise_and.accumulate(prefix, axis=1, out=prefix)
+        counts = np.bitwise_count(prefix).sum(axis=2)
+        del prefix
+        valid = (sizes >= min_side) & (counts >= min_side) & (counts > 0)
+        # argmax takes the first best prefix, as a strict ``>`` scan would.
+        ends = np.where(valid, sizes * counts, 0).argmax(axis=1) + 1
+        starts = np.zeros(orders.shape, dtype=bool)
+        np.put_along_axis(starts, orders, sizes <= ends[:, None], axis=1)
+        some = valid.any(axis=1)
+        starts = starts[some]
+        packed = np.packbits(starts, axis=1)
+        packed, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
+                                           return_index=True, return_inverse=True)
+        picks[lo:lo + step][some] = len(blocks) + inverse
+        for key, at in zip(packed, first):
+            key = key.tobytes()
+            if key not in found:
+                rows, cols = _local_search(A, starts[at], min_side)
+                found[key] = (tuple(active[rows].tolist()), tuple(cols.tolist()))
+            blocks.append(found[key])
+    order = sorted(range(len(blocks)), key=lambda b: _candidate_key(blocks[b]))
+    rank = np.full(len(blocks) + 1, len(blocks))
+    rank[order] = np.arange(len(blocks))
+    best = rank[picks].reshape(len(streams), restarts).min(axis=1)
+    return [blocks[order[b]] if b < len(blocks) else None for b in best]
 
 
 def max_biclique_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int = 1, *,
-                        searches: dict | None = None,
                         rng: np.random.Generator | None = None):
     """Seeded greedy maximum-edge biclique heuristic.
 
-    Restart t orders the rows by degree, ties broken by a row of uniform
-    noise, and starts from the first best-scoring prefix of that order
-    against its common-neighbor column set.  Restarts are scored
-    :data:`_RESTART_CHUNK` at a time with one sort and one cumulative AND.
-    Each start set then goes through :func:`_local_search`, in restart order,
-    and the best block wins (ties keep the first).
-
-    The noise rows come from one Generator, in restart order, one uniform
-    per active row of ``mask`` and restart: ``rng`` when given, which the
-    call advances (:func:`biclique_decompose` passes one Generator to all
-    its rounds), else ``generator(mask_seed(seed, 7))``.  ``seed`` is read
-    only when ``rng`` is not given.
-
-    The local search depends only on the mask, its start set and
-    ``min_side``, so ``searches`` keeps every result: it maps
-    (mask bytes, shape, ``min_side``) to a dict from start set to
-    (rows, cols).  Pass one dict to several calls, for example every repeat
-    of one irregular test, and each start set on each mask is searched once.
-    A repeated start set yields the same candidate, which never displaces the
-    best, so the result is the one a search on every restart would give.
-    Without ``searches`` the dict lives for this call only.
+    The restarts, their noise and their local searches are
+    :func:`_greedy_blocks`'s for one stream: ``rng`` when given, which the
+    call advances by one uniform per active row of ``mask`` and restart, else
+    ``generator(mask_seed(seed, 7))``.  ``seed`` is read only when ``rng`` is
+    not given.  Of equal-scoring blocks the one with more rows wins, then the
+    smaller row and column tuples.
 
     Returns (rows, cols) or None when ``min_side`` cannot be met.  Raises
     :class:`DimensionError` when ``restarts`` is below 1.
@@ -250,49 +301,10 @@ def max_biclique_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int =
     if restarts < 1:
         raise DimensionError(f"restarts must be at least 1, got {restarts}")
     mask_bool = as_mask(mask).astype(bool)
-    degrees = mask_bool.sum(axis=1)
-    active = np.flatnonzero(degrees > 0)
-    if active.size == 0:
+    if not mask_bool.any():
         raise EmptyMaskError("mask has no observed cells")
-    if searches is None:
-        searches = {}
-    if rng is None:
-        rng = generator(mask_seed(seed, 7))
-    found = searches.setdefault((mask_bool.tobytes(), mask_bool.shape, min_side), {})
-    # Rows are addressed by position in ``active``; it is sorted, so position
-    # order is row order.  ``B`` holds the active rows, ``A`` the same as floats.
-    B = mask_bool[active]
-    A = B.astype(np.float64)
-    n = active.size
-    prefix_sizes = np.arange(1, n + 1)
-    best = None
-
-    for lo in range(0, restarts, _RESTART_CHUNK):
-        noise = rng.random((min(_RESTART_CHUNK, restarts - lo), n))
-        orders = np.lexsort((noise, np.broadcast_to(-degrees[active], noise.shape)), axis=-1)
-        # Column counts of every prefix of each order; they never increase,
-        # so requiring a positive count cuts a prefix at its first empty one.
-        prefix = B[orders]
-        np.logical_and.accumulate(prefix, axis=1, out=prefix)
-        counts = prefix.sum(axis=2)
-        del prefix
-        valid = (prefix_sizes >= min_side) & (counts >= min_side) & (counts > 0)
-        # argmax takes the first best prefix, as a strict ``>`` scan would.
-        ends = np.where(valid, prefix_sizes * counts, 0).argmax(axis=1) + 1
-        for order, end, any_valid in zip(orders, ends, valid.any(axis=1)):
-            if not any_valid:
-                continue
-            start = tuple(np.sort(order[:end]).tolist())
-            if start not in found:
-                rows, cols = _local_search(A, start, min_side)
-                found[start] = (tuple(active[rows].tolist()), tuple(cols.tolist()))
-            rows, cols = found[start]
-            if len(rows) < min_side or len(cols) < min_side:
-                continue
-            key = _candidate_key(len(rows) * len(cols), rows, cols)
-            if best is None or key < best[0]:
-                best = (key, (rows, cols))
-    return None if best is None else best[1]
+    stream = generator(mask_seed(seed, 7)) if rng is None else rng
+    return _greedy_blocks(mask_bool, [stream], restarts, min_side, {})[0]
 
 
 @dataclass(frozen=True)
@@ -378,8 +390,6 @@ def biclique_decompose(
     cap: int = EXACT_CAP,
     restarts: int = 16,
     seed: int = 0,
-    *,
-    searches: dict | None = None,
 ) -> BicliqueCover:
     """Iteratively extract maximum bicliques into a disjoint cover.
 
@@ -391,41 +401,73 @@ def biclique_decompose(
     the loop stops and skips a solver call that could only return None, so
     either solver's cover is unchanged.  The greedy rounds draw their
     restarts' noise from one Generator, ``generator(mask_seed(seed, 9))``,
-    each round after the one before (see :func:`max_biclique_greedy`), and
-    hand ``searches`` on, so calls that share one dict share their local
-    searches.  Raises :class:`DimensionError` when ``min_block`` or
-    ``restarts`` is below 1, even when the exact solver makes ``restarts``
-    moot.
+    each round after the one before (see :func:`_greedy_blocks`).  This is
+    :func:`biclique_covers` for one seed.  Raises :class:`DimensionError`
+    when ``min_block`` or ``restarts`` is below 1, even when the exact solver
+    makes ``restarts`` moot.
+    """
+    return biclique_covers(mask, (seed,), solver, min_block, cap, restarts)[0]
+
+
+def biclique_covers(mask, seeds, solver: str = "auto", min_block: int = 2,
+                    cap: int = EXACT_CAP, restarts: int = 16) -> tuple[BicliqueCover, ...]:
+    """The :func:`biclique_decompose` cover of ``mask`` for each of ``seeds``.
+
+    The seeds are decomposed in lockstep, round by round.  In each round the
+    seeds whose masks left are equal form one group: the exact solver runs
+    once for the group, and the greedy solver scores every restart of every
+    seed of the group in one pass (:func:`_greedy_blocks`), each seed drawing
+    from its own stream, so each cover is the one its seed gets alone.  The
+    local searches of the whole call share one cache, keyed by mask left and
+    start set, so a group searches each start set once.
     """
     check_exact_cap(cap)
-    work = as_mask(mask).astype(bool)
-    n_rows, n_cols = work.shape
-    if not work.any():
+    full = as_mask(mask).astype(bool)
+    n_rows, n_cols = full.shape
+    if not full.any():
         raise EmptyMaskError("mask has no observed cells")
-    use_exact = resolve_solver(solver, work.shape, cap) == "exact"
+    use_exact = resolve_solver(solver, full.shape, cap) == "exact"
     if min_block < 1:
         raise DimensionError("min_block must be at least 1")
     if restarts < 1:
         raise DimensionError(f"restarts must be at least 1, got {restarts}")
 
-    blocks = []
-    rng = None if use_exact else generator(mask_seed(seed, 9))
-    # A block with both sides >= min_block needs min_block rows, and min_block
-    # columns, holding at least min_block cells each.
-    while ((work.sum(axis=1) >= min_block).sum() >= min_block
-           and (work.sum(axis=0) >= min_block).sum() >= min_block):
-        if use_exact:
-            found = max_biclique_exact(work, cap=cap, min_side=min_block)
-        else:
-            found = max_biclique_greedy(work, restarts=restarts, min_side=min_block,
-                                        searches=searches, rng=rng)
-        if found is None:
-            break
-        rows, cols = found
-        blocks.append((rows, cols))
-        work[list(rows), :] = False
-        work[:, list(cols)] = False
-    return BicliqueCover(tuple(blocks), n_rows, n_cols)
+    streams = [None if use_exact else generator(mask_seed(s, 9)) for s in seeds]
+    covers = [[] for _ in streams]
+    # A mask left is ``full`` on its non-empty rows and columns, so these,
+    # rows then columns, name it: ``left[i]`` names seed i's.
+    left = [np.concatenate([full.any(axis=1), full.any(axis=0)])] * len(streams)
+    live, searches = range(len(streams)), {}
+    while live:
+        groups = {}
+        for i in live:
+            groups.setdefault(left[i].tobytes(), []).append(i)
+        live = []
+        for key, group in groups.items():
+            work = full & left[group[0]][:n_rows, None] & left[group[0]][n_rows:]
+            # A block with both sides >= min_block needs min_block rows, and
+            # min_block columns, holding at least min_block cells each.
+            if ((work.sum(axis=1) >= min_block).sum() < min_block
+                    or (work.sum(axis=0) >= min_block).sum() < min_block):
+                continue
+            if use_exact:
+                found = [max_biclique_exact(work, cap=cap, min_side=min_block)] * len(group)
+            else:
+                found = _greedy_blocks(work, [streams[i] for i in group], restarts, min_block,
+                                       searches.setdefault(key, {}))
+            after = {}
+            for i, block in zip(group, found):
+                if block is None:
+                    continue
+                if block not in after:
+                    rest = work.copy()
+                    rest[list(block[0]), :] = False
+                    rest[:, list(block[1])] = False
+                    after[block] = np.concatenate([rest.any(axis=1), rest.any(axis=0)])
+                left[i] = after[block]
+                covers[i].append(block)
+                live.append(i)
+    return tuple(BicliqueCover(tuple(blocks), n_rows, n_cols) for blocks in covers)
 
 
 def blockwise_test(

@@ -31,7 +31,7 @@ from .exceptions import (
     NoEligibleCellsError,
     UnbalancedError,
 )
-from .missing import BicliqueCover, biclique_decompose, resolve_solver
+from .missing import BicliqueCover, biclique_covers
 from .permgroup import default_num_perms
 from .rng import AXIS_CELLS, AXIS_COLS, AXIS_ROWS, generator, run_seed, trim_seed
 
@@ -288,12 +288,11 @@ def irregular_test(
     retained cell to exactly L0 records (:func:`_trim_cover`; slots keep
     original record order), and permute block rows and columns with the L0
     slots riding along.
-    The exact solver's cover does not depend on the seed, so it is built
-    once and shared by every repeat.  The greedy solver's covers differ by
-    repeat, but its local searches depend only on the mask left and the
-    start set, so the repeats of one call share them through one
-    ``searches`` dict (see :func:`~clusterperm.missing.max_biclique_greedy`);
-    the dict is dropped when the call returns.  Reports the lower median
+    The repeats' covers come from one lockstep call
+    (:func:`~clusterperm.missing.biclique_covers`), each the one its repeat
+    seed gets alone: the exact solver runs once per round for every repeat,
+    and the greedy solver scores each distinct mask left once per round for
+    every repeat that reached it.  Reports the lower median
     of the repeats' p-values, whose worst-case size is 2 alpha (see
     :func:`~clusterperm.dyadic.median_pvalue`).  A stack of outcomes, ``data.y``
     of shape (records, m), shares every cover, trim and build: one result each.
@@ -308,22 +307,12 @@ def irregular_test(
     if eligible == 0:
         raise NoEligibleCellsError(f"no cell holds at least l0={l0} observations")
 
-    resolved = resolve_solver(solver, mask.shape, cap)
-    searches: dict = {}
-
-    def decompose(rs: int) -> BicliqueCover:
-        return biclique_decompose(
-            mask, solver=resolved, min_block=min_block, cap=cap,
-            restarts=restarts, seed=rs, searches=searches,
-        )
-
-    # The exact cover ignores the seed: build it once for every repeat.
-    fixed_cover = decompose(seed) if resolved == "exact" else None
+    seeds = [run_seed(seed, r) for r in range(repeats)]
+    covers = biclique_covers(mask, seeds, solver=solver, min_block=min_block, cap=cap,
+                             restarts=restarts)
     cells = _cells_in_order(data)
     runs = []
-    for r in range(repeats):
-        rs = run_seed(seed, r)
-        cover = fixed_cover if fixed_cover is not None else decompose(rs)
+    for rs, cover in zip(seeds, covers):
         trimmed = _trim_cover(cells, data.n_cols, cover, l0, generator(trim_seed(rs)))
         blocks = [(q, (AXIS_ROWS, AXIS_COLS, None), records) for q, records in enumerate(trimmed)]
         report = block_test(data.x, data.d, data.y, blocks, num_perms, rs, tol)

@@ -63,8 +63,9 @@ class CyclicGroup:
     identity (else :class:`~clusterperm.exceptions.GroupError`), which makes
     the members a group: member r after member s is member (r+s) mod (K+1).
     The check forms g^(K+1) by repeated squaring, about 2 log2(K+1) gathers
-    of length n.  The group keeps a read-only copy of g, so the check cannot
-    be undone by a later write, and a private writeable one to walk with.
+    of length n.  The group keeps its own copy of g, writeable and private
+    to walk with, and shows it as ``generator``, a read-only view, so the
+    check cannot be undone by a later write.
     """
 
     def __init__(self, generator, num_perms: int):
@@ -74,9 +75,9 @@ class CyclicGroup:
         fault = member_fault(gen, gen.size)
         if fault:
             raise DimensionError(f"member 1 {fault}")
-        self._index = gen.copy()
-        gen.flags.writeable = False
-        self.generator = gen
+        self._index = gen
+        self.generator = gen.view()
+        self.generator.flags.writeable = False
         self.num_perms = int(num_perms)
         if not np.array_equal(self.member(num_perms + 1), np.arange(gen.size)):
             raise GroupError(

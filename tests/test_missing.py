@@ -22,6 +22,7 @@ from clusterperm.missing import (
     MAX_EXACT_CAP,
     BicliqueCover,
     as_mask,
+    biclique_covers,
     biclique_decompose,
     blockwise_test,
     max_biclique_exact,
@@ -90,12 +91,10 @@ def _candidate_key(score: int, rows: tuple, cols: tuple):
     return (-score, -len(rows), rows, cols)
 
 
-def _reference_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int = 1,
-                      searches=None, rng=None):
-    # ``searches`` is accepted so that biclique_decompose can call this in
-    # place of the solver; the reference searches every restart afresh.  Its
-    # restarts draw their noise rows one after another from one Generator:
-    # ``rng`` when given, else numpy's own default_rng(mask_seed(seed, 7)).
+def _reference_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int = 1, rng=None):
+    # The reference searches every restart afresh.  Its restarts draw their
+    # noise rows one after another from one Generator: ``rng`` when given,
+    # else numpy's own default_rng(mask_seed(seed, 7)).
     mask = as_mask(mask)
     mask_bool = mask.astype(bool)
     degrees = mask_bool.sum(axis=1)
@@ -178,6 +177,24 @@ def _reference_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int = 1
         if best is None or key < best[0]:
             best = (key, (rows, cols))
     return None if best is None else best[1]
+
+
+def _reference_decompose(mask, min_block=2, restarts=16, seed=0):
+    """The blocks of a one-seed greedy decomposition, round by round, each
+    round a :func:`_reference_greedy` call on the mask left, all drawing from
+    numpy's own default_rng(mask_seed(seed, 9))."""
+    work = as_mask(mask).astype(bool)
+    rng = np.random.default_rng(mask_seed(seed, 9))
+    blocks = []
+    while ((work.sum(axis=1) >= min_block).sum() >= min_block
+           and (work.sum(axis=0) >= min_block).sum() >= min_block):
+        found = _reference_greedy(work, restarts, min_side=min_block, rng=rng)
+        if found is None:
+            break
+        blocks.append(found)
+        work[list(found[0]), :] = False
+        work[:, list(found[1])] = False
+    return tuple(blocks)
 
 
 @st.composite
@@ -379,52 +396,39 @@ class TestMaxBicliqueGreedy:
         )
 
 
-    def test_searches_shared_across_masks_and_min_sides(self):
-        # one dict serves several masks and min_side values; two masks with
-        # equal bytes but transposed shapes must not share entries
-        masks = [
-            _random_mask(12, 15, 0.6, 1),
-            _random_mask(12, 15, 0.6, 2),
-            np.ones((4, 6), dtype=np.int8),
-            np.ones((6, 4), dtype=np.int8),
-        ]
-        searches = {}
-        for _ in range(2):
-            for mask in masks:
-                for min_side in (1, 2):
-                    kwargs = dict(restarts=6, seed=5, min_side=min_side)
-                    assert max_biclique_greedy(mask, searches=searches, **kwargs) == (
-                        _reference_greedy(mask, **kwargs)
-                    )
-        assert len(searches) == len(masks) * 2
-
-    def test_searches_reused_on_repeat_call(self):
+    def test_one_search_per_start_set_and_mask(self, monkeypatch):
+        # the repeats of one lockstep call share every local search: a start
+        # set on a mask left is searched once, where separate one-seed calls
+        # search it once each, and the covers are the same
         mask = _random_mask(20, 20, 0.5, 3)
-        searches = {}
+        seeds = list(range(8))
         calls = []
         real = missing._local_search
 
-        def counting(*args):
-            calls.append(args[1])
-            return real(*args)
+        def counting(A, start, min_side):
+            calls.append((A.tobytes(), start.tobytes()))
+            return real(A, start, min_side)
 
-        with mock.patch.object(missing, "_local_search", counting):
-            first = max_biclique_greedy(mask, restarts=8, seed=1, searches=searches)
-            searched = len(calls)
-            again = max_biclique_greedy(mask, restarts=8, seed=1, searches=searches)
-        assert searched > 0 and len(calls) == searched
-        assert len(set(calls)) == searched
-        assert first == again
+        monkeypatch.setattr(missing, "_local_search", counting)
+        kwargs = dict(solver="greedy", min_block=2, restarts=8)
+        covers = biclique_covers(mask, seeds, **kwargs)
+        shared = list(calls)
+        assert len(shared) == len(set(shared)) > 0
+        calls.clear()
+        assert covers == tuple(biclique_decompose(mask, seed=s, **kwargs) for s in seeds)
+        assert len(calls) > len(shared) and set(calls) == set(shared)
 
     def test_restart_chunks_bound_memory(self):
-        # restarts are scored in fixed chunks: the peak must not grow with
-        # restarts and stays near two float64 copies of the mask (the rows
-        # held for the local search, and one chunk's bool prefixes)
+        # restarts are scored in chunks of at most max(8 cells, 2^20) bytes:
+        # once the chunks are full the peak grows with restarts only by the
+        # search cache, under 1 KB per start set here, and it stays near two
+        # float64 copies of the mask (the rows held for the local search, and
+        # the rest) plus one chunk
         n = 200
         mask = _random_mask(n, n, 0.7, 5)
         max_biclique_greedy(mask, restarts=1)
         peaks = {}
-        for restarts in (8, 64):
+        for restarts in (64, 256):
             tracemalloc.start()
             try:
                 max_biclique_greedy(mask, restarts=restarts, seed=0)
@@ -432,8 +436,31 @@ class TestMaxBicliqueGreedy:
             finally:
                 tracemalloc.stop()
         float_copy = n * n * 8
-        assert peaks[64] <= peaks[8] + float_copy // 4
-        assert peaks[64] <= 3 * float_copy
+        assert peaks[256] <= peaks[64] + float_copy // 4 + (256 - 64) * 1024
+        assert peaks[256] <= 2 * float_copy + max(float_copy, 1 << 20) + float_copy // 2
+
+    def test_lockstep_chunks_bound_memory(self):
+        # on a large mask, where 8 cells exceed 2^20 bytes, the restarts of
+        # every repeat are scored eight at a time: the peak must not grow
+        # with the repeats, and stays within four float64 copies of the mask
+        # (the rows held for the local search, one chunk's bool prefixes and
+        # the local search's own products)
+        rng = np.random.default_rng(8)
+        mask = (rng.random((360, 400)) < 0.02).astype(np.int8)
+        mask[20:320, 50:350] = 1
+        float_copy = mask.size * 8
+        assert float_copy > 1 << 20
+        biclique_covers(mask, [0], solver="greedy", restarts=16)
+        peaks = {}
+        for repeats in (1, 32):
+            tracemalloc.start()
+            try:
+                biclique_covers(mask, list(range(repeats)), solver="greedy", restarts=16)
+                _, peaks[repeats] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[32] <= peaks[1] + float_copy // 8
+        assert peaks[32] <= 4 * float_copy
 
 
 class TestBicliqueCover:
@@ -527,7 +554,7 @@ class TestBicliqueDecompose:
         mask[:3, :3] = 1
         mask[3:9, 3] = 1
         mask[np.arange(3, 9), np.arange(4, 10)] = 1
-        name = f"max_biclique_{solver}"
+        name = {"exact": "max_biclique_exact", "greedy": "_greedy_blocks"}[solver]
         real = getattr(missing, name)
         with mock.patch.object(missing, name, side_effect=real) as spy:
             cover = biclique_decompose(mask, solver=solver, min_block=2, seed=0)
@@ -536,7 +563,8 @@ class TestBicliqueDecompose:
         rest = mask.copy()
         rest[:3, :] = 0
         rest[:, :3] = 0
-        assert real(rest, min_side=2) is None  # the call the loop skipped
+        solve = getattr(missing, f"max_biclique_{solver}")
+        assert solve(rest, min_side=2) is None  # the call the loop skipped
         with mock.patch.object(missing, name, side_effect=real) as spy:
             assert len(biclique_decompose(np.eye(12, dtype=np.int8), solver=solver)) == 0
         assert spy.call_count == 0
@@ -558,11 +586,9 @@ class TestBicliqueDecompose:
     def test_greedy_cover_matches_reference_search(self, mask, min_block, restarts, seed):
         if not mask.any():
             mask[0, 0] = 1
-        kwargs = dict(solver="greedy", min_block=min_block, restarts=restarts, seed=seed)
-        cover = biclique_decompose(mask, **kwargs)
-        with mock.patch.object(missing, "max_biclique_greedy", _reference_greedy):
-            reference = biclique_decompose(mask, **kwargs)
-        assert cover == reference
+        cover = biclique_decompose(mask, solver="greedy", min_block=min_block,
+                                   restarts=restarts, seed=seed)
+        assert cover.blocks == _reference_decompose(mask, min_block, restarts, seed)
 
 
     @pytest.mark.parametrize("seed", [0, 2**32 + 1])
@@ -576,35 +602,72 @@ class TestBicliqueDecompose:
             mask[2 * q:2 * q + 2, col:col + q + 2] = 1
         mask = mask[rng.permutation(30)][:, rng.permutation(135)]
         streams, draws = [], []
-        real = missing.max_biclique_greedy
+        real = missing._greedy_blocks
 
-        def counting(*args, **kwargs):
-            streams.append(kwargs["rng"])
-            draws.append(kwargs["restarts"] * int(args[0].any(axis=1).sum()))
-            return real(*args, **kwargs)
+        def counting(work, group, restarts, *args):
+            streams.extend(group)
+            draws.append(len(group) * restarts * int(work.any(axis=1).sum()))
+            return real(work, group, restarts, *args)
 
         kwargs = dict(solver="greedy", min_block=2, restarts=5, seed=seed)
-        with mock.patch.object(missing, "max_biclique_greedy", counting):
+        with mock.patch.object(missing, "_greedy_blocks", counting):
             cover = biclique_decompose(mask, **kwargs)
-        assert len(streams) >= 15 and len(cover) >= 15
+        assert len(streams) == len(draws) >= 15 and len(cover) >= 15
         assert all(stream is streams[0] for stream in streams)
         expected = np.random.default_rng(mask_seed(seed, 9))
         expected.random(sum(draws))
         assert streams[0].random(4).tolist() == expected.random(4).tolist()
-        with mock.patch.object(missing, "max_biclique_greedy", _reference_greedy):
-            assert biclique_decompose(mask, **kwargs) == cover
+        assert cover.blocks == _reference_decompose(mask, 2, 5, seed)
 
     def test_one_seed_one_cover(self):
-        # a cover depends on its seed alone: not on calls made before it, on
-        # the searches it shares, or on other seeds' calls in between
+        # a cover depends on its seed alone: not on the other seeds decomposed
+        # with it, their order, or the searches they share
         mask = _random_mask(30, 30, 0.6, 12)
         kwargs = dict(solver="greedy", min_block=2, restarts=6)
-        searches = {}
-        first = biclique_decompose(mask, seed=4, searches=searches, **kwargs)
-        other = biclique_decompose(mask, seed=5, searches=searches, **kwargs)
-        again = biclique_decompose(mask, seed=4, searches=searches, **kwargs)
+        first, other, again = biclique_covers(mask, [4, 5, 4], **kwargs)
         assert again == first == biclique_decompose(mask, seed=4, **kwargs)
         assert other != first
+        assert biclique_covers(mask, [5, 4], **kwargs) == (other, first)
+        assert biclique_covers(mask, [], **kwargs) == ()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mask=_masks(),
+        min_block=st.sampled_from([1, 2, 3]),
+        restarts=st.sampled_from([1, 5, 8, 13, 16]),
+        seed=st.integers(0, 2**31 - 1),
+        repeats=st.integers(1, 12),
+    )
+    def test_lockstep_covers_match_one_seed_calls(self, mask, min_block, restarts, seed,
+                                                  repeats):
+        # seeds whose masks left part ways mid-decomposition leave their group
+        # and go on alone; each cover is still the one its seed gets alone
+        if not mask.any():
+            mask[0, 0] = 1
+        seeds = [seed + 7 * r for r in range(repeats)]
+        kwargs = dict(solver="greedy", min_block=min_block, restarts=restarts)
+        covers = biclique_covers(mask, seeds, **kwargs)
+        assert covers == tuple(biclique_decompose(mask, seed=s, **kwargs) for s in seeds)
+
+    def test_lockstep_groups_part_ways(self, monkeypatch):
+        # the hypothesis draws above include masks where the seeds' covers
+        # differ; on this one they differ after a shared first round
+        mask = _random_mask(30, 30, 0.6, 12)
+        groups = []
+        real = missing._greedy_blocks
+
+        def counting(work, group, *args):
+            groups.append(len(group))
+            return real(work, group, *args)
+
+        monkeypatch.setattr(missing, "_greedy_blocks", counting)
+        covers = biclique_covers(mask, range(10), solver="greedy", min_block=2, restarts=6)
+        # 11 passes where one-seed calls make one per block, 58: three shared rounds,
+        # then groups of 5, then of 2 and 3
+        assert groups == [10, 10, 10, 5, 5, 5, 2, 3, 5, 2, 3]
+        assert len(set(covers)) == 3
+        assert covers == tuple(biclique_decompose(mask, seed=s, solver="greedy", min_block=2,
+                                                  restarts=6) for s in range(10))
 
 
 class TestBlockwiseTest:

@@ -1,6 +1,7 @@
 """Tests for three-index designs: boxes, panels, layouts, irregular cells."""
 
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 from unittest import mock
@@ -28,6 +29,7 @@ from clusterperm.multiway import (
     threeway_test,
 )
 from clusterperm.permgroup import build_two_way_group
+from clusterperm.rng import run_seed
 from clusterperm.simulate import gen_dyadic_dataset, gen_irregular_dataset
 
 
@@ -352,60 +354,69 @@ class TestIrregularTest:
         assert result.to_dict()["notes"] == ["b (2 of 4 repeats)", "a (2 of 4 repeats)"]
 
     def test_exact_cover_built_once(self, monkeypatch):
+        # one lockstep call decomposes every repeat; the exact cover ignores
+        # the seed, so each round's exact solve serves every repeat
         data = gen_irregular_dataset(8, 8, 3, "row-heavy", seed=27)
-        real = multiway.biclique_decompose
-        calls = []
+        lockstep = _count_calls(monkeypatch, multiway, "biclique_covers")
+        solves = _count_calls(monkeypatch, missing, "max_biclique_exact")
+        kwargs = dict(l0=3, num_perms=3, seed=27)
+        irregular_test(data, solver="exact", repeats=1, **kwargs)
+        rounds = len(solves)
+        once = irregular_test(data, solver="exact", repeats=4, **kwargs)
+        assert len(lockstep) == 2 and len(solves) == 2 * rounds > 0
+        irregular_test(data, solver="greedy", repeats=4, **kwargs)
+        assert len(lockstep) == 3
 
-        def counting(mask, **kwargs):
-            calls.append(kwargs["solver"])
-            return real(mask, **kwargs)
-
-        monkeypatch.setattr(multiway, "biclique_decompose", counting)
-        kwargs = dict(l0=3, num_perms=3, repeats=4, seed=27)
-        once = irregular_test(data, solver="exact", **kwargs)
-        assert calls == ["exact"]
-        calls.clear()
-        irregular_test(data, solver="greedy", **kwargs)
-        assert calls == ["greedy"] * 4
-
-        # Rebuilding the exact cover on every repeat gives the same reports:
-        # "auto" resolves to exact on this 8x8 grid inside the decomposition.
-        calls.clear()
-        monkeypatch.setattr(multiway, "resolve_solver", lambda solver, shape, cap: "auto")
-        every = irregular_test(data, solver="exact", **kwargs)
-        assert calls == ["auto"] * 4
+        # Building the exact cover again for every repeat gives the same reports.
+        monkeypatch.setattr(multiway, "biclique_covers", _one_seed_covers)
+        solves.clear()
+        every = irregular_test(data, solver="exact", repeats=4, **kwargs)
+        assert len(solves) == 4 * rounds
         assert once.to_dict() == every.to_dict()
         for a, b in zip(once.runs, every.runs):
             assert np.array_equal(a.a, b.a) and np.array_equal(a.b, b.b)
 
-    def test_shared_searches_change_nothing(self, monkeypatch):
-        # the repeats share one searches dict; a fresh dict per repeat must
-        # give the same bytes, after searching more start sets
+    def test_lockstep_covers_change_nothing(self, monkeypatch):
+        # the repeats are decomposed in lockstep, sharing their local
+        # searches; one-seed decompositions, one per repeat, must give the
+        # same bytes, after searching more start sets
         data = gen_irregular_dataset(12, 12, 3, "row-heavy", seed=30)
         kwargs = dict(l0=3, num_perms=3, repeats=6, seed=30, solver="greedy")
-        searched = []
-        real_search = missing._local_search
-
-        def counting(*args):
-            searched.append(args[1])
-            return real_search(*args)
-
-        monkeypatch.setattr(missing, "_local_search", counting)
+        searched = _count_calls(monkeypatch, missing, "_local_search")
         shared = irregular_test(data, **kwargs)
         shared_searches = len(searched)
         searched.clear()
-        real = multiway.biclique_decompose
-
-        def fresh(mask, **kw):
-            return real(mask, **{**kw, "searches": {}})
-
-        monkeypatch.setattr(multiway, "biclique_decompose", fresh)
+        monkeypatch.setattr(multiway, "biclique_covers", _one_seed_covers)
         unshared = irregular_test(data, **kwargs)
         assert 0 < shared_searches < len(searched)
         assert shared.to_dict() == unshared.to_dict()
         for a, b in zip(shared.runs, unshared.runs):
             assert a.a.tobytes() == b.a.tobytes() and a.b.tobytes() == b.b.tobytes()
             assert a.pval == b.pval
+
+    def test_one_scoring_pass_per_round_and_mask_left(self, monkeypatch):
+        # the greedy solver scores each (round, mask left) state of the
+        # repeats once, not once per repeat and round
+        data = _records(np.random.default_rng(31).poisson(3, (24, 24)), seed=31)
+        mask = (data.cell_sizes() >= 3).astype(np.int8)
+        kwargs = dict(solver="greedy", min_block=2, restarts=16)
+        passes = []
+        real = missing._greedy_blocks
+
+        def counting(work, *args):
+            passes.append(work.tobytes())
+            return real(work, *args)
+
+        monkeypatch.setattr(missing, "_greedy_blocks", counting)
+        states = []
+        for r in range(12):
+            passes.clear()
+            biclique_decompose(mask, seed=run_seed(31, r), **kwargs)
+            states.extend(enumerate(passes))
+        passes.clear()
+        irregular_test(data, l0=3, num_perms=3, repeats=12, seed=31, **kwargs)
+        assert Counter(passes) == Counter(work for _, work in set(states))
+        assert len(passes) == 12 and len(states) == 60
 
     def test_restarts_below_one_rejected(self):
         data = gen_irregular_dataset(6, 6, 3, "two-way-weak", seed=28)
@@ -418,6 +429,24 @@ class TestIrregularTest:
             irregular_test(data, l0=0, num_perms=3, repeats=2)
         with pytest.raises(DimensionError):
             irregular_test(data, l0=3, num_perms=3, repeats=0)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` to log each call; returns the log."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _one_seed_covers(mask, seeds, **kwargs):
+    """:func:`biclique_covers` as one :func:`biclique_decompose` call per seed."""
+    return tuple(biclique_decompose(mask, seed=s, **kwargs) for s in seeds)
 
 
 def _records(sizes, seed=0):

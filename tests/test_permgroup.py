@@ -288,6 +288,20 @@ class TestCyclicGroup:
             seen = members.stop
         assert seen == num_perms
 
+    def test_generator_is_one_read_only_copy(self):
+        # the group holds g once: ``generator`` is a read-only view of the
+        # writeable index the walk gathers with, and owns no copy of its own
+        source = _reference_family(40, 4, 3)[1]
+        group = CyclicGroup(source, 4)
+        assert not group.generator.flags.writeable
+        assert group._index.flags.writeable
+        assert np.shares_memory(group.generator, group._index)
+        assert not np.shares_memory(group._index, source)
+        with pytest.raises(ValueError, match="read-only"):
+            group.generator[0] = 0
+        source[:] = np.arange(40)
+        assert np.array_equal(group.generator, _reference_family(40, 4, 3)[1])
+
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(2, 30), num_perms=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
     def test_order_must_divide_group_size(self, n, num_perms, seed):

@@ -275,11 +275,11 @@ class TestSharedIrregularReplicate:
     # table3's error kinds share the design, mask, covers, trims and group, so
     # one irregular test runs them as a stack; each kind's p-value must be the
     # one its own dataset gets.  18 x 18 is above the exact solver's cap, so
-    # every repeat decomposes.
+    # every repeat decomposes, all of them in one lockstep call.
     SEEDS = [replicate_seed(62, r) for r in range(24)]
 
     def test_kinds_match_standalone_tests_with_one_pipeline_per_repeat(self, monkeypatch):
-        calls = [_count_calls(monkeypatch, multiway, "biclique_decompose"),
+        calls = [_count_calls(monkeypatch, multiway, "biclique_covers"),
                  _count_calls(monkeypatch, multiway, "_trim_cover"),
                  _count_calls(monkeypatch, PreparedTest, "__init__")]
         pvals = set()
@@ -287,8 +287,9 @@ class TestSharedIrregularReplicate:
             for log in calls:
                 log.clear()
             shared = _irregular_rep(18, 18, 3, ERROR_KINDS, 8, 3, rep_seed)
-            # one decomposition, trim and build per repeat, shared by the kinds
-            assert [len(log) for log in calls] == [3, 3, 3]
+            # one lockstep decomposition of the 3 repeats, and one trim and
+            # build per repeat, shared by the kinds
+            assert [len(log) for log in calls] == [1, 3, 3]
             alone = [irregular_test(gen_irregular_dataset(18, 18, 3, kind, seed=rep_seed),
                                     l0=3, num_perms=8, repeats=3,
                                     seed=dgp_seed(rep_seed, 6)).pval
