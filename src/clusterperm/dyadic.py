@@ -13,8 +13,8 @@ which returns the checked :class:`~clusterperm.permgroup.CyclicGroup` the
 validity argument needs; its members are streamed in chunks.
 :func:`permutation_test` is the zero-effect test (``two_way_test`` is another
 name for it).  Every front end only describes its blocks of records:
-:func:`stack_blocks` stacks them, builds their group and notes the blocks
-with a side too short to move, and :func:`dyadic_layout` is a grid's one block.
+:func:`stack_blocks` stacks them and builds their group (which notes the blocks
+with a side too short to move), and :func:`dyadic_layout` is a grid's one block.
 
 :class:`PreparedTest` builds the annihilated treatments V_k V_k' D of all
 members from one orthonormal basis of col(X), through p x p cross products
@@ -317,23 +317,24 @@ class PreparedTest:
 
     @property
     def notes(self) -> tuple[str, ...]:
-        """Why every p-value is 1, if it is: no member moves, or D is annihilated."""
-        return (("every group member acts as the identity (axes shorter than "
-                 "the group size stay fixed); the p-value is 1 by construction",)
-                if self.all_identity else ()) + (
-                ("treatment is annihilated by every projector; statistic is "
-                 "degenerate and the p-value is reported as 1",)
-                if self.degenerate else ())
+        """The group's notes, then why p is 1 if it is: no member moves, or D is annihilated."""
+        return self.group.notes + (
+            ("every group member acts as the identity (axes shorter than "
+             "the group size stay fixed); the p-value is 1 by construction",)
+            if self.all_identity else ()) + (
+            ("treatment is annihilated by every projector; statistic is "
+             "degenerate and the p-value is reported as 1",)
+            if self.degenerate else ())
 
-    def report(self, y: np.ndarray, seed: int | None = None,
-               notes: tuple[str, ...] = ()) -> TestReport | tuple[TestReport, ...]:
+    def report(self, y: np.ndarray,
+               seed: int | None = None) -> TestReport | tuple[TestReport, ...]:
         """The test of outcome ``y``, or a tuple of one per column of a stack."""
         a, b = self.statistics(y)
         forced = self.degenerate or self.all_identity
         reports = tuple(
             TestReport(pval=1.0 if forced else pvalue_from_stats(a_j, b_j), a=a_j, b=b_j,
                        num_perms=self.num_perms, min_a=float(a_j.min()),
-                       alpha_floor=self.alpha_floor, seed=seed, notes=tuple(notes) + self.notes)
+                       alpha_floor=self.alpha_floor, seed=seed, notes=self.notes)
             for a_j, b_j in zip(np.atleast_2d(a), np.atleast_2d(b)))
         return reports if a.ndim == 2 else reports[0]
 
@@ -358,7 +359,6 @@ def permutation_test(
     row_perms,
     seed: int | None = None,
     tol: float | None = None,
-    notes: tuple[str, ...] = (),
 ) -> TestReport | tuple[TestReport, ...]:
     """Randomization test of no treatment effect under a group of row maps.
 
@@ -375,7 +375,7 @@ def permutation_test(
         the cyclic group its member 1 generates
         (:func:`~clusterperm.permgroup.as_group` checks it).
     """
-    return PreparedTest(X, D, row_perms, tol=tol).report(y, seed=seed, notes=notes)
+    return PreparedTest(X, D, row_perms, tol=tol).report(y, seed=seed)
 
 
 two_way_test = permutation_test
@@ -390,13 +390,13 @@ def stack_blocks(x, d, y, blocks, num_perms: int, seed):
     fixed.  The boxes are stacked row-major in order and permuted by
     :func:`~clusterperm.permgroup.block_product_group`, seeded by ``seed``.
     Rows in no block never enter; records already in stacked order come back
-    as views.  Returns ``(x, d, y, group, notes)``: a moving axis with at most
-    K indices never moves, and ``notes`` says how many blocks have one.
+    as views.  Returns ``(x, d, y, group)``; a moving axis with at most K
+    indices never moves, and ``group.notes`` says how many blocks have one.
     """
     if not blocks:
         raise NoEligibleCellsError("no block of records to permute: the cover has no "
                                    "fully observed block with both sides >= min_block")
-    specs, order, short = [], [], 0
+    specs, order = [], []
     for key, axes, records in blocks:
         records = np.asarray(records, dtype=np.intp)
         if records.ndim != len(axes):
@@ -405,21 +405,17 @@ def stack_blocks(x, d, y, blocks, num_perms: int, seed):
             )
         specs.append((key, tuple(zip(records.shape, axes))))
         order.append(records.reshape(-1))
-        short += any(size <= num_perms for size, axis in specs[-1][1] if axis is not None)
-    notes = (f"{short} of {len(specs)} blocks have a side shorter than "
-             f"K+1={num_perms + 1}; their indices stay fixed",) if short else ()
     order = np.concatenate(order)
     if np.array_equal(order, np.arange(order.size)):
         order = slice(order.size)
     group = block_product_group(specs, num_perms, seed)
-    return np.asarray(x)[order], np.asarray(d)[order], np.asarray(y)[order], group, notes
+    return np.asarray(x)[order], np.asarray(d)[order], np.asarray(y)[order], group
 
 
 def block_test(x, d, y, blocks, num_perms: int, seed,
                tol: float | None = None) -> TestReport | tuple[TestReport, ...]:
     """Zero-effect test on the layout of :func:`stack_blocks`, with its notes."""
-    *layout, notes = stack_blocks(x, d, y, blocks, num_perms, seed)
-    return permutation_test(*layout, seed=seed, tol=tol, notes=notes)
+    return permutation_test(*stack_blocks(x, d, y, blocks, num_perms, seed), seed=seed, tol=tol)
 
 
 def dyadic_layout(array: DyadArray, num_perms: int | None = None, seed=0):
@@ -514,7 +510,6 @@ def invert_ci(
     alpha: float = 0.05,
     grid: GridSpec | None = None,
     tol: float | None = None,
-    notes: tuple[str, ...] = (),
 ) -> ConfidenceInterval:
     """Confidence interval for a scalar treatment effect by test inversion.
 
@@ -523,8 +518,8 @@ def invert_ci(
     endpoints are rejected.  A side whose endpoint is still accepted after
     the final expansion is reported open-ended (infinite bound).  A
     degenerate treatment or a group of identities gives the whole line.
-    Any layout inverts this way (``invert_ci(*stack_blocks(...)[:4])``); the
-    interval carries ``notes`` and then :attr:`PreparedTest.notes`, as a test does.
+    Any layout inverts this way (``invert_ci(*stack_blocks(...))``); the
+    interval carries :attr:`PreparedTest.notes`, the group's first, as a test does.
     """
     if not 0.0 < alpha < 1.0:
         raise ResolutionError(f"alpha must lie in (0, 1), got {alpha}")
@@ -541,7 +536,6 @@ def invert_ci(
             "increase the number of permutations"
         )
     prepared = PreparedTest(X, D, group, tol=tol)
-    notes = tuple(notes) + prepared.notes
     y = prepared._outcome(y, stack=False)
     affine = _AffineStats(prepared, y)
     if prepared.degenerate or prepared.all_identity:
@@ -550,12 +544,10 @@ def invert_ci(
         desc = {"center": None, "half_width": None, "points": grid.points,
                 "expansions_used": 0, "n_accepted": 0,
                 "degenerate": prepared.degenerate, "all_identity": prepared.all_identity}
-        return ConfidenceInterval(-np.inf, np.inf, alpha, desc, (True, True), notes)
+        return ConfidenceInterval(-np.inf, np.inf, alpha, desc, (True, True), prepared.notes)
 
     if grid.center is None or grid.half_width is None:
         center, unit = _ols_center_and_unit(prepared.X, prepared.D, y)
-    else:
-        center, unit = grid.center, 0.0
     if grid.center is not None:
         center = grid.center
     half = grid.half_width if grid.half_width is not None else 4.0 * unit
@@ -573,14 +565,13 @@ def invert_ci(
 
     open_left = bool(accepted[0])
     open_right = bool(accepted[-1])
-    zoomed = False
-    if not accepted.any():
+    zoomed = not accepted.any()
+    if zoomed:
         # The accepted region may be narrower than the grid spacing; zoom in
         # around the best point before declaring the set empty.
         for _ in range(4):
-            zoomed = True
             center = float(points[int(np.argmax(pvals))])
-            half = max(4.0 * (points[1] - points[0]), half / float(grid.points - 1))
+            half = 4.0 * (points[1] - points[0])
             points = np.linspace(center - half, center + half, grid.points)
             pvals = affine.pvalues(points)
             accepted = pvals > alpha
@@ -604,7 +595,7 @@ def invert_ci(
         lower = upper = best
         desc["empty_at_resolution"] = True
         open_left = open_right = False
-    return ConfidenceInterval(lower, upper, alpha, desc, (open_left, open_right), notes)
+    return ConfidenceInterval(lower, upper, alpha, desc, (open_left, open_right), prepared.notes)
 
 
 def median_pvalue(pvals) -> float:
@@ -637,10 +628,10 @@ def dyadic_test(
     ``beta0`` (scalar or length-d vector) switches to the shifted point
     null, testing y - D beta0; default is the zero-effect null.
     """
-    x, d, y, group, notes = dyadic_layout(array, num_perms, seed)
+    x, d, y, group = dyadic_layout(array, num_perms, seed)
     if beta0 is not None:
         y = y - d @ _beta_vector(beta0, d.shape[1])
-    return permutation_test(x, d, y, group, seed=seed, tol=tol, notes=notes)
+    return permutation_test(x, d, y, group, seed=seed, tol=tol)
 
 
 def dyadic_ci(
@@ -652,5 +643,4 @@ def dyadic_ci(
     tol: float | None = None,
 ) -> ConfidenceInterval:
     """Convenience front end: interval inversion on :func:`dyadic_layout`."""
-    *layout, notes = dyadic_layout(array, num_perms, seed)
-    return invert_ci(*layout, alpha=alpha, grid=grid, tol=tol, notes=notes)
+    return invert_ci(*dyadic_layout(array, num_perms, seed), alpha=alpha, grid=grid, tol=tol)

@@ -184,9 +184,9 @@ def panel_test(
 
 def _cells_in_order(data: MultiIndexDataset) -> tuple[np.ndarray, np.ndarray]:
     """Record positions grouped by cell, CSR-style: ``order`` lists the records
-    by cell (i, j), row-major, then by l, and cell c = i * n_cols + j holds
-    ``order[bounds[c]:bounds[c + 1]]``."""
-    order = np.lexsort((np.arange(data.n_obs), data.l, data.j, data.i))
+    by cell (i, j), row-major, then by l, then in record order (the sort is
+    stable), and cell c = i * n_cols + j holds ``order[bounds[c]:bounds[c + 1]]``."""
+    order = np.lexsort((data.l, data.j, data.i))
     cell = (data.i * data.n_cols + data.j)[order]
     return order, np.searchsorted(cell, np.arange(data.n_rows * data.n_cols + 1))
 

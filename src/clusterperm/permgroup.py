@@ -68,6 +68,8 @@ class CyclicGroup:
     check cannot be undone by a later write.
     """
 
+    notes: tuple[str, ...] = ()  # what its builder kept fixed; reports carry it
+
     def __init__(self, generator, num_perms: int):
         gen = np.array(generator, dtype=np.intp)
         if num_perms < 1:
@@ -248,10 +250,12 @@ def block_product_group(blocks, num_perms: int, seed) -> CyclicGroup:
 
     Each block is ``(key, ((size, axis), ...))``: a box of stacked rows laid
     out row-major over its axes (first axis slowest), placed after the blocks
-    before it.  A moving axis carries the cyclic family of
-    ``build_cyclic_family(size, K, family_seed(seed, key, axis))``; an axis
-    given as ``None`` stays fixed.  Member k applies member k of every
-    family at once, and maps every block onto itself.
+    before it.  An axis of more than K indices carries the cyclic family of
+    ``build_cyclic_family(size, K, family_seed(seed, key, axis))``.  An axis
+    of at most K indices, or given as ``None``, stays fixed and draws nothing;
+    ``notes`` counts the blocks with a short axis (``None`` is not short).
+    Member k applies member k of every family at once, and maps every block
+    onto itself.
 
     Only member 1 is built, from each family's member 1; the group is its
     powers, since the k-th power of a product of commuting maps is the
@@ -264,21 +268,26 @@ def block_product_group(blocks, num_perms: int, seed) -> CyclicGroup:
     if any(size < 1 for shape in shapes for size in shape):
         raise DimensionError("every block axis needs at least one index")
     gen = np.empty(sum(map(math.prod, shapes)), dtype=np.intp)
-    offset = 0
+    offset = short = 0
     for (key, axes), shape in zip(blocks, shapes):
         n_block = math.prod(shape)
         view = gen[offset : offset + n_block].reshape(shape)
         view[...] = offset
-        stride = n_block
+        stride, fixed = n_block, False
         for a, (size, axis) in enumerate(axes):
             stride //= size
-            if axis is None:
+            if axis is None or size <= num_perms:
+                fixed |= axis is not None
                 image = np.arange(size)
             else:
                 image = _cyclic_generator(size, num_perms, family_seed(seed, key, axis))
             view += (image * stride).reshape((1,) * a + (size,) + (1,) * (len(axes) - a - 1))
         offset += n_block
-    return CyclicGroup(gen, num_perms)
+        short += fixed
+    group = CyclicGroup(gen, num_perms)
+    group.notes = (f"{short} of {len(blocks)} blocks have a side shorter than "
+                   f"K+1={num_perms + 1}; their indices stay fixed",) if short else ()
+    return group
 
 
 def _member_maps(family) -> list[np.ndarray]:

@@ -309,7 +309,7 @@ def minorization_gap_suite(
         array, eps = gen_dyadic_dataset(
             n, beta=0.0, spec_err=spec_err, cov_transform=cov_transform, seed=rs
         )
-        x, d, y, group, _ = dyadic_layout(array, num_perms, rs)
+        x, d, y, group = dyadic_layout(array, num_perms, rs)
         prepared = PreparedTest(x, d, group)
         report = prepared.report(y)
         # the K translates of the errors, one outcome per member
@@ -370,13 +370,13 @@ def _size_rep(n, cov_transforms, phi2_values, num_perms, rep_seed):
     """
     cases = _dyadic_cases(n, [RandomEffectsSpec(0.05, phi2) for phi2 in phi2_values],
                           cov_transforms, seed=rep_seed)
-    *_, group, notes = dyadic_layout(cases[0][0], num_perms, rep_seed)
+    *_, group = dyadic_layout(cases[0][0], num_perms, rep_seed)
     pvals = []
     for start in range(0, len(cases), len(phi2_values)):
         rows = [StackedDesign.from_array(array) for array, _ in
                 cases[start:start + len(phi2_values)]]
         reports = PreparedTest(rows[0].x, rows[0].d, group).report(
-            np.column_stack([row.y for row in rows]), seed=rep_seed, notes=notes)
+            np.column_stack([row.y for row in rows]), seed=rep_seed)
         pvals += [report.pval for report in reports]
     return pvals
 
@@ -395,10 +395,10 @@ def _power_rep(n, betas, phi2, num_perms, rep_seed):
         cov_transform="iid-lognormal",
         seed=rep_seed,
     )
-    x, d, y0, group, notes = dyadic_layout(array, num_perms, rep_seed)
+    x, d, y0, group = dyadic_layout(array, num_perms, rep_seed)
     outcomes = y0[:, None] + d[:, :1] * np.asarray(betas, dtype=float)
     return [report.pval for report in
-            PreparedTest(x, d, group).report(outcomes, seed=rep_seed, notes=notes)]
+            PreparedTest(x, d, group).report(outcomes, seed=rep_seed)]
 
 
 def gen_irregular_dataset(

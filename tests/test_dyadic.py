@@ -12,8 +12,10 @@ from clusterperm.dyadic import (
     GridSpec,
     PreparedTest,
     _AffineStats,
+    _ols_center_and_unit,
     block_test,
     dyadic_ci,
+    dyadic_layout,
     dyadic_test,
     invert_ci,
     median_pvalue,
@@ -24,6 +26,7 @@ from clusterperm.dyadic import (
     two_way_test,
 )
 from clusterperm.exceptions import (
+    DegenerateInputError,
     DimensionError,
     GroupError,
     InsufficientDimensionError,
@@ -35,7 +38,7 @@ from clusterperm.model import DyadArray, PermutationFamily, StackedDesign, TwoWa
 from clusterperm.permgroup import block_product_group, build_two_way_group
 from clusterperm.rng import AXIS_CELLS, AXIS_COLS, AXIS_ROWS
 from clusterperm.simulate import gen_dyadic_dataset
-from conftest import two_way_group
+from conftest import raises_exactly, two_way_group
 
 
 def _design(n=6, p=2, d_dim=1, beta=0.0, seed=0):
@@ -304,9 +307,8 @@ def _stack_layout(kind: str, rng, d_dim: int):
     records = np.split(rng.permutation(n)[:n - 2], np.cumsum([np.prod(s) for s in shapes])[:-1])
     blocks = [(q, axes, r.reshape(shape)) for q, (r, shape) in enumerate(zip(records, shapes))]
     x = np.column_stack([np.ones(n), rng.standard_normal(n)])
-    *layout, _ = stack_blocks(x, rng.standard_normal((n, d_dim)), np.zeros(n), blocks,
-                              int(rng.integers(1, 8)), int(rng.integers(2**31)))
-    return layout
+    return stack_blocks(x, rng.standard_normal((n, d_dim)), np.zeros(n), blocks,
+                        int(rng.integers(1, 8)), int(rng.integers(2**31)))
 
 
 class TestOutcomeStack:
@@ -327,13 +329,13 @@ class TestOutcomeStack:
         before = Y.copy()
         a, b = prepared.statistics(Y)
         mins = prepared.min_stat(Y)
-        reports = prepared.report(Y, seed=seed, notes=("shared",))
+        reports = prepared.report(Y, seed=seed)
         assert a.shape == b.shape == (m, group.num_perms) and len(reports) == m
         for j in range(m):
             a_j, b_j = prepared.statistics(Y[:, j])
             assert a[j].tobytes() == a_j.tobytes() and b[j].tobytes() == b_j.tobytes()
             assert mins[j] == prepared.min_stat(Y[:, j])
-            alone = prepared.report(Y[:, j], seed=seed, notes=("shared",))
+            alone = prepared.report(Y[:, j], seed=seed)
             assert reports[j].pval == alone.pval and reports[j].min_a == alone.min_a
             assert reports[j].a.tobytes() == alone.a.tobytes()
             assert reports[j].b.tobytes() == alone.b.tobytes()
@@ -612,11 +614,11 @@ class TestStackBlocks:
         X, D, y = _design(n=6, seed=43)
         blocks = [(0, (AXIS_ROWS, AXIS_COLS), np.arange(24).reshape(4, 6)),
                   (1, (AXIS_CELLS,), np.arange(24, 30))]
-        x_s, d_s, y_s, group, notes = stack_blocks(X, D, y, blocks, 3, 43)
+        x_s, d_s, y_s, group = stack_blocks(X, D, y, blocks, 3, 43)
         for stacked, data in ((x_s, X), (d_s, D), (y_s, y)):
             assert np.shares_memory(stacked, data)
             assert np.array_equal(stacked, data[:30])
-        assert group.n == 30 and notes == ()
+        assert group.n == 30 and group.notes == ()
         shuffled = [(0, (AXIS_ROWS, AXIS_COLS), np.arange(24)[::-1].reshape(4, 6))]
         assert not np.shares_memory(stack_blocks(X, D, y, shuffled, 3, 43)[0], X)
 
@@ -654,6 +656,19 @@ class TestStackBlocks:
                             "their indices stay fixed",)
         assert ci.to_dict()["notes"] == list(ci.notes)
         assert dyadic_test(array, num_perms=19, seed=26).notes == ci.notes
+
+    def test_layout_passed_whole_keeps_its_note(self):
+        # K = 5 moves the 6 columns and the 6 cells but not the 4 rows; the
+        # four values of a layout are the arguments of a test or an interval
+        X, D, y = _design(n=6, beta=0.3, seed=44)
+        blocks = [(0, (AXIS_ROWS, AXIS_COLS), np.arange(24).reshape(4, 6)),
+                  (1, (AXIS_CELLS,), np.arange(24, 30))]
+        layout = stack_blocks(X, D, y, blocks, 5, 44)
+        note = ("1 of 2 blocks have a side shorter than K+1=6; their indices stay fixed",)
+        assert len(layout) == 4 and layout[3].notes == note
+        report = permutation_test(*layout)
+        assert report.notes == note == block_test(X, D, y, blocks, 5, 44).notes
+        assert invert_ci(*layout, alpha=0.5).notes == note
 
 
 class TestShiftedTest:
@@ -795,6 +810,92 @@ class TestInvertCi:
     def test_grid_spec_validated(self, spec, error):
         with pytest.raises(error, match="grid"):
             GridSpec(**spec)
+
+
+_FAR_LAYOUT = dyadic_layout(gen_dyadic_dataset(20, beta=0.3, seed=24)[0], 19, 24)
+
+
+class TestIntervalFallbacks:
+    """Branches that only grids far from the accepted set, or designs built
+    for them, reach; each interval is pinned as the package first gave it."""
+
+    @pytest.mark.parametrize("alpha, spec, expected", [
+        # no point of the 11 accepted: two zooms around the best point find
+        # the accepted set, and the bounds are its accepted points
+        (0.5, GridSpec(0.1, 0.1, points=11, max_expansions=0),
+         dict(lower=0.2552000000000001, upper=0.26800000000000007,
+              grid=dict(center=0.20400000000000007, half_width=0.064, points=11,
+                        expansions_used=0, n_accepted=2, zoomed=True))),
+        # four spacings of a 5-point grid exceed its half-width: the zoom widens
+        (0.5, GridSpec(0.1, 0.05, points=5, max_expansions=0),
+         dict(lower=0.3500000000000001, upper=0.3500000000000001,
+              grid=dict(center=0.25000000000000006, half_width=0.20000000000000007, points=5,
+                        expansions_used=0, n_accepted=1, zoomed=True))),
+        # the accepted set lies ~300 away: four zooms accept nothing, and the
+        # interval is the best point, empty at the grid's resolution
+        (0.05, GridSpec(300.0, 0.05, max_expansions=0),
+         dict(lower=299.94791667199996, upper=299.94791667199996,
+              grid=dict(center=299.9479168, half_width=1.280000105907675e-07, points=201,
+                        expansions_used=0, n_accepted=0, zoomed=True,
+                        empty_at_resolution=True))),
+    ])
+    def test_zoom_and_empty_at_resolution(self, alpha, spec, expected):
+        ci = invert_ci(*_FAR_LAYOUT, alpha=alpha, grid=spec)
+        assert ci.to_dict() == dict(expected, alpha=alpha, open_ended=[False, False], notes=[])
+
+    @staticmethod
+    def _indicator_design():
+        rng = np.random.default_rng(7)
+        D = (rng.random(400) < 0.3).astype(float)[:, None]
+        group = block_product_group([(0, ((20, AXIS_ROWS), (20, AXIS_COLS)))], 19, 5)
+        return rng, D, group
+
+    def test_zero_mad_falls_back_to_rms(self):
+        # every untreated outcome is 0, so more than half the residuals are
+        # one value and their MAD is 0: the unit is the RMS residual's
+        rng, D, group = self._indicator_design()
+        X = np.ones((400, 1))
+        y = np.where(D[:, 0] > 0, 1.5 + rng.standard_normal(400), 0.0)
+        design = np.hstack([X, D])
+        resid = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
+        assert np.median(np.abs(resid - np.median(resid))) == 0.0
+        center, unit = _ols_center_and_unit(X, D, y)
+        assert unit == pytest.approx(np.sqrt(np.mean(resid**2)) / np.linalg.norm(D - D.mean()),
+                                     rel=1e-12)
+        ci = invert_ci(X, D, y, group)
+        assert ci.to_dict() == dict(
+            lower=1.3665973561800802, upper=1.5095927492496604, alpha=0.05,
+            open_ended=[False, False], notes=[],
+            grid=dict(center=1.433761858985489, half_width=0.21665968646906078, points=201,
+                      expansions_used=0, n_accepted=67, zoomed=False))
+        assert center == ci.grid["center"] and 4 * unit == ci.grid["half_width"]
+
+    def test_no_covariates_scale_by_the_treatment(self):
+        rng, D, group = self._indicator_design()
+        y = 0.4 * D[:, 0] + rng.standard_normal(400)
+        X = np.empty((400, 0))
+        center, unit = _ols_center_and_unit(X, D, y)
+        resid = y - D @ np.linalg.lstsq(D, y, rcond=None)[0]
+        mad = np.median(np.abs(resid - np.median(resid)))
+        assert unit == pytest.approx(1.4826 * mad / np.linalg.norm(D), rel=1e-12)
+        ci = invert_ci(X, D, y, group)
+        assert ci.to_dict() == dict(
+            lower=0.15916229642989554, upper=0.6247611299114774, alpha=0.05,
+            open_ended=[False, False], notes=[],
+            grid=dict(center=0.3337618589854887, half_width=0.3423520834423396, points=201,
+                      expansions_used=0, n_accepted=137, zoomed=False))
+        assert center == ci.grid["center"] and 4 * unit == ci.grid["half_width"]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: PreparedTest(np.ones((5, 1)), np.ones((6, 1)), np.tile(np.arange(6), (2, 1))),
+     DimensionError, "X has 5 rows, D has 6"),
+    (lambda: PreparedTest(np.ones((6, 1)), np.ones((6, 0)), np.tile(np.arange(6), (2, 1))),
+     DimensionError, "treatment must have at least one column"),
+    (lambda: median_pvalue([]), DegenerateInputError, "median of an empty p-value collection"),
+], ids=["rows", "no-treatment", "empty-median"])
+def test_malformed_inputs_raise_typed_errors(call, error, message):
+    raises_exactly(call, error, message)
 
 
 class TestMedianPvalue:

@@ -23,6 +23,7 @@ from clusterperm.io import ingest_csv, ingest_mask_csv
 from clusterperm.model import DyadArray
 from clusterperm.multiway import MultiIndexDataset
 from clusterperm.simulate import gen_dyadic_dataset, gen_irregular_dataset
+from conftest import raises_exactly
 
 # The row-by-row reader that ``clusterperm.io`` replaced, kept verbatim (only
 # its two entry points renamed) as the reference for the equivalence tests.
@@ -1226,3 +1227,17 @@ class TestDataCliFuzz:
     def test_record_subcommands_exit_0_with_strict_json_or_2(self, text, seed, num_perms):
         _assert_exit_0_strict_or_2(text, (["test-threeway"], ["test-panel"], ["test-layout"]),
                                    ["--seed", str(seed), "--num-perms", str(num_perms)])
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (ingest_csv, "i,j,y,d\n\n  \n", "no data rows"),
+    (ingest_csv, "i,j,y,d,d\n1,1,0.5,1.0,1.0\n", "duplicate column name 'd'"),
+    (ingest_mask_csv, "i,j,x\n1,1,1\n", "missing required column 'm'"),
+], ids=["blank-rows", "duplicate-column", "mask-without-m"])
+def test_malformed_files_raise_parse_errors(tmp_path, read, text, message):
+    raises_exactly(lambda: read(_write(tmp_path / "bad.csv", text)), ParseError, message)
+
+
+def test_dyadic_subcommand_on_records_exits_2(tmp_path, capsys):
+    message = _usage_error(["test", "--data", _box_csv(tmp_path), "--num-perms", "3"], capsys)
+    assert message == "this subcommand expects dyadic data without an 'l' column"

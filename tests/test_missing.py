@@ -33,6 +33,7 @@ from clusterperm.model import StackedDesign
 from clusterperm.permgroup import build_two_way_group
 from clusterperm.rng import mask_seed
 from clusterperm.simulate import gen_dyadic_dataset, gen_mcar_mask
+from conftest import raises_exactly
 
 
 def _brute_force_biclique(mask, min_side=1):
@@ -726,3 +727,16 @@ class TestBlockwiseTest:
         assert floor <= report.pval <= 1.0
         steps = round(report.pval * 4)
         assert report.pval == pytest.approx(steps / 4)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: BicliqueCover(blocks=(((), (0,)),), n_rows=2, n_cols=2),
+     DimensionError, "cover blocks must be non-empty on both sides"),
+    (lambda: BicliqueCover(blocks=(((0,), (0,)),), n_rows=2, n_cols=2).check_observed(
+        np.ones((3, 2))),
+     DimensionError, "mask shape (3, 2) does not match cover grid (2, 2)"),
+    (lambda: biclique_decompose(np.ones((3, 3)), min_block=0),
+     DimensionError, "min_block must be at least 1"),
+], ids=["empty-side", "mask-shape", "min-block"])
+def test_malformed_inputs_raise_typed_errors(call, error, message):
+    raises_exactly(call, error, message)

@@ -13,6 +13,7 @@ from clusterperm.model import (
     row_index,
 )
 from clusterperm.multiway import MultiIndexDataset
+from conftest import raises_exactly
 
 
 def _grid_array(n_rows=3, n_cols=4, d_dim=1, p=2, seed=0):
@@ -186,3 +187,19 @@ class TestPermutationFamily:
                 (TwoWayPermutation(np.arange(2), np.arange(3)),
                  TwoWayPermutation(np.arange(3), np.arange(2)))
             )
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: DyadArray(np.ones(4), np.ones((4, 1)), np.ones((4, 1))),
+     DimensionError, "y must be 2-D, got shape (4,)"),
+    (lambda: DyadArray(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2, 1)),
+                       observed=np.ones((2, 3))),
+     DimensionError, "observed shape (2, 3) does not match grid (2, 2)"),
+    (lambda: compose(TwoWayPermutation(np.arange(2), np.arange(3)),
+                     TwoWayPermutation(np.arange(3), np.arange(3))),
+     DimensionError, "cannot compose permutations on (2, 3) and (3, 3)"),
+    (lambda: PermutationFamily(()),
+     DimensionError, "a permutation family needs at least the identity"),
+], ids=["y-1d", "observed-shape", "compose-shapes", "empty-family"])
+def test_malformed_inputs_raise_typed_errors(call, error, message):
+    raises_exactly(call, error, message)

@@ -31,6 +31,7 @@ from clusterperm.multiway import (
 from clusterperm.permgroup import build_two_way_group
 from clusterperm.rng import run_seed
 from clusterperm.simulate import gen_dyadic_dataset, gen_irregular_dataset
+from conftest import raises_exactly
 
 
 def _box_data(m=6, n=6, ell=2, seed=0, beta=0.0):
@@ -542,3 +543,22 @@ class TestTrims:
             tracemalloc.stop()
         assert trimmed[0].shape == (30, 30, 2)
         assert peak < 128 * data.n_obs
+
+
+_Z = np.zeros(4, dtype=int)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: MultiIndexDataset(np.zeros(3, dtype=int), _Z, _Z, np.ones(4), np.ones(4),
+                               np.ones(4)),
+     DimensionError, "column i must have shape (4,)"),
+    (lambda: MultiIndexDataset.from_box(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2))),
+     DimensionError, "box outcome must be 3-D, got shape (2, 2)"),
+    (lambda: MultiIndexDataset.from_box(np.ones((2, 2, 2)), np.ones((2, 2, 3)),
+                                        np.ones((2, 2, 2))),
+     DimensionError, "box grids disagree on shape"),
+    (lambda: suggest_cell_threshold([[1, 2]], candidates=[0, -1]),
+     NoEligibleCellsError, "no positive threshold candidate"),
+], ids=["index-shape", "box-2d", "box-shapes", "no-positive-candidate"])
+def test_malformed_inputs_raise_typed_errors(call, error, message):
+    raises_exactly(call, error, message)

@@ -21,7 +21,7 @@ from clusterperm.permgroup import (
     verify_group,
 )
 from clusterperm.rng import AXIS_CELLS, AXIS_COLS, AXIS_ROWS, family_seed
-from conftest import two_way_group
+from conftest import raises_exactly, two_way_group
 
 
 def _with_cycles(lengths):
@@ -251,6 +251,51 @@ class TestBlockProductPerms:
             block_product_group([(0, ((3, AXIS_ROWS), (0, None)))], 2, seed=0)
 
 
+@st.composite
+def _short_side_layouts(draw):
+    """1-4 blocks of 1-3 axes, sides 1-30, some axes fixed (None)."""
+    return [
+        (draw(st.integers(0, 10**6)),
+         tuple(draw(st.lists(st.tuples(st.integers(1, 30), _AXES), min_size=1, max_size=3))))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+class TestShortAxesStayFixed:
+    """An axis of at most K indices draws no family, and the group says so."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocks=_short_side_layouts(), num_perms=st.integers(1, 25),
+           seed=st.integers(0, 2**63 - 1))
+    def test_short_axes_draw_nothing_and_are_noted(self, blocks, num_perms, seed):
+        seen = []
+
+        def recording(*args):
+            seen.append(args)
+            return family_seed(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(permgroup, "family_seed", recording)
+            group = block_product_group(blocks, num_perms, seed)
+        # a family of order K+1 on at most K indices is the identity, so the
+        # reference, which draws one for every axis not given as None, agrees
+        expected = _reference_block_product(blocks, num_perms, seed)[1]
+        assert group.generator.tobytes() == expected.astype(np.intp).tobytes()
+        assert seen == [(seed, key, axis) for key, axes in blocks for size, axis in axes
+                        if axis is not None and size > num_perms]
+        short = sum(any(size <= num_perms for size, axis in axes if axis is not None)
+                    for _, axes in blocks)
+        assert group.notes == ((f"{short} of {len(blocks)} blocks have a side shorter than "
+                                f"K+1={num_perms + 1}; their indices stay fixed",)
+                               if short else ())
+
+    def test_only_block_product_groups_carry_notes(self):
+        assert block_product_group([(0, ((3, AXIS_ROWS),))], 3, seed=0).notes == (
+            "1 of 1 blocks have a side shorter than K+1=4; their indices stay fixed",)
+        assert CyclicGroup(np.arange(3), 3).notes == ()
+        assert as_group(np.tile(np.arange(3), (4, 1)), 3).notes == ()
+
+
 _SIDES = st.integers(1, 12)
 
 
@@ -439,6 +484,17 @@ class TestAsGroup:
     """A row map becomes a group only as the powers of its member 1."""
 
     _GEN = _with_cycles([6, 3, 2, 1])
+
+    @pytest.mark.parametrize("family, n, error, message", [
+        (CyclicGroup(np.arange(4), 1), 5, DimensionError,
+         "the group acts on 4 rows, the data have 5"),
+        (np.zeros((2, 3), dtype=np.intp), 4, DimensionError,
+         "permutations must be (K+1, 4), got (2, 3)"),
+        (np.arange(4)[None], 4, DimensionError,
+         "need the identity plus at least one permutation"),
+    ])
+    def test_malformed_families_raise(self, family, n, error, message):
+        raises_exactly(lambda: as_group(family, n), error, message)
 
     @pytest.mark.parametrize("per_chunk", [1, 2, None])
     @pytest.mark.parametrize("row, how, count, error, message", [

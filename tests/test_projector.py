@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from clusterperm import dyadic, permgroup
 from clusterperm.dyadic import PreparedTest
+from clusterperm.exceptions import DimensionError
 from clusterperm.permgroup import build_two_way_group
 from clusterperm.projector import PermutedAnnihilator, residual_projector
+from conftest import raises_exactly
 
 
 def _random_design(n, p, seed, rank_deficient=False):
@@ -392,3 +394,15 @@ def _grid_case(seed):
     n = perms.shape[1]
     X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
     return X, rng.standard_normal((n, 1)), rng.standard_normal(n), perms
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: residual_projector(np.ones((6, 1)), np.ones((6, 1))).annihilate(np.ones(5)),
+     DimensionError, "expected leading dimension 6, got 5"),
+    (lambda: residual_projector(np.ones((6, 1)), np.ones((5, 1))),
+     DimensionError, "X and permuted X must share a shape, got (6, 1) vs (5, 1)"),
+    (lambda: residual_projector(np.ones((2, 2, 2)), np.ones((2, 2, 2))),
+     DimensionError, "covariates must be 2-D, got shape (2, 2, 2)"),
+], ids=["annihilate-rows", "permuted-shape", "covariates-3d"])
+def test_malformed_inputs_raise_typed_errors(call, error, message):
+    raises_exactly(call, error, message)

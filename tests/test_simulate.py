@@ -33,6 +33,7 @@ from clusterperm.simulate import (
     run_null_size_panel,
     run_power_panel,
 )
+from conftest import raises_exactly
 
 _SEEN_SEEDS = []
 
@@ -466,7 +467,7 @@ class TestMinorizationDominance:
         for r, (_, infeasible) in enumerate(out["pairs"]):
             rs = replicate_seed(20, r)
             array, eps = gen_dyadic_dataset(8, spec_err=RandomEffectsSpec(0.05, 0.15), seed=rs)
-            x, d, y, group, _ = dyadic_layout(array, 7, rs)
+            x, d, y, group = dyadic_layout(array, 7, rs)
             prepared = PreparedTest(x, d, group)
             min_a = prepared.min_stat(y)
             moved = eps.reshape(-1)[group.stacked()]
@@ -529,3 +530,8 @@ class TestPanels:
         )
         assert out["rows"][0]["errors"] == "two-way-weak"
         assert out["l0"] == 3
+
+
+def test_short_gamma_raises_typed_error():
+    raises_exactly(lambda: gen_dyadic_dataset(4, gamma=(1.0, 2.0)), DimensionError,
+                   "gamma must have 3 entries, got (2,)")

@@ -137,7 +137,7 @@ def test_orbit_bound(name, data, num_perms, seed, log_scale):
 
 
 _SCALE_LAYOUT = dyadic_layout(gen_dyadic_dataset(20, seed=3)[0], 19, seed=3)
-_SCALE_REFERENCE = permutation_test(*_SCALE_LAYOUT[:4], notes=_SCALE_LAYOUT[4])
+_SCALE_REFERENCE = permutation_test(*_SCALE_LAYOUT)
 _TINY = 2.0 ** -1022
 
 
@@ -149,9 +149,9 @@ _TINY = 2.0 ** -1022
 @example(s=1000, t=1000)
 @example(s=-1000, t=1000)
 def test_exponent_draws_give_the_reference_or_a_typed_error(s, t):
-    x, d, y, group, notes = _SCALE_LAYOUT
+    x, d, y, group = _SCALE_LAYOUT
     try:
-        report = permutation_test(x, np.ldexp(d, t), np.ldexp(y, s), group, notes=notes)
+        report = permutation_test(x, np.ldexp(d, t), np.ldexp(y, s), group)
     except NonFiniteInputError as err:
         assert "outcome or treatment is too" in str(err)
         return
