@@ -277,7 +277,7 @@ def _execute(args: argparse.Namespace) -> dict:
         raise ParseError("biclique needs --mask or --data")
     cover = _cover(args, mask)
     payload = cover.to_dict()
-    payload["sides"] = [[len(rows), len(cols)] for rows, cols in cover.blocks]
+    payload["sides"] = cover.sides()
     return payload
 
 

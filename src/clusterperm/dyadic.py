@@ -212,12 +212,14 @@ class PreparedTest:
         row_perms,
         tol: float | None = None,
     ):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        D = np.asarray(D, dtype=float)
-        if D.ndim == 1:
-            D = D[:, None]
+        checked = []
+        for a, name in ((X, "covariates"), (D, "treatment")):
+            a = np.asarray(a, dtype=float)
+            a = a[:, None] if a.ndim == 1 else a
+            if a.ndim != 2:
+                raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
+            checked.append(a)
+        X, D = checked
         n = D.shape[0]
         if X.shape[0] != n:
             raise DimensionError(f"X has {X.shape[0]} rows, D has {n}")

@@ -112,8 +112,8 @@ def max_biclique_exact(mask, cap: int = EXACT_CAP, min_side: int = 1):
     """Exact maximum-edge biclique of a 0/1 mask.
 
     Enumerates row subsets (restricted to occupied rows), pairing each with
-    its full common-neighbor column set.  Ties break toward more rows, then
-    the lexicographically smallest row set.
+    its full common-neighbor column set.  Ties break by the greedy solver's
+    rule, :func:`_candidate_key`: more rows, then the smaller row tuple.
 
     Returns (rows, cols) as sorted index tuples, or None when no block has
     both sides >= ``min_side``.  Raises :class:`CapExceededError` above the
@@ -131,14 +131,9 @@ def max_biclique_exact(mask, cap: int = EXACT_CAP, min_side: int = 1):
     valid[0] = False
     if not valid.any():
         return None
-    best_score = scores[valid].max()
-    cands = np.flatnonzero(valid & (scores == best_score))
-    most_rows = row_counts[cands].max()
-    cands = cands[row_counts[cands] == most_rows]
-    best = min((_decode_bits(int(s), occupied), int(s)) for s in cands)[1]
-    rows = _decode_bits(best, occupied)
-    cols = _decode_bits(int(common[best]))
-    return rows, cols
+    best = np.flatnonzero(valid & (scores == scores[valid].max()))
+    return min(((_decode_bits(int(s), occupied), _decode_bits(int(common[s]))) for s in best),
+               key=_candidate_key)
 
 
 def max_square_side(mask, cap: int = EXACT_CAP) -> int:
@@ -221,8 +216,7 @@ _RESTART_CHUNK = 8
 _CHUNK_BYTES = 1 << 20
 
 
-def _greedy_blocks(mask_bool: np.ndarray, streams, restarts: int, min_side: int,
-                   found: dict) -> list:
+def _greedy_blocks(mask_bool: np.ndarray, streams, restarts: int, min_side: int) -> list:
     """The greedy block of ``mask_bool`` for each Generator of ``streams``.
 
     Each stream draws its ``restarts`` noise rows, one uniform per active row
@@ -231,10 +225,9 @@ def _greedy_blocks(mask_bool: np.ndarray, streams, restarts: int, min_side: int,
     that order against its common-neighbor column set.  The restarts of every
     stream are scored together, a chunk at a time, with one sort and one
     cumulative AND.  The start sets, packed to bits, are de-duplicated, and
-    :func:`_local_search` runs once per start set not yet in ``found``, which
-    maps packed start sets to blocks on this mask and ``min_side``.  A
-    stream's block is the best (:func:`_candidate_key`) of its restarts'
-    blocks, or None when no prefix meets ``min_side``.
+    :func:`_local_search` runs once per start set of the pass, whichever
+    chunks it recurs in.  A stream's block is the best (:func:`_candidate_key`)
+    of its restarts' blocks, or None when no prefix meets ``min_side``.
     """
     degrees = mask_bool.sum(axis=1)
     active = np.flatnonzero(degrees)
@@ -248,7 +241,7 @@ def _greedy_blocks(mask_bool: np.ndarray, streams, restarts: int, min_side: int,
     sizes = np.arange(1, n + 1)
     owner = np.repeat(np.arange(len(streams)), restarts)
     picks = np.full(owner.size, -1)
-    blocks = []
+    blocks, found = [], {}
     step = max(1, max(_RESTART_CHUNK * B.size, _CHUNK_BYTES) // (words.nbytes + 64 * n))
     for lo in range(0, owner.size, step):
         part = np.unique(owner[lo:lo + step], return_counts=True)
@@ -284,16 +277,13 @@ def _greedy_blocks(mask_bool: np.ndarray, streams, restarts: int, min_side: int,
     return [blocks[order[b]] if b < len(blocks) else None for b in best]
 
 
-def max_biclique_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int = 1, *,
-                        rng: np.random.Generator | None = None):
+def max_biclique_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int = 1):
     """Seeded greedy maximum-edge biclique heuristic.
 
     The restarts, their noise and their local searches are
-    :func:`_greedy_blocks`'s for one stream: ``rng`` when given, which the
-    call advances by one uniform per active row of ``mask`` and restart, else
-    ``generator(mask_seed(seed, 7))``.  ``seed`` is read only when ``rng`` is
-    not given.  Of equal-scoring blocks the one with more rows wins, then the
-    smaller row and column tuples.
+    :func:`_greedy_blocks`'s for the one stream ``generator(mask_seed(seed, 7))``.
+    Of equal-scoring blocks the one with more rows wins, then the smaller row
+    and column tuples.
 
     Returns (rows, cols) or None when ``min_side`` cannot be met.  Raises
     :class:`DimensionError` when ``restarts`` is below 1.
@@ -303,8 +293,7 @@ def max_biclique_greedy(mask, restarts: int = 16, seed: int = 0, min_side: int =
     mask_bool = as_mask(mask).astype(bool)
     if not mask_bool.any():
         raise EmptyMaskError("mask has no observed cells")
-    stream = generator(mask_seed(seed, 7)) if rng is None else rng
-    return _greedy_blocks(mask_bool, [stream], restarts, min_side, {})[0]
+    return _greedy_blocks(mask_bool, [generator(mask_seed(seed, 7))], restarts, min_side)[0]
 
 
 @dataclass(frozen=True)
@@ -417,9 +406,8 @@ def biclique_covers(mask, seeds, solver: str = "auto", min_block: int = 2,
     seeds whose masks left are equal form one group: the exact solver runs
     once for the group, and the greedy solver scores every restart of every
     seed of the group in one pass (:func:`_greedy_blocks`), each seed drawing
-    from its own stream, so each cover is the one its seed gets alone.  The
-    local searches of the whole call share one cache, keyed by mask left and
-    start set, so a group searches each start set once.
+    from its own stream, so each cover is the one its seed gets alone, and
+    the group searches each start set once.
     """
     check_exact_cap(cap)
     full = as_mask(mask).astype(bool)
@@ -437,13 +425,13 @@ def biclique_covers(mask, seeds, solver: str = "auto", min_block: int = 2,
     # A mask left is ``full`` on its non-empty rows and columns, so these,
     # rows then columns, name it: ``left[i]`` names seed i's.
     left = [np.concatenate([full.any(axis=1), full.any(axis=0)])] * len(streams)
-    live, searches = range(len(streams)), {}
+    live = range(len(streams))
     while live:
         groups = {}
         for i in live:
             groups.setdefault(left[i].tobytes(), []).append(i)
         live = []
-        for key, group in groups.items():
+        for group in groups.values():
             work = full & left[group[0]][:n_rows, None] & left[group[0]][n_rows:]
             # A block with both sides >= min_block needs min_block rows, and
             # min_block columns, holding at least min_block cells each.
@@ -453,8 +441,7 @@ def biclique_covers(mask, seeds, solver: str = "auto", min_block: int = 2,
             if use_exact:
                 found = [max_biclique_exact(work, cap=cap, min_side=min_block)] * len(group)
             else:
-                found = _greedy_blocks(work, [streams[i] for i in group], restarts, min_block,
-                                       searches.setdefault(key, {}))
+                found = _greedy_blocks(work, [streams[i] for i in group], restarts, min_block)
             after = {}
             for i, block in zip(group, found):
                 if block is None:

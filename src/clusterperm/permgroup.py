@@ -189,23 +189,16 @@ def _blockwise_shift(n: int, num_perms: int) -> np.ndarray:
     return out
 
 
-def _cyclic_generator(n: int, num_perms: int, seed) -> np.ndarray:
-    """Member 1 of a cyclic family: the first shift, conjugated by a relabeling.
-
-    An integer seed is read as :func:`~clusterperm.rng.generator` reads it,
-    which is ``np.random.default_rng(seed)`` for seeds in [0, 2**64).
-    """
-    if isinstance(seed, (int, np.integer)):
-        rng = generator(seed)
-    else:
-        rng = np.random.default_rng(seed)
-    relabel = rng.permutation(n)
+def _cyclic_generator(n: int, num_perms: int, seed: int) -> np.ndarray:
+    """Member 1 of a cyclic family: the first shift, conjugated by a relabeling
+    drawn from ``generator(seed)``."""
+    relabel = generator(seed).permutation(n)
     inverse = np.empty(n, dtype=np.intp)
     inverse[relabel] = np.arange(n)
     return inverse[_blockwise_shift(n, num_perms)[relabel]]
 
 
-def build_cyclic_family(n: int, num_perms: int, seed) -> np.ndarray:
+def build_cyclic_family(n: int, num_perms: int, seed: int) -> np.ndarray:
     """Build a cyclic family of K+1 bijections on 0-based [n].
 
     Parameters
@@ -214,8 +207,9 @@ def build_cyclic_family(n: int, num_perms: int, seed) -> np.ndarray:
         Size of the index set.
     num_perms : int
         K, the number of non-identity members.
-    seed : int or numpy Generator / SeedSequence
-        Drives the random relabeling that conjugates the canonical shifts.
+    seed : int
+        Drives the random relabeling that conjugates the canonical shifts,
+        drawn from :func:`~clusterperm.rng.generator`.
 
     Returns
     -------

@@ -5,13 +5,10 @@ All randomness in the package flows from integer root seeds through
 Derived streams are independent of evaluation order, so adding Monte Carlo
 replicates or changing worker counts never reshuffles earlier draws.
 
-``SeedSequence`` turns its entropy list into uint32 words: each non-negative
-integer, little-endian, as many words as it needs (one word for 0).
-:func:`derive_seed` and :func:`generator` hand it that word array directly,
-which skips numpy's per-integer coercion and gives the same sequence, so
-``generator(s)`` draws what ``np.random.default_rng(s)`` draws for every s in
-[0, 2**64), and ``derive_seed(seed, *keys)`` equals
-``SeedSequence([seed mod 2**64, *keys]).generate_state(1, np.uint64)[0]``.
+Every stream is numpy's own: :func:`derive_seed` and :func:`generator` read
+``SeedSequence([seed mod 2**64, *keys])``, so ``generator(s)`` draws what
+``np.random.default_rng(s)`` draws for every s in [0, 2**64).  A negative
+seed wraps; a negative key raises ``ValueError``, as numpy does.
 
 Namespaces (first key) keep unrelated uses from colliding:
 
@@ -41,38 +38,20 @@ AXIS_COLS = 1
 AXIS_CELLS = 2
 
 _MASK64 = (1 << 64) - 1
-_WORD = (1 << 32) - 1
 
 
-def _key_words(keys) -> list[int]:
-    """The uint32 entropy words of non-negative integer keys, as numpy forms them."""
-    words = []
-    for value in (int(k) for k in keys):
-        if value < 0:
-            raise ValueError("expected non-negative integer")
-        words.append(value & _WORD)
-        value >>= 32
-        while value:
-            words.append(value & _WORD)
-            value >>= 32
-    return words
-
-
-def _seed_sequence(seed: int, keys) -> np.random.SeedSequence:
-    """``SeedSequence([seed mod 2**64, *keys])``, built from its uint32 words."""
-    # SeedSequence entropy must be non-negative: the seed wraps, a key raises.
-    words = _key_words((int(seed) & _MASK64, *keys))
-    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+def _sequence(seed: int, keys) -> np.random.SeedSequence:
+    return np.random.SeedSequence([int(seed) & _MASK64, *keys])
 
 
 def derive_seed(seed: int, *keys: int) -> int:
     """Return a 64-bit integer sub-seed, stable in ``(seed, *keys)``."""
-    return int(_seed_sequence(seed, keys).generate_state(1, np.uint64)[0])
+    return int(_sequence(seed, keys).generate_state(1, np.uint64)[0])
 
 
 def generator(seed: int, *keys: int) -> np.random.Generator:
     """A fresh Generator on the sub-stream keyed by ``keys``."""
-    return np.random.default_rng(_seed_sequence(seed, keys))
+    return np.random.default_rng(_sequence(seed, keys))
 
 
 def family_seed(seed: int, block: int, axis: int) -> int:

@@ -313,8 +313,10 @@ def minorization_gap_suite(
         prepared = PreparedTest(x, d, group)
         report = prepared.report(y)
         # the K translates of the errors, one outcome per member
-        moved = eps.reshape(-1)[group.stacked()[1:]].T
-        count = np.count_nonzero(report.min_a <= prepared.min_stat(moved))
+        moved = np.empty((num_perms, eps.size))
+        for members, block in group.orbit(eps.reshape(-1)):
+            moved[members] = block
+        count = np.count_nonzero(report.min_a <= prepared.min_stat(moved.T))
         pairs.append((report.pval, (1 + count) / (num_perms + 1)))
     violations = sum(infeasible > feasible for feasible, infeasible in pairs)
     return {"reps": reps, "violations": violations, "pairs": pairs}

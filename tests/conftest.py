@@ -6,12 +6,18 @@ outside pytest's output capture, so the gate can be skimmed at the bottom
 of any test log.  ``two_way_group`` is the dyadic grid's group for tests that
 build it without a :class:`~clusterperm.model.DyadArray`.
 ``raises_exactly`` checks a fail-closed error's class and whole message.
+The ``fixed`` hypothesis profile derandomizes the property tests and keeps
+no example database, so every run draws the same examples.
 """
 
 import pytest
+from hypothesis import settings
 
 from clusterperm.permgroup import block_product_group
 from clusterperm.rng import AXIS_COLS, AXIS_ROWS
+
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.load_profile("fixed")
 
 _verdict_lines: list[str] = []
 

@@ -898,6 +898,17 @@ def test_malformed_inputs_raise_typed_errors(call, error, message):
     raises_exactly(call, error, message)
 
 
+@pytest.mark.parametrize("tol", [None, 1e-9])
+@pytest.mark.parametrize("name", ["covariates", "treatment"])
+def test_arrays_past_two_dimensions_name_their_argument(name, tol):
+    # a third axis is rejected before either build route, naming the argument
+    X, D, _ = _design(n=6, seed=43)
+    args = {"covariates": X, "treatment": D}
+    args[name] = args[name][:, :, None]
+    raises_exactly(lambda: PreparedTest(*args.values(), two_way_group(6, 6, 5, seed=43), tol=tol),
+                   DimensionError, f"{name} must be 2-D, got shape {args[name].shape}")
+
+
 class TestMedianPvalue:
     def test_odd_count(self):
         assert median_pvalue([0.3, 0.1, 0.2]) == 0.2

@@ -40,6 +40,17 @@ def test_modules_use_every_name_they_import():
     assert unused == []
 
 
+def test_only_rng_calls_numpy_random():
+    # every stream is rng.generator on numpy's own SeedSequence
+    package = pathlib.Path(clusterperm.__file__).parent
+    calls = [f"{path.name}:{node.lineno} {ast.unparse(node.func)}"
+             for path in sorted(package.glob("*.py")) if path.name != "rng.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).startswith(("np.random.", "numpy.random."))]
+    assert calls == []
+
+
 def _layertrace_lists():
     """FUNCTIONS and METHODS of ``bench/layertrace.py``, read without importing it."""
     path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
